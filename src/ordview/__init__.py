@@ -5,8 +5,6 @@ Labels are 0-based ranks 0..n_classes-1 throughout. All randomness flows
 through explicit integer seeds; no function touches global RNG state.
 """
 
-from ._backend import NUMBA_ENABLED, backend_name
-
-__all__ = ["NUMBA_ENABLED", "backend_name", "__version__"]
+__all__ = ["__version__"]
 
 __version__ = "0.1.0"

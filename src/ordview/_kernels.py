@@ -1,17 +1,19 @@
-"""Hot numeric kernels: batched heads, losses, and the SGD inner loop.
+"""Numeric kernels: batched heads, losses, and the minibatch SGD loop.
 
-Everything in this module is numba-compatible (scalar loops, math.* calls,
-contiguous np.dot) and compiled when the backend enables it. Enum-like
-integer codes stand in for the string options of the public API because
-compiled kernels cannot dispatch on strings.
+Every kernel works on a whole batch with numpy array operations. The string
+options of the public API (backbone ``"linear"``/``"one_hidden"``, head
+``"softmax"``/``"clm"``, link ``"logit"``/``"probit"``/``"cloglog"``, loss
+family ``"cce"``/``"cdwce"``/``"slace"``) are dispatched in Python. Python
+loops run only over epochs and minibatches.
 
 Numerical conventions shared with the public modules:
 
 * probabilities are clamped to [1e-12, 1 - 1e-12] inside log terms;
 * the complementary log-log inner exponent is clamped to [-30, 30];
-* overflow never raises: exponentials only ever see non-positive (or NaN)
-  arguments, so divergence surfaces as NaN losses, identically on both
-  backends.
+* exponentials only ever see non-positive (or NaN) arguments, so a fit that
+  diverges surfaces as NaN epoch losses; ``run_sgd`` silences the overflow
+  and invalid-value warnings on the way there, leaving the NaN loss as the
+  one signal.
 """
 
 from __future__ import annotations
@@ -20,22 +22,6 @@ import math
 
 import numpy as np
 
-from ._backend import jit
-
-LINK_LOGIT = 0
-LINK_PROBIT = 1
-LINK_CLOGLOG = 2
-
-HEAD_SOFTMAX = 0
-HEAD_CLM = 1
-
-BACKBONE_LINEAR = 0
-BACKBONE_ONE_HIDDEN = 1
-
-LOSS_CCE = 0
-LOSS_CDWCE = 1
-LOSS_SLACE = 2
-
 P_CLAMP = 1e-12
 CLOGLOG_CLAMP = 30.0
 
@@ -43,92 +29,58 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-@jit
-def link_inverse(x, link_id):
+def link_inverse(x, link):
     """Inverse link g^{-1}(x), the cumulative-probability response."""
-    if link_id == LINK_LOGIT:
-        if x >= 0.0:
-            return 1.0 / (1.0 + math.exp(-x))
-        e = math.exp(x)
-        return e / (1.0 + e)
-    elif link_id == LINK_PROBIT:
-        return 0.5 * (1.0 + math.erf(x / _SQRT2))
-    else:
-        inner = x
-        if inner > CLOGLOG_CLAMP:
-            inner = CLOGLOG_CLAMP
-        elif inner < -CLOGLOG_CLAMP:
-            inner = -CLOGLOG_CLAMP
-        return 1.0 - math.exp(-math.exp(inner))
+    if link == "logit":
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if link == "probit":
+        # imported here: loading scipy.special at package import raises the
+        # import-time peak RSS, and only the probit link needs it
+        from scipy.special import erf
+
+        return 0.5 * (1.0 + erf(x / _SQRT2))
+    inner = np.clip(x, -CLOGLOG_CLAMP, CLOGLOG_CLAMP)
+    return 1.0 - np.exp(-np.exp(inner))
 
 
-@jit
-def link_inverse_deriv(x, link_id):
+def link_inverse_deriv(x, link):
     """d/dx of link_inverse. Zero in the cloglog clamp region, where the
     forward value is constant."""
-    if link_id == LINK_LOGIT:
-        s = link_inverse(x, LINK_LOGIT)
+    if link == "logit":
+        s = link_inverse(x, "logit")
         return s * (1.0 - s)
-    elif link_id == LINK_PROBIT:
-        return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    else:
-        if x > CLOGLOG_CLAMP or x < -CLOGLOG_CLAMP:
-            return 0.0
-        return math.exp(x - math.exp(x))
+    if link == "probit":
+        return np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    inner = np.clip(x, -CLOGLOG_CLAMP, CLOGLOG_CLAMP)
+    clamped = (x > CLOGLOG_CLAMP) | (x < -CLOGLOG_CLAMP)
+    return np.where(clamped, 0.0, np.exp(inner - np.exp(inner)))
 
 
-@jit
 def materialize_thresholds_raw(b1, deltas, d_min):
     """Strictly increasing thresholds from the unconstrained parameters.
 
     b[0] = b1, b[j] = b[j-1] + d_min + deltas[j-1]**2 (+ 1e-6 iff d_min == 0).
     deltas has J-2 entries; the result has J-1.
     """
-    n = deltas.shape[0] + 1
-    b = np.empty(n)
-    b[0] = b1
     eps = 1e-6 if d_min == 0.0 else 0.0
-    for j in range(1, n):
-        b[j] = b[j - 1] + d_min + deltas[j - 1] * deltas[j - 1] + eps
-    return b
+    steps = d_min + deltas * deltas + eps
+    return np.concatenate(([b1], b1 + np.cumsum(steps)))
 
 
-@jit
 def softmax_batch(scores):
     """Row-wise softmax with max subtraction; exp never sees positive args."""
-    n, k = scores.shape
-    out = np.empty((n, k))
-    for i in range(n):
-        m = scores[i, 0]
-        for j in range(1, k):
-            if scores[i, j] > m:
-                m = scores[i, j]
-        tot = 0.0
-        for j in range(k):
-            e = math.exp(scores[i, j] - m)
-            out[i, j] = e
-            tot += e
-        for j in range(k):
-            out[i, j] /= tot
-    return out
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-@jit
 def softmax_backward_batch(probs, grad_probs):
     """Chain dL/dp through the softmax: dL/ds_j = p_j (g_j - sum_m p_m g_m)."""
-    n, k = probs.shape
-    out = np.empty((n, k))
-    for i in range(n):
-        dot = 0.0
-        for j in range(k):
-            dot += probs[i, j] * grad_probs[i, j]
-        for j in range(k):
-            out[i, j] = probs[i, j] * (grad_probs[i, j] - dot)
-    return out
+    dot = np.sum(probs * grad_probs, axis=1, keepdims=True)
+    return probs * (grad_probs - dot)
 
 
-@jit
-def clm_forward_batch(latent, thresholds, link_id):
+def clm_forward_batch(latent, thresholds, link):
     """Cumulative-link head for a batch of latent scores.
 
     Returns (cum, probs): cum[i, j] = g^{-1}(b_j - f_i) forced non-decreasing
@@ -136,140 +88,87 @@ def clm_forward_batch(latent, thresholds, link_id):
     class and renormalized (a round-off guard; the sum is already 1 up to
     machine precision).
     """
-    n = latent.shape[0]
-    m = thresholds.shape[0]
-    j_classes = m + 1
-    cum = np.empty((n, m))
-    probs = np.empty((n, j_classes))
-    for i in range(n):
-        prev = 0.0
-        for j in range(m):
-            c = link_inverse(thresholds[j] - latent[i], link_id)
-            if c < prev:
-                c = prev
-            cum[i, j] = c
-            probs[i, j] = c - prev
-            prev = c
-        tail = 1.0 - prev
-        if tail < 0.0:
-            tail = 0.0
-        probs[i, j_classes - 1] = tail
-        tot = 0.0
-        for j in range(j_classes):
-            tot += probs[i, j]
-        if tot > 0.0:
-            for j in range(j_classes):
-                probs[i, j] /= tot
+    c = link_inverse(thresholds[None, :] - latent[:, None], link)
+    cum = np.maximum.accumulate(c, axis=1)
+    tail = np.maximum(1.0 - cum[:, -1:], 0.0)
+    probs = np.concatenate((cum[:, :1], np.diff(cum, axis=1), tail), axis=1)
+    tot = probs.sum(axis=1, keepdims=True)
+    np.divide(probs, tot, out=probs, where=tot > 0.0)
     return cum, probs
 
 
-@jit
-def clm_backward_batch(latent, thresholds, link_id, grad_probs):
+def clm_backward_batch(latent, thresholds, link, grad_probs):
     """Backprop dL/dp through the cumulative-link head.
 
     With dL/dcum_j = g_j - g_{j+1} (g = grad_probs row), returns per-sample
     latent gradients and threshold gradients summed over the batch.
     """
-    n = latent.shape[0]
-    m = thresholds.shape[0]
-    grad_latent = np.zeros(n)
-    grad_thresholds = np.zeros(m)
-    for i in range(n):
-        for j in range(m):
-            dc = grad_probs[i, j] - grad_probs[i, j + 1]
-            gp = link_inverse_deriv(thresholds[j] - latent[i], link_id)
-            grad_latent[i] -= gp * dc
-            grad_thresholds[j] += gp * dc
-    return grad_latent, grad_thresholds
+    dc = grad_probs[:, :-1] - grad_probs[:, 1:]
+    gp = link_inverse_deriv(thresholds[None, :] - latent[:, None], link)
+    term = gp * dc
+    return -term.sum(axis=1), term.sum(axis=0)
 
 
-@jit
 def threshold_param_grads(deltas, grad_thresholds):
     """Chain threshold gradients to (b1, deltas).
 
     b_j depends on delta_m for m < j via delta_m**2, so
     d/d(delta_m) = 2 delta_m * sum_{j > m} grad_thresholds[j].
     """
-    n_d = deltas.shape[0]
-    n_b = grad_thresholds.shape[0]
-    gb1 = 0.0
-    for j in range(n_b):
-        gb1 += grad_thresholds[j]
-    gd = np.zeros(n_d)
-    for m_i in range(n_d):
-        s = 0.0
-        for j in range(m_i + 1, n_b):
-            s += grad_thresholds[j]
-        gd[m_i] = 2.0 * deltas[m_i] * s
-    return gb1, gd
+    later = np.cumsum(grad_thresholds[:0:-1])[::-1]
+    return float(grad_thresholds.sum()), 2.0 * deltas * later
 
 
-@jit
-def loss_batch(probs, targets, labels, loss_id, loss_alpha):
+def loss_batch(probs, targets, labels, loss, loss_alpha):
     """Summed loss over the batch plus per-sample dL/dp.
 
-    * LOSS_CCE: -sum_j t_j log p_j with target rows ``targets``.
-    * LOSS_CDWCE: -sum_{j != y} |j - y|**alpha log(1 - p_j); uses ``labels``.
-    * LOSS_SLACE: binary cross-entropy between the cumulative sums of
+    * ``"cce"``: -sum_j t_j log p_j with target rows ``targets``.
+    * ``"cdwce"``: -sum_{j != y} |j - y|**alpha log(1 - p_j); uses ``labels``.
+    * ``"slace"``: binary cross-entropy between the cumulative sums of
       ``targets`` and of p over the first J-1 prefixes.
 
     Log arguments are clamped to [1e-12, 1 - 1e-12] in both the value and
-    the gradient.
+    the gradient. Entries a loss skips (t_j == 0, j == y) contribute exactly
+    zero to both, whatever the probability there.
     """
-    n, j_classes = probs.shape
-    grad = np.zeros((n, j_classes))
-    total = 0.0
-    if loss_id == LOSS_CCE:
-        for i in range(n):
-            for j in range(j_classes):
-                t = targets[i, j]
-                if t != 0.0:
-                    p = probs[i, j]
-                    if p < P_CLAMP:
-                        p = P_CLAMP
-                    elif p > 1.0 - P_CLAMP:
-                        p = 1.0 - P_CLAMP
-                    total -= t * math.log(p)
-                    grad[i, j] = -t / p
-    elif loss_id == LOSS_CDWCE:
-        for i in range(n):
-            k = labels[i]
-            for j in range(j_classes):
-                if j == k:
-                    continue
-                w = (1.0 * abs(j - k)) ** loss_alpha
-                q = 1.0 - probs[i, j]
-                if q < P_CLAMP:
-                    q = P_CLAMP
-                elif q > 1.0 - P_CLAMP:
-                    q = 1.0 - P_CLAMP
-                total -= w * math.log(q)
-                grad[i, j] = w / q
-    else:
-        for i in range(n):
-            tc = 0.0
-            pc = 0.0
-            for j in range(j_classes - 1):
-                tc += targets[i, j]
-                pc += probs[i, j]
-                q = pc
-                if q < P_CLAMP:
-                    q = P_CLAMP
-                elif q > 1.0 - P_CLAMP:
-                    q = 1.0 - P_CLAMP
-                total -= tc * math.log(q) + (1.0 - tc) * math.log(1.0 - q)
-                g = -(tc / q - (1.0 - tc) / (1.0 - q))
-                for m_i in range(j + 1):
-                    grad[i, m_i] += g
+    if loss == "cce":
+        p = np.clip(probs, P_CLAMP, 1.0 - P_CLAMP)
+        used = targets != 0.0
+        total = -np.sum(np.where(used, targets * np.log(p), 0.0))
+        return total, np.where(used, -targets / p, 0.0)
+    if loss == "cdwce":
+        dist = np.abs(np.arange(probs.shape[1])[None, :] - labels[:, None])
+        w = dist.astype(np.float64) ** loss_alpha
+        q = np.clip(1.0 - probs, P_CLAMP, 1.0 - P_CLAMP)
+        used = dist != 0
+        total = -np.sum(np.where(used, w * np.log(q), 0.0))
+        return total, np.where(used, w / q, 0.0)
+    tc = np.cumsum(targets[:, :-1], axis=1)
+    q = np.clip(np.cumsum(probs[:, :-1], axis=1), P_CLAMP, 1.0 - P_CLAMP)
+    total = -np.sum(tc * np.log(q) + (1.0 - tc) * np.log(1.0 - q))
+    g = -(tc / q - (1.0 - tc) / (1.0 - q))
+    # dL/dp_m collects the prefix terms j >= m
+    grad = np.zeros_like(probs)
+    grad[:, :-1] = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
     return total, grad
 
 
-@jit
+def _scores(x, backbone, w1, c1, w2, c2):
+    """Output-layer scores plus the hidden pre-activation (None if linear)."""
+    if backbone == "one_hidden":
+        pre = x @ w1 + c1
+        z = np.maximum(pre, 0.0)
+    else:
+        pre = None
+        z = x
+    return z @ w2 + c2, z, pre
+
+
 def forward_batch(
     x,
-    backbone_id,
-    head_id,
-    link_id,
+    backbone,
+    head,
+    link,
     d_min,
     w1,
     c1,
@@ -279,38 +178,23 @@ def forward_batch(
     clm_deltas,
 ):
     """Full forward pass to class probabilities for a batch."""
-    if backbone_id == BACKBONE_ONE_HIDDEN:
-        h = np.dot(x, w1)
-        for i in range(h.shape[0]):
-            for j in range(h.shape[1]):
-                h[i, j] += c1[j]
-                if h[i, j] < 0.0:
-                    h[i, j] = 0.0
-        z = h
-    else:
-        z = x
-    s = np.dot(z, w2)
-    for i in range(s.shape[0]):
-        for j in range(s.shape[1]):
-            s[i, j] += c2[j]
-    if head_id == HEAD_SOFTMAX:
+    s, _, _ = _scores(x, backbone, w1, c1, w2, c2)
+    if head == "softmax":
         return softmax_batch(s)
     b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-    _, probs = clm_forward_batch(s[:, 0].copy(), b, link_id)
-    return probs
+    return clm_forward_batch(s[:, 0], b, link)[1]
 
 
-@jit
 def run_sgd(
     x,
     labels,
     targets,
     shuffles,
-    loss_id,
+    loss,
     loss_alpha,
-    backbone_id,
-    head_id,
-    link_id,
+    backbone,
+    head,
+    link,
     d_min,
     w1,
     c1,
@@ -324,97 +208,50 @@ def run_sgd(
     """Plain minibatch SGD, mutating the parameter arrays in place.
 
     shuffles is an (epochs, n) int64 matrix of precomputed epoch orderings,
-    so the exact visit sequence is fixed by the caller and identical on both
-    backends. Gradients use the batch mean; the final short batch is kept.
-    Returns the per-epoch mean sample loss.
+    so the exact visit sequence is fixed by the caller. Gradients use the
+    batch mean; the final short batch is kept. Returns the per-epoch mean
+    sample loss, NaN from the epoch a fit diverges on.
     """
     n = x.shape[0]
-    epochs = shuffles.shape[0]
-    losses = np.empty(epochs)
-    for e in range(epochs):
-        order = shuffles[e]
-        running = 0.0
-        start = 0
-        while start < n:
-            stop = start + batch_size
-            if stop > n:
-                stop = n
-            idx = order[start:stop]
-            nb = stop - start
-            xb = x[idx]
-            yb = labels[idx]
-            tb = targets[idx]
+    losses = np.empty(shuffles.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, order in enumerate(shuffles):
+            running = 0.0
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                nb = idx.size
+                xb = x[idx]
+                s, z, pre = _scores(xb, backbone, w1, c1, w2, c2)
 
-            # Placeholders so every later branch sees a defined, consistently
-            # typed variable on both code paths (a compiled-path requirement).
-            pre = np.empty((0, 0))
-            gb1 = 0.0
-            gd = np.zeros(0)
+                if head == "softmax":
+                    probs = softmax_batch(s)
+                    batch_loss, grad_p = loss_batch(
+                        probs, targets[idx], labels[idx], loss, loss_alpha
+                    )
+                    grad_s = softmax_backward_batch(probs, grad_p)
+                else:
+                    f = s[:, 0]
+                    b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
+                    _, probs = clm_forward_batch(f, b, link)
+                    batch_loss, grad_p = loss_batch(
+                        probs, targets[idx], labels[idx], loss, loss_alpha
+                    )
+                    grad_f, grad_b = clm_backward_batch(f, b, link, grad_p)
+                    gb1, gd = threshold_param_grads(clm_deltas, grad_b)
+                    grad_s = grad_f[:, None]
+                running += batch_loss
 
-            if backbone_id == BACKBONE_ONE_HIDDEN:
-                pre = np.dot(xb, w1)
-                for i in range(nb):
-                    for j in range(pre.shape[1]):
-                        pre[i, j] += c1[j]
-                act = np.maximum(pre, 0.0)
-                z = act
-            else:
-                z = xb
-            s = np.dot(z, w2)
-            for i in range(nb):
-                for j in range(s.shape[1]):
-                    s[i, j] += c2[j]
-
-            if head_id == HEAD_SOFTMAX:
-                probs = softmax_batch(s)
-                batch_loss, grad_p = loss_batch(probs, tb, yb, loss_id, loss_alpha)
-                grad_s = softmax_backward_batch(probs, grad_p)
-            else:
-                f = s[:, 0].copy()
-                b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-                _, probs = clm_forward_batch(f, b, link_id)
-                batch_loss, grad_p = loss_batch(probs, tb, yb, loss_id, loss_alpha)
-                grad_f, grad_b = clm_backward_batch(f, b, link_id, grad_p)
-                gb1, gd = threshold_param_grads(clm_deltas, grad_b)
-                grad_s = np.empty((nb, 1))
-                for i in range(nb):
-                    grad_s[i, 0] = grad_f[i]
-            running += batch_loss
-
-            # All gradients are taken at the current parameters; updates are
-            # applied only after every gradient below is materialized.
-            grad_w2 = np.dot(np.ascontiguousarray(z.T), grad_s)
-
-            if backbone_id == BACKBONE_ONE_HIDDEN:
-                grad_act = np.dot(grad_s, np.ascontiguousarray(w2.T))
-                for i in range(nb):
-                    for j in range(grad_act.shape[1]):
-                        if pre[i, j] <= 0.0:
-                            grad_act[i, j] = 0.0
-                grad_w1 = np.dot(np.ascontiguousarray(xb.T), grad_act)
-                for i in range(w1.shape[0]):
-                    for j in range(w1.shape[1]):
-                        w1[i, j] -= lr * grad_w1[i, j] / nb
-                for j in range(c1.shape[0]):
-                    col = 0.0
-                    for i in range(nb):
-                        col += grad_act[i, j]
-                    c1[j] -= lr * col / nb
-
-            for i in range(w2.shape[0]):
-                for j in range(w2.shape[1]):
-                    w2[i, j] -= lr * grad_w2[i, j] / nb
-            for j in range(c2.shape[0]):
-                col = 0.0
-                for i in range(nb):
-                    col += grad_s[i, j]
-                c2[j] -= lr * col / nb
-
-            if head_id == HEAD_CLM:
-                clm_b1[0] -= lr * gb1 / nb
-                for m_i in range(clm_deltas.shape[0]):
-                    clm_deltas[m_i] -= lr * gd[m_i] / nb
-
-            start = stop
-        losses[e] = running / n
+                # All gradients are taken at the current parameters; updates
+                # are applied only after every gradient below is materialized.
+                grad_w2 = z.T @ grad_s
+                if backbone == "one_hidden":
+                    grad_act = np.where(pre <= 0.0, 0.0, grad_s @ w2.T)
+                    w1 -= lr * (xb.T @ grad_act) / nb
+                    c1 -= lr * grad_act.sum(axis=0) / nb
+                w2 -= lr * grad_w2 / nb
+                c2 -= lr * grad_s.sum(axis=0) / nb
+                if head == "clm":
+                    clm_b1[0] -= lr * gb1 / nb
+                    clm_deltas -= lr * gd / nb
+            losses[e] = running / n
     return losses

@@ -27,11 +27,7 @@ __all__ = [
     "clm_backward",
 ]
 
-LINKS = {
-    "logit": _k.LINK_LOGIT,
-    "probit": _k.LINK_PROBIT,
-    "cloglog": _k.LINK_CLOGLOG,
-}
+LINKS = ("logit", "probit", "cloglog")
 
 
 @dataclass(frozen=True)
@@ -93,9 +89,7 @@ def clm_forward(f: float, params: ClmParams) -> ClmOutput:
     if not math.isfinite(f):
         raise ValueError("latent score must be finite")
     b = materialize_thresholds(params)
-    cum, probs = _k.clm_forward_batch(
-        np.array([f], dtype=np.float64), b, LINKS[params.link]
-    )
+    cum, probs = _k.clm_forward_batch(np.array([f], dtype=np.float64), b, params.link)
     return ClmOutput(cumulative=cum[0], probs=probs[0])
 
 
@@ -110,7 +104,7 @@ def clm_backward(f: float, params: ClmParams, upstream_grad) -> ClmGrads:
         )
     b = materialize_thresholds(params)
     grad_f, grad_b = _k.clm_backward_batch(
-        np.array([f], dtype=np.float64), b, LINKS[params.link], g.reshape(1, -1)
+        np.array([f], dtype=np.float64), b, params.link, g.reshape(1, -1)
     )
     gb1, gd = _k.threshold_param_grads(params.deltas, grad_b)
     return ClmGrads(df=float(grad_f[0]), db1=float(gb1), ddeltas=gd)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_probability_vector
-from .metrics import per_class_mae
+from .core import _validate_labels, check_probability_vector
 from .model import predict_proba
 
 __all__ = [
@@ -96,12 +95,13 @@ def optimize_weights(
     )
     if stack.ndim != 3:
         raise ValueError("per_view_val_probs must stack to V x n x J")
-    n_views, n_val, _ = stack.shape
+    n_views, n_val, n_classes = stack.shape
     y_val = np.asarray(y_val, dtype=np.int64)
     if n_val == 0:
         raise ValueError("empty validation set")
     if y_val.shape != (n_val,):
         raise ValueError("y_val length must match validation probabilities")
+    y_val = _validate_labels(y_val, n_classes)
 
     rng = np.random.default_rng(seed)
     candidates = np.vstack(
@@ -111,18 +111,15 @@ def optimize_weights(
             _sample_simplex(rng, n_candidates, n_views),
         ]
     )
-    n_classes = stack.shape[2]
-    best_w = None
-    best_score = np.inf
-    for w in candidates:
-        agg = np.tensordot(w, stack, axes=(0, 0))
-        preds = np.argmax(agg, axis=1)
-        # AMAE over the classes present in y_val, warning-free in this loop
-        score = float(np.nanmean(per_class_mae(y_val, preds, n_classes)))
-        if score < best_score:
-            best_score = score
-            best_w = w
-    return WeightVector(w=best_w)
+    # Every candidate at once: (C, n) predictions, then per-class error sums
+    # through the (n, J) one-hot label matrix. Memory is C x n x J floats.
+    preds = np.argmax(np.tensordot(candidates, stack, axes=(1, 0)), axis=2)
+    one_hot = np.eye(n_classes)[y_val]
+    counts = one_hot.sum(axis=0)
+    present = counts > 0
+    per_class = (np.abs(preds - y_val) @ one_hot)[:, present] / counts[present]
+    # AMAE over the classes present in y_val; argmin keeps the first of ties
+    return WeightVector(w=candidates[np.argmin(per_class.mean(axis=1))])
 
 
 def _sample_simplex(rng: np.random.Generator, n: int, v: int) -> np.ndarray:

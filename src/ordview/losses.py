@@ -93,7 +93,7 @@ def cce(p, target) -> LossValueGrad:
         p.reshape(1, -1),
         target.reshape(1, -1),
         np.zeros(1, dtype=np.int64),
-        _k.LOSS_CCE,
+        "cce",
         1.0,
     )
     return LossValueGrad(value=float(value), grad=grad[0])
@@ -110,7 +110,7 @@ def cdwce(p, k: int, alpha: float) -> LossValueGrad:
         p.reshape(1, -1),
         np.zeros((1, p.size)),
         np.array([k], dtype=np.int64),
-        _k.LOSS_CDWCE,
+        "cdwce",
         float(alpha),
     )
     return LossValueGrad(value=float(value), grad=grad[0])
@@ -166,7 +166,7 @@ def slace(p, k: int, beta: float) -> LossValueGrad:
         p.reshape(1, -1),
         targets.reshape(1, -1),
         np.array([k], dtype=np.int64),
-        _k.LOSS_SLACE,
+        "slace",
         1.0,
     )
     return LossValueGrad(value=float(value), grad=grad[0])

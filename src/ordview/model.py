@@ -153,12 +153,14 @@ class TrainedModel:
         )
 
 
-def _loss_id_and_alpha(config: ModelConfig) -> tuple[int, float]:
+def _kernel_loss(config: ModelConfig) -> tuple[str, float]:
+    """The kernel loss family and its exponent; cce_soft and sord train as
+    cross-entropy against their target rows."""
     if config.loss == "cdwce":
-        return _k.LOSS_CDWCE, float(config.cdwce_alpha)
+        return "cdwce", float(config.cdwce_alpha)
     if config.loss == "slace":
-        return _k.LOSS_SLACE, 1.0
-    return _k.LOSS_CCE, 1.0
+        return "slace", 1.0
+    return "cce", 1.0
 
 
 def _target_rows(config: ModelConfig) -> np.ndarray:
@@ -184,11 +186,17 @@ def _init_clm_arrays(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return b1, deltas
 
 
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError("x holds NaN or infinite features")
+
+
 def train(config: ModelConfig, x, y) -> TrainedModel:
     """Minibatch SGD; bitwise deterministic for a given (config, data)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("x must be a nonempty 2-D feature matrix")
+    _check_finite(x)
     y = np.ascontiguousarray(y, dtype=np.int64)
     if y.shape != (x.shape[0],):
         raise ValueError("y length must match x rows")
@@ -219,17 +227,17 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         shuffles[e] = rng.permutation(n)
 
     targets = np.ascontiguousarray(_target_rows(config)[y])
-    loss_id, loss_alpha = _loss_id_and_alpha(config)
+    loss, loss_alpha = _kernel_loss(config)
     losses = _k.run_sgd(
         x,
         y,
         targets,
         shuffles,
-        loss_id,
+        loss,
         loss_alpha,
-        _k.BACKBONE_ONE_HIDDEN if config.backbone == "one_hidden" else _k.BACKBONE_LINEAR,
-        _k.HEAD_CLM if config.head == "clm" else _k.HEAD_SOFTMAX,
-        LINKS[config.link],
+        config.backbone,
+        config.head,
+        config.link,
         float(config.d_min),
         w1,
         c1,
@@ -266,6 +274,7 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
         raise ValueError(
             f"expected {model.n_features} features, got {x.shape[1]}"
         )
+    _check_finite(x)
     cfg = model.config
     if cfg.head == "clm":
         clm_b1 = np.array([model.clm.b1])
@@ -274,9 +283,9 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
         clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
     return _k.forward_batch(
         x,
-        _k.BACKBONE_ONE_HIDDEN if cfg.backbone == "one_hidden" else _k.BACKBONE_LINEAR,
-        _k.HEAD_CLM if cfg.head == "clm" else _k.HEAD_SOFTMAX,
-        LINKS[cfg.link],
+        cfg.backbone,
+        cfg.head,
+        cfg.link,
         float(cfg.d_min),
         model.w1,
         model.c1,

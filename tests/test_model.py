@@ -191,6 +191,20 @@ class TestPredict:
             predict_proba(model, np.zeros(x.shape[1] + 1))
 
 
+@pytest.mark.parametrize("entry", (np.nan, np.inf))
+@pytest.mark.parametrize("call", ("train", "predict_proba_batch"))
+def test_non_finite_features_rejected(entry, call):
+    x, y = blob_dataset(10, 2)
+    cfg = method_config("nominal", 2, None, seed=0)
+    model = train(cfg, x, y)
+    x[3, 1] = entry
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        if call == "train":
+            train(cfg, x, y)
+        else:
+            predict_proba_batch(model, x)
+
+
 class TestFolds:
     def test_partition(self):
         y = np.repeat(np.arange(3), 12)
