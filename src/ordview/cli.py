@@ -148,7 +148,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
         if simple.get("synth") is not None:
             synth = simple["synth"]
             if set(simple["views"]) - set(synth.view_names):
-                noise = synth.view_noise[0] if synth.view_noise else 2.0
+                noise = synth.view_noise[0]
                 simple["synth"] = dataclasses.replace(
                     synth,
                     view_names=simple["views"],
@@ -286,10 +286,10 @@ def _cmd_metrics(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_scoring_flags(sub) -> None:
-    sub.add_argument("--qwk-exponent", type=int, choices=(1, 2), default=None,
+def _add_scoring_flags(sub, exponent=2, normalization="n") -> None:
+    sub.add_argument("--qwk-exponent", type=int, choices=(1, 2), default=exponent,
                      help="penalty exponent for QWK (1 linear, 2 quadratic)")
-    sub.add_argument("--e-normalization", choices=("n", "j"), default=None,
+    sub.add_argument("--e-normalization", choices=("n", "j"), default=normalization,
                      help="expected-matrix normalization: by N or by J")
 
 
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views", default=None, help="comma-separated views")
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--no-tuning", action="store_true")
-    _add_scoring_flags(p)
+    # no flag defaults: an unset flag leaves the config file's value
+    _add_scoring_flags(p, exponent=None, normalization=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("stats", help="ANOVA + Tukey reports from a grid CSV")
@@ -348,10 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "qwk_exponent", None) is None:
-        args.qwk_exponent = 2
-    if getattr(args, "e_normalization", None) is None:
-        args.e_normalization = "n"
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

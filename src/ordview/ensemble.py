@@ -25,6 +25,9 @@ __all__ = [
     "ensemble_predict",
 ]
 
+# aggregate floats scored at once by optimize_weights (8 MB of float64)
+_SCORE_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class ViewProbMatrix:
@@ -111,15 +114,25 @@ def optimize_weights(
             _sample_simplex(rng, n_candidates, n_views),
         ]
     )
-    # Every candidate at once: (C, n) predictions, then per-class error sums
-    # through the (n, J) one-hot label matrix. Memory is C x n x J floats.
-    preds = np.argmax(np.tensordot(candidates, stack, axes=(1, 0)), axis=2)
+    # Candidates in blocks of _SCORE_BUDGET aggregate floats (at least one
+    # candidate each): (C, n) predictions, then per-class error sums through
+    # the (n, J) one-hot label matrix
     one_hot = np.eye(n_classes)[y_val]
     counts = one_hot.sum(axis=0)
     present = counts > 0
-    per_class = (np.abs(preds - y_val) @ one_hot)[:, present] / counts[present]
-    # AMAE over the classes present in y_val; argmin keeps the first of ties
-    return WeightVector(w=candidates[np.argmin(per_class.mean(axis=1))])
+    block = max(1, _SCORE_BUDGET // (n_val * n_classes))
+    best, best_score = 0, np.inf
+    for start in range(0, len(candidates), block):
+        chunk = candidates[start : start + block]
+        preds = np.argmax(np.tensordot(chunk, stack, axes=(1, 0)), axis=2)
+        per_class = (np.abs(preds - y_val) @ one_hot)[:, present] / counts[present]
+        # AMAE over the classes present in y_val; argmin keeps the first of
+        # ties within a block, the strict < the first across blocks
+        scores = per_class.mean(axis=1)
+        i = int(np.argmin(scores))
+        if scores[i] < best_score:
+            best, best_score = start + i, scores[i]
+    return WeightVector(w=candidates[best])
 
 
 def _sample_simplex(rng: np.random.Generator, n: int, v: int) -> np.ndarray:

@@ -181,7 +181,7 @@ def _init_clm_arrays(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     b1 = np.array([-2.0])
     if j == 2:
         return b1, np.zeros(0)
-    step = 4.0 / (j - 2) if j > 2 else 0.0
+    step = 4.0 / (j - 2)
     deltas = np.full(j - 2, math.sqrt(max(step - config.d_min, 0.0)))
     return b1, deltas
 

@@ -280,9 +280,6 @@ def load_views_csv(
     views = {}
     for view in names:
         rows = parsed[view][0]
-        lengths = {len(rows[sid]) for sid in ordered}
-        if len(lengths) != 1:
-            raise ValueError(f"view {view!r}: inconsistent feature counts")
         views[view] = np.array([rows[sid] for sid in ordered], dtype=np.float64)
     return MultiViewDataset(views=views, labels=labels, n_classes=j)
 

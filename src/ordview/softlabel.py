@@ -7,9 +7,9 @@ Two smoothing schemes over 0-based ranks plus three unimodal encoders:
 * ``ordinal_smooth``: convex mix of the one-hot target with a caller-supplied
   unimodal base distribution.
 * ``triangular_target`` / ``beta_target``: continuous densities on [0, 1]
-  centred on the true class's interval, integrated over the J equal segments
-  [j/J, (j+1)/J] with adaptive Simpson quadrature (absolute tolerance 1e-9
-  per segment).
+  centred on the true class's interval; the mass of each of the J equal
+  segments [j/J, (j+1)/J] is a difference of the closed-form CDF (elementary
+  for the triangle, the regularized incomplete beta function for the beta).
 * ``exponential_target``: normalized exp(-tau * |j - k| ** p) decay.
 
 All encoders return nonnegative vectors summing to 1 with their mode at the
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 KINDS = ("uniform", "triangular", "beta", "exponential")
-
-SIMPSON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,55 +119,15 @@ def ordinal_smooth(k: int, n_classes: int, lam: float, base) -> SoftTarget:
     return SoftTarget(dist=dist, true_class=k)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, 50)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_rec(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_rec(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
-
-
-def _integrate_segments(density, n_classes: int) -> np.ndarray:
-    """Mass of ``density`` over each segment [j/J, (j+1)/J], renormalized.
-
-    Renormalization only absorbs quadrature round-off (and, defensively, any
-    sliver of density outside [0, 1] for extreme hyperparameters).
-    """
-    masses = np.empty(n_classes)
-    for j in range(n_classes):
-        masses[j] = _adaptive_simpson(
-            density, j / n_classes, (j + 1) / n_classes, SIMPSON_TOL
-        )
-    masses = np.clip(masses, 0.0, None)
-    total = masses.sum()
-    if not total > 0.0:
-        raise ValueError("density has no mass inside [0, 1]")
-    return masses / total
-
-
 def triangular_target(k: int, n_classes: int, alpha_adjacent: float) -> np.ndarray:
-    """Triangular density centred on class k's segment, integrated per segment.
+    """Triangular density centred on class k's segment, mass per segment.
 
     Interior classes use a symmetric triangle whose half-width puts exactly
     ``alpha_adjacent`` mass on each neighbouring segment; the first and last
     classes use a one-sided right triangle peaking at the domain edge, sized
-    to put ``alpha_adjacent`` on their single neighbour.
+    to put ``alpha_adjacent`` on their single neighbour. The masses are the
+    differences of the triangle's CDF at the segment edges, renormalized over
+    [0, 1] (an interior triangle may spill past the domain).
     """
     _check_k(k, n_classes)
     if not 0.0 < alpha_adjacent < 0.5:
@@ -187,40 +145,38 @@ def triangular_target(k: int, n_classes: int, alpha_adjacent: float) -> np.ndarr
         lo, mode, hi = centre - half, centre, centre + half
 
     span = hi - lo
-
-    def density(u: float) -> float:
-        if u < lo or u > hi:
-            return 0.0
-        if u < mode:
-            return 2.0 * (u - lo) / (span * (mode - lo))
-        if u > mode:
-            return 2.0 * (hi - u) / (span * (hi - mode))
-        return 2.0 / span
-
-    return _integrate_segments(density, j)
+    u = np.clip(np.arange(j + 1) / j, lo, hi)
+    cdf = np.zeros(j + 1)
+    # the masks are empty on the flat side of a one-sided (lo = mode or
+    # mode = hi) triangle, so neither branch divides by zero
+    rising = (u > lo) & (u <= mode)
+    cdf[rising] = (u[rising] - lo) ** 2 / (span * (mode - lo))
+    falling = u > mode
+    cdf[falling] = 1.0 - (hi - u[falling]) ** 2 / (span * (hi - mode))
+    masses = np.diff(cdf)
+    return masses / masses.sum()
 
 
 def beta_target(k: int, n_classes: int, concentration: float) -> np.ndarray:
-    """Beta density with mode at (2k+1)/(2J), integrated per segment.
+    """Beta density with mode at (2k+1)/(2J), mass per segment.
 
     Shape parameters a = m(c-2)+1, b = (1-m)(c-2)+1 place the mode at m and
     let the single concentration c control the spread; c must exceed 2 so the
-    mode exists.
+    mode exists. The masses are differences of the regularized incomplete
+    beta function at the segment edges.
     """
     _check_k(k, n_classes)
     if not concentration > 2.0:
         raise ValueError("concentration must exceed 2")
+    # imported here, as _kernels does for erf: loading scipy.special at
+    # package import raises the import-time peak RSS
+    from scipy.special import betainc
+
     mode = (2 * k + 1) / (2.0 * n_classes)
     a = mode * (concentration - 2.0) + 1.0
     b = (1.0 - mode) * (concentration - 2.0) + 1.0
-    log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-    def density(u: float) -> float:
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        return math.exp((a - 1.0) * math.log(u) + (b - 1.0) * math.log1p(-u) - log_norm)
-
-    return _integrate_segments(density, n_classes)
+    masses = np.diff(betainc(a, b, np.arange(n_classes + 1) / n_classes))
+    return masses / masses.sum()
 
 
 def exponential_target(

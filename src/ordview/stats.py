@@ -4,9 +4,10 @@ Balanced two-way ANOVA with interaction (method x view_config, seeds as
 replicates), Tukey HSD post-hoc comparisons driven by a hand-integrated
 studentized range distribution, and compact letter display subsets.
 
-Only scipy.special primitives (normal CDF, incomplete beta/gamma) are used;
-the studentized range CDF, its inversion, the ANOVA decomposition, and the
-letter display are implemented here.
+scipy.special supplies the normal CDF, the inverse incomplete gamma and the
+F upper tail; the studentized range CDF and its inversion, the ANOVA
+decomposition (from one (method, view, replicate) array), and the letter
+display are implemented here.
 """
 
 from __future__ import annotations
@@ -114,17 +115,12 @@ class AnovaTable:
 
 
 def f_sf(f_stat: float, df_num: int, df_den: int) -> float:
-    """Upper tail of the F distribution via the regularized incomplete beta."""
+    """Upper tail of the F distribution."""
     if df_num < 1 or df_den < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if math.isnan(f_stat):
-        return math.nan
     if f_stat <= 0.0:
         return 1.0
-    if math.isinf(f_stat):
-        return 0.0
-    x = df_den / (df_den + df_num * f_stat)
-    return float(_sp.betainc(0.5 * df_den, 0.5 * df_num, x))
+    return float(_sp.fdtrc(df_num, df_den, f_stat))
 
 
 @lru_cache(maxsize=8)
@@ -192,8 +188,12 @@ def studentized_range_sf(q: float, k: int, df: int) -> float:
     return 1.0 - studentized_range_cdf(q, k, df)
 
 
+@lru_cache(maxsize=64)
 def studentized_range_quantile(k: int, df: int, q: float) -> float:
-    """Inverse CDF by bracketing plus bisection to 1e-6 absolute width."""
+    """Inverse CDF by bracketing plus bisection to 1e-6 absolute width.
+
+    Cached: every metric's report asks for the same (k, df, 1 - alpha).
+    """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0, 1)")
     lo, hi = 0.0, 1.0
@@ -227,30 +227,24 @@ def anova2(table: ResultsTable) -> AnovaTable:
     table degenerate: F is +inf (p = 0) for effects with positive SS and NaN
     otherwise.
     """
-    methods = np.asarray(table.method)
-    views = np.asarray(table.view_config)
-    y = table.value
-    a_levels = np.unique(methods)
-    b_levels = np.unique(views)
+    a_levels, a_idx = np.unique(table.method, return_inverse=True)
+    b_levels, b_idx = np.unique(table.view_config, return_inverse=True)
     a, b = a_levels.size, b_levels.size
     if a < 2 or b < 2:
         raise ValueError("both factors need at least 2 levels")
-
-    cells = np.empty((a, b), dtype=object)
-    r = None
-    for i, av in enumerate(a_levels):
-        for j, bv in enumerate(b_levels):
-            vals = y[(methods == av) & (views == bv)]
-            if r is None:
-                r = vals.size
-            elif vals.size != r:
-                raise ValueError("unbalanced design: unequal cell counts")
-            cells[i, j] = vals
+    counts = np.bincount(a_idx * b + b_idx, minlength=a * b)
+    r = int(counts[0])
+    if np.any(counts != r):
+        raise ValueError("unbalanced design: unequal cell counts")
     if r < 2:
         raise ValueError("need at least 2 replicates per cell")
 
+    # (a, b, r) cube of replicates; the stable sort keeps each cell's rows
+    # in table order
+    y = table.value
+    cube = y[np.lexsort((b_idx, a_idx))].reshape(a, b, r)
     grand = float(y.mean())
-    cell_means = np.array([[cells[i, j].mean() for j in range(b)] for i in range(a)])
+    cell_means = cube.mean(axis=2)
     a_means = cell_means.mean(axis=1)
     b_means = cell_means.mean(axis=0)
 
@@ -258,13 +252,7 @@ def anova2(table: ResultsTable) -> AnovaTable:
     ss_b = a * r * float(((b_means - grand) ** 2).sum())
     inter = cell_means - a_means[:, None] - b_means[None, :] + grand
     ss_ab = r * float((inter**2).sum())
-    ss_res = float(
-        sum(
-            ((cells[i, j] - cell_means[i, j]) ** 2).sum()
-            for i in range(a)
-            for j in range(b)
-        )
-    )
+    ss_res = float(((cube - cell_means[:, :, None]) ** 2).sum())
     ss_total = float(((y - grand) ** 2).sum())
 
     df_a, df_b = a - 1, b - 1

@@ -125,6 +125,33 @@ class TestExperiment:
         assert saved["tuning"] is False
         assert saved["base_seed"] == 3
 
+    def test_scoring_options_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(
+            "methods = nominal\n"
+            "views = crown\n"
+            "n_seeds = 2\n"
+            "tuning = false\n"
+            "epochs = 5\n"
+            "qwk_exponent = 1\n"
+            "e_normalization = j\n"
+            "synth.n_samples = 60\n"
+            "synth.class_proportions = 0.25, 0.25, 0.25, 0.25\n"
+            "synth.n_features_per_view = 4\n"
+        )
+        import json
+        # the file's values hold unless a flag is given
+        for flags, expected in [
+            ((), (1, "j")),
+            (("--qwk-exponent", "2", "--e-normalization", "n"), (2, "n")),
+        ]:
+            out_dir = tmp_path / f"run{len(flags)}"
+            argv = ["experiment", "--config", str(cfg), "--out", str(out_dir)]
+            code, _, _ = run_cli(capsys, *argv, *flags)
+            assert code == 0
+            saved = json.loads((out_dir / "config.json").read_text())
+            assert (saved["qwk_exponent"], saved["e_normalization"]) == expected
+
     def test_requires_output_dir(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n-seeds", "1")
         assert code == 2

@@ -5,6 +5,8 @@ so agreement is checked to a tolerance (1e-12 per kernel, 1e-10 after a
 short training run), scaled by the magnitude of the reference value.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ordview import _kernels as _k
+from ordview import ensemble
 from ordview.clm import LINKS
 from ordview.ensemble import optimize_weights
 from ordview.model import METHODS, method_config, predict_proba_batch, train
@@ -208,4 +211,36 @@ def test_optimize_weights_matches_candidate_loop(instance):
     n_candidates = int(rng.integers(1, 1001))
     w = optimize_weights(list(probs), y, n_candidates=n_candidates, seed=instance)
     ref = oracles.optimize_weights_loop(list(probs), y, n_candidates, seed=instance)
+    np.testing.assert_array_equal(w.w, ref)
+
+
+@pytest.mark.parametrize("instance", range(0, 30, 2))
+def test_optimize_weights_blocks_keep_first_lowest(instance, monkeypatch):
+    """One candidate per block: the first-lowest rule must hold across
+    blocks, on the dyadic instances where many candidates tie."""
+    rng = np.random.default_rng(instance)
+    n_views, n, j = (int(v) for v in rng.integers((1, 1, 2), (4, 40, 6)))
+    rows = dyadic_rows(j)
+    probs = rows[rng.integers(0, len(rows), size=(n_views, n))]
+    y = rng.integers(0, j, size=n)
+    monkeypatch.setattr(ensemble, "_SCORE_BUDGET", 1)
+    w = optimize_weights(list(probs), y, n_candidates=300, seed=instance)
+    ref = oracles.optimize_weights_loop(list(probs), y, 300, seed=instance)
+    np.testing.assert_array_equal(w.w, ref)
+
+
+def test_optimize_weights_memory_is_bounded():
+    """1004 candidates on 5000 validation rows: the whole (C, n, J) stack
+    would take 160 MB."""
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(4), size=(3, 5000))
+    y = rng.integers(0, 4, size=5000)
+    tracemalloc.start()
+    try:
+        w = optimize_weights(list(probs), y, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    ref = oracles.optimize_weights_loop(list(probs), y, seed=1)
     np.testing.assert_array_equal(w.w, ref)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,46 @@ class TestBeta:
     def test_concentration_must_exceed_two(self):
         with pytest.raises(ValueError):
             beta_target(0, 4, concentration=2.0)
+
+
+class TestExactMasses:
+    """The masses are CDF differences, exact to a few ulps."""
+
+    TOL = 16 * np.finfo(float).eps
+
+    def test_triangular_neighbour_masses(self):
+        # for alpha <= 0.2 no triangle reaches past its neighbours or the
+        # domain, so each neighbour holds exactly alpha
+        for j in range(2, 11):
+            for k in range(j):
+                for alpha in (0.01, 0.05, 0.10, 0.20):
+                    expected = np.zeros(j)
+                    expected[[q for q in (k - 1, k + 1) if 0 <= q < j]] = alpha
+                    expected[k] = 1.0 - expected.sum()
+                    dist = triangular_target(k, j, alpha_adjacent=alpha)
+                    assert np.max(np.abs(dist - expected)) <= self.TOL
+
+    def test_beta_integer_shapes(self):
+        # c = 2 + 2Jt gives integer shapes a, b, whose CDF is a finite
+        # binomial sum, evaluated here in exact rational arithmetic
+        for j in (2, 3, 4, 5, 10):
+            for k in range(j):
+                for t in (1, 2, 5, 10):
+                    a, b = (2 * k + 1) * t + 1, (2 * j - 2 * k - 1) * t + 1
+                    n = a + b - 1
+
+                    def cdf(x):
+                        return sum(
+                            comb(n, i) * x**i * (1 - x) ** (n - i)
+                            for i in range(a, n + 1)
+                        )
+
+                    edges = [cdf(Fraction(q, j)) for q in range(j + 1)]
+                    expected = np.array(
+                        [float(hi - lo) for lo, hi in zip(edges, edges[1:])]
+                    )
+                    dist = beta_target(k, j, concentration=2.0 + 2.0 * j * t)
+                    assert np.max(np.abs(dist - expected)) <= self.TOL
 
 
 class TestExponential:

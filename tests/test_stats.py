@@ -92,6 +92,39 @@ class TestAnova:
         assert t1.method.f == pytest.approx(t2.method.f, rel=1e-9)
         assert t1.method.ss == pytest.approx(t2.method.ss, rel=1e-9)
 
+    def test_matches_per_cell_sums_on_shuffled_rows(self):
+        # rows in random order: every SS against sums over explicitly
+        # grouped cells, so rows must land in their own (method, view) cell
+        rng = np.random.default_rng(4)
+        rows = [
+            (f"m{a}", f"v{b}", s, float(rng.normal() + 0.5 * a - 0.3 * b * b))
+            for a in range(3) for b in range(4) for s in range(3)
+        ]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        tbl = anova2(ResultsTable.from_rows(rows))
+        methods = np.array([m for m, *_ in rows])
+        views = np.array([v for _, v, *_ in rows])
+        vals = np.array([val for *_, val in rows])
+        grand = vals.mean()
+        m_mean = {m: vals[methods == m].mean() for m in set(methods)}
+        v_mean = {v: vals[views == v].mean() for v in set(views)}
+        cell_mean = {
+            (m, v): vals[(methods == m) & (views == v)].mean()
+            for m in m_mean
+            for v in v_mean
+        }
+        expected = {
+            "method": 12 * sum((x - grand) ** 2 for x in m_mean.values()),
+            "view": 9 * sum((x - grand) ** 2 for x in v_mean.values()),
+            "interaction": 3 * sum(
+                (x - m_mean[m] - v_mean[v] + grand) ** 2
+                for (m, v), x in cell_mean.items()
+            ),
+            "residual": sum((val - cell_mean[(m, v)]) ** 2 for m, v, _, val in rows),
+        }
+        for name, ss in expected.items():
+            assert getattr(tbl, name).ss == pytest.approx(ss, rel=1e-10)
+
     def test_unbalanced_rejected(self):
         rows = [
             ("a", "x", 0, 1.0), ("a", "x", 1, 2.0),
@@ -132,6 +165,16 @@ class TestStudentizedRange:
     def test_monotone_in_q(self):
         qs = [studentized_range_quantile(4, 12, q) for q in (0.5, 0.9, 0.99)]
         assert qs[0] < qs[1] < qs[2]
+
+    def test_quantile_cached(self):
+        # every metric's Tukey report asks for the same critical value
+        rng = np.random.default_rng(0)
+        groups = {f"g{i}": rng.normal(size=6) for i in range(4)}
+        studentized_range_quantile.cache_clear()
+        tukey_hsd(groups)
+        tukey_hsd({name: v + 1.0 for name, v in groups.items()})
+        info = studentized_range_quantile.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_against_scipy(self):
         for k, df in [(3, 10), (5, 30), (14, 1862)]:
