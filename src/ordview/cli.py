@@ -15,7 +15,6 @@ Options may come from a ``--config`` file of ``key = value`` lines
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -27,12 +26,16 @@ from .metrics import evaluate
 from .model import METHODS, method_config, predict_proba_batch, search_space, train, tune
 from .pipeline import (
     ExperimentConfig,
+    ExperimentError,
     SynthConfig,
     generate_synthetic,
     load_views_csv,
     read_grid_csv,
     run_experiment,
     write_views_csv,
+    _parse_cells,
+    _read_csv,
+    _write_csv,
     _write_stats_report,
 )
 
@@ -216,17 +219,11 @@ def _cmd_train(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["true_label", "predicted_label"]
-                + [f"p_{q}" for q in range(data.n_classes)]
-            )
-            for i in range(test_part.n_samples):
-                writer.writerow(
-                    [int(test_part.labels[i]), int(preds[i]),
-                     *[repr(float(v)) for v in probs[i]]]
-                )
+        header = ["true_label", "predicted_label"] + [
+            f"p_{q}" for q in range(data.n_classes)
+        ]
+        rows = zip(test_part.labels.tolist(), preds.tolist(), probs.tolist())
+        _write_csv(out, header, ([y, y_hat, *p] for y, y_hat, p in rows))
         print(f"predictions: {out}")
     return 0
 
@@ -255,24 +252,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    with Path(args.predictions).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for col in ("true_label", "predicted_label"):
-            if col not in header:
-                raise ValueError(
-                    f"file {args.predictions}: missing required column {col!r}"
-                )
-        t_pos = header.index("true_label")
-        p_pos = header.index("predicted_label")
-        y_true, y_pred = [], []
-        for rec in reader:
-            y_true.append(int(rec[t_pos]))
-            y_pred.append(int(rec[p_pos]))
-    if not y_true:
-        raise ValueError(f"file {args.predictions}: no data rows")
-    y_true = np.array(y_true, dtype=np.int64)
-    y_pred = np.array(y_pred, dtype=np.int64)
+    columns = ("true_label", "predicted_label")
+    header, records = _read_csv(args.predictions, required=columns)
+    pos = [header.index(col) for col in columns]
+    y_true, y_pred = _parse_cells(args.predictions, header, records, pos, int, "label")
     n_classes = args.n_classes
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1
@@ -351,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,14 +122,18 @@ def per_class_mae(y_true, y_pred, n_classes: int) -> np.ndarray:
 def amae(y_true, y_pred, n_classes: int | None = None) -> float:
     """Per-class MAE averaged over the classes present in y_true.
 
-    When ``n_classes`` is given and some class has no true samples, that class
-    is skipped from the average with a warning (rather than contributing a
-    zero or a division error).
+    When ``n_classes`` is omitted, J is one more than the largest label in
+    either vector. When ``n_classes`` is given and some class has no true
+    samples, that class is skipped from the average with a warning (rather
+    than contributing a zero or a division error).
     """
     yt = np.asarray(y_true)
     if yt.size == 0:
         raise ValueError("empty input")
-    j = int(n_classes) if n_classes is not None else int(yt.max()) + 1
+    if n_classes is None:
+        j = int(np.max(y_pred, initial=yt.max())) + 1
+    else:
+        j = int(n_classes)
     per = per_class_mae(y_true, y_pred, j)
     present = ~np.isnan(per)
     if n_classes is not None and not present.all():

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -151,84 +152,97 @@ def write_views_csv(
     """One CSV per view: id, features f0.., label. Returns view -> path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    labels = data.labels.tolist()
     paths = {}
     for name, block in data.views.items():
-        path = out_dir / f"{name}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = [id_column] + [f"f{i}" for i in range(block.shape[1])] + [label_column]
-            writer.writerow(header)
-            for i in range(data.n_samples):
-                writer.writerow(
-                    [i, *[repr(float(v)) for v in block[i]], int(data.labels[i])]
-                )
-        paths[name] = path
+        header = [id_column] + [f"f{i}" for i in range(block.shape[1])] + [label_column]
+        rows = ([i, *x, y] for i, (x, y) in enumerate(zip(block.tolist(), labels)))
+        paths[name] = _write_csv(out_dir / f"{name}.csv", header, rows)
     return paths
 
 
-# --------------------------------------------------------------- csv loader
+# ------------------------------------------------------------------ csv i/o
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write a header line and the rows; csv.writer writes floats with repr,
+    so every float reads back bit for bit."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _read_csv(path, required=()) -> tuple[list[str], list[list[str]]]:
+    """Header and data records of one CSV file.
+
+    Raises ValueError, naming the file, for an empty file, a missing
+    required column, a record whose width differs from the header's and a
+    file without data rows. Record i (0-based) sits on line i + 2.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"file {path}: empty file")
+        for col in required:
+            if col not in header:
+                raise ValueError(f"file {path}: missing required column {col!r}")
+        records = list(reader)
+    for line_no, rec in enumerate(records, start=2):
+        if len(rec) != len(header):
+            raise ValueError(
+                f"file {path}: line {line_no} has {len(rec)} fields, "
+                f"expected {len(header)}"
+            )
+    if not records:
+        raise ValueError(f"file {path}: no data rows")
+    return header, records
+
+
+def _parse_cells(path, header, records, pos, parse, what: str) -> list[np.ndarray]:
+    """The columns at positions ``pos`` of every record, each parsed by
+    ``parse`` (int or float) into one int64 or float64 array; a cell that
+    does not parse or fit raises a ValueError naming the file, the line and
+    the column."""
+    dtype, kind = (np.int64, "an integer") if parse is int else (np.float64, "a number")
+    columns = []
+    for i in pos:
+        cells = [rec[i] for rec in records]
+        try:
+            columns.append(np.fromiter(map(parse, cells), dtype, len(cells)))
+        except (ValueError, OverflowError):
+            for line_no, cell in enumerate(cells, start=2):
+                try:
+                    dtype(parse(cell))
+                except (ValueError, OverflowError):
+                    raise ValueError(
+                        f"file {path}: line {line_no}: cannot parse {what} value "
+                        f"{cell!r} in column {header[i]!r}: not {kind}"
+                    ) from None
+            raise
+    return columns
 
 
 def _parse_view_csv(path: Path, label_column: str, id_column: str):
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"file {path}: empty file") from None
-        for col in (id_column, label_column):
-            if col not in header:
-                raise ValueError(f"file {path}: missing required column {col!r}")
-        id_pos = header.index(id_column)
-        label_pos = header.index(label_column)
-        feature_pos = [
-            i for i in range(len(header)) if i not in (id_pos, label_pos)
-        ]
-        rows: dict[str, tuple[float, ...]] = {}
-        labels: dict[str, int] = {}
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ValueError(
-                    f"file {path}: line {line_no} has {len(rec)} fields, "
-                    f"expected {len(header)}"
-                )
-            sid = rec[id_pos]
-            if sid in rows:
-                raise ValueError(f"file {path}: duplicate sample id {sid!r}")
-            raw_label = rec[label_pos]
-            try:
-                label = int(raw_label)
-            except ValueError:
-                raise ValueError(
-                    f"file {path}: line {line_no}: label {raw_label!r} "
-                    "is not an integer"
-                ) from None
-            if label < 0:
-                raise ValueError(
-                    f"file {path}: line {line_no}: label {label} is negative"
-                )
-            feats = []
-            for i in feature_pos:
-                try:
-                    feats.append(float(rec[i]))
-                except ValueError:
-                    raise ValueError(
-                        f"file {path}: line {line_no}: cannot parse feature "
-                        f"value {rec[i]!r} in column {header[i]!r}"
-                    ) from None
-            rows[sid] = tuple(feats)
-            labels[sid] = label
-    if not rows:
-        raise ValueError(f"file {path}: no data rows")
-    return rows, labels
-
-
-def _id_sort_key(ids):
-    try:
-        as_int = {sid: int(sid) for sid in ids}
-    except ValueError:
-        return sorted(ids)
-    return sorted(ids, key=as_int.__getitem__)
+    """Sample ids, the (n, d) feature block and the labels of one view CSV."""
+    header, records = _read_csv(path, required=(id_column, label_column))
+    id_pos = header.index(id_column)
+    label_pos = header.index(label_column)
+    ids = [rec[id_pos] for rec in records]
+    if len(set(ids)) < len(ids):
+        dup = next(sid for sid, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"file {path}: duplicate sample id {dup!r}")
+    [labels] = _parse_cells(path, header, records, [label_pos], int, "label")
+    if labels.min() < 0:
+        k = int(np.argmax(labels < 0))
+        raise ValueError(f"file {path}: line {k + 2}: label {labels[k]} is negative")
+    feature_pos = [i for i in range(len(header)) if i not in (id_pos, label_pos)]
+    features = _parse_cells(path, header, records, feature_pos, float, "feature")
+    block = np.array(features, dtype=np.float64).reshape(len(feature_pos), len(ids)).T
+    return ids, block, labels
 
 
 def load_views_csv(
@@ -252,35 +266,38 @@ def load_views_csv(
     names = list(parsed)
     first = names[0]
     base_ids = set(parsed[first][0])
-    for view in names[1:]:
-        ids = set(parsed[view][0])
-        if ids != base_ids:
-            off = sorted(ids.symmetric_difference(base_ids))[0]
+    try:
+        ordered = sorted(base_ids, key=lambda sid: (int(sid), sid))
+    except ValueError:
+        ordered = sorted(base_ids)
+
+    views = {}
+    view_labels = []
+    for view, (ids, block, labels) in parsed.items():
+        if set(ids) != base_ids:
+            off = sorted(set(ids).symmetric_difference(base_ids))[0]
             raise ValueError(
                 f"view {first!r} and view {view!r}: sample ids differ "
                 f"(first offending id: {off!r})"
             )
-    ordered = _id_sort_key(base_ids)
-
-    labels = []
-    for sid in ordered:
-        vals = {view: parsed[view][1][sid] for view in names}
-        uniq = set(vals.values())
-        if len(uniq) > 1:
-            raise ValueError(
-                f"sample id {sid!r}: conflicting labels across views: {vals}"
-            )
-        labels.append(vals[first])
-    labels = np.array(labels, dtype=np.int64)
+        row_of = {sid: r for r, sid in enumerate(ids)}
+        idx = np.fromiter(map(row_of.__getitem__, ordered), np.intp, len(ids))
+        views[view] = block[idx]
+        view_labels.append(labels[idx])
+    view_labels = np.stack(view_labels)
+    conflicts = np.flatnonzero((view_labels != view_labels[0]).any(axis=0))
+    if conflicts.size:
+        k = conflicts[0]
+        vals = dict(zip(names, view_labels[:, k].tolist()))
+        raise ValueError(
+            f"sample id {ordered[k]!r}: conflicting labels across views: {vals}"
+        )
+    labels = view_labels[0]
     j = int(labels.max()) + 1 if n_classes is None else int(n_classes)
     if labels.max() >= j:
         raise ValueError(
             f"label {int(labels.max())} outside [0, {j - 1}]"
         )
-    views = {}
-    for view in names:
-        rows = parsed[view][0]
-        views[view] = np.array([rows[sid] for sid in ordered], dtype=np.float64)
     return MultiViewDataset(views=views, labels=labels, n_classes=j)
 
 
@@ -480,12 +497,6 @@ def _run_seed(cfg: ExperimentConfig, train_base, test, configs, seed) -> list[tu
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _config_json(cfg: ExperimentConfig) -> str:
     def default(obj):
         if isinstance(obj, Path):
@@ -528,8 +539,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             for s in range(cfg.n_seeds):
                 rows = job(s) if futures is None else futures[s].result()
-                for row in rows:
-                    writer.writerow([_format_cell(v) for v in row])
+                writer.writerows(rows)
                 fh.flush()
                 all_rows.extend(rows)
         finally:
@@ -651,16 +661,11 @@ def _write_stats_report(out: Path, header, rows, metric: str) -> Path:
 def read_grid_csv(path) -> tuple[tuple[str, ...], list[tuple]]:
     """Parse a grid CSV back into typed rows (strings, int seed, floats)."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header[:3] != ("method", "view_config", "seed"):
-            raise ValueError(f"file {path}: not a grid CSV (header {header[:3]})")
-        rows = []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise ValueError(f"file {path}: ragged row {rec!r}")
-            rows.append(
-                (rec[0], rec[1], int(rec[2]), *[float(v) for v in rec[3:]])
-            )
-    return header, rows
+    header, records = _read_csv(path)
+    header = tuple(header)
+    if header[:3] != ("method", "view_config", "seed"):
+        raise ValueError(f"file {path}: not a grid CSV (header {header[:3]})")
+    names = ([rec[0] for rec in records], [rec[1] for rec in records])
+    [seeds] = _parse_cells(path, header, records, [2], int, "seed")
+    values = _parse_cells(path, header, records, range(3, len(header)), float, "metric")
+    return header, list(zip(*names, *(col.tolist() for col in (seeds, *values))))

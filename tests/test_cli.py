@@ -206,3 +206,49 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", str(grid), "--metrics", "f1")
         assert code == 2
         assert "not in grid columns" in err
+
+
+class TestErrorExits:
+    def test_experiment_failure_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(
+            "methods = nominal\n"
+            "views = crown\n"
+            "n_seeds = 1\n"
+            "tuning = false\n"
+            "epochs = 0\n"
+            "synth.n_samples = 60\n"
+            "synth.class_proportions = 0.25, 0.25, 0.25, 0.25\n"
+        )
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert err.startswith("error: method=nominal view=crown seed=0")
+
+    def test_stats_on_directory_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "stats", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("metrics", "true_label,predicted_label\n0,1\n1\n",
+             "line 3 has 1 fields, expected 2"),
+            ("metrics", "", "empty file"),
+            ("stats", "", "empty file"),
+            ("metrics", "true_label,predicted_label\n0,1\n1,high\n",
+             "line 3: cannot parse label value 'high' in column 'predicted_label'"),
+            ("stats", "method,view_config,seed,qwk\nnominal,crown,0,n/a\n",
+             "line 2: cannot parse metric value 'n/a' in column 'qwk'"),
+            ("metrics", "true_label,predicted_label\n0,1\n99999999999999999999,1\n",
+             "line 3: cannot parse label value '99999999999999999999'"),
+        ],
+    )
+    def test_malformed_csv_names_file(self, tmp_path, capsys, command, text, message):
+        p = tmp_path / "in.csv"
+        p.write_text(text)
+        code, _, err = run_cli(capsys, command, str(p))
+        assert code == 2
+        assert err.startswith(f"error: file {p}: {message}")

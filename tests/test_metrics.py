@@ -100,6 +100,12 @@ class TestAmae:
         with pytest.raises(ValueError):
             amae(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
+    def test_infers_classes_from_both_vectors(self):
+        # a prediction above max(y_true) is a valid class, not out of range
+        with pytest.warns(UserWarning):
+            explicit = amae([0, 1, 1], [0, 2, 1], n_classes=3)
+        assert amae([0, 1, 1], [0, 2, 1]) == explicit == pytest.approx(0.25, abs=1e-12)
+
 
 class TestPerClass:
     def test_sensitivity_reference(self):

@@ -1,10 +1,14 @@
 import csv
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ordview.core import stratified_split
+from ordview.core import MultiViewDataset, stratified_split
 from ordview.metrics import amae
 from ordview.model import method_config, predict_proba_batch, train
 from ordview.pipeline import (
@@ -105,6 +109,31 @@ class TestCsvRoundtrip:
         assert np.array_equal(loaded.labels, data.labels)
         for v in data.view_names:
             assert np.allclose(loaded.views[v], data.views[v])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_floats_round_trip_bitwise(self, draw):
+        n = draw.draw(st.integers(1, 12))
+        d = draw.draw(st.integers(1, 4))
+        edge = st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+        )
+        cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False), edge)
+        views = {
+            v: draw.draw(arrays(np.float64, (n, d), elements=cells))
+            for v in ("a", "b")
+        }
+        labels = draw.draw(arrays(np.int64, n, elements=st.integers(0, 3)))
+        data = MultiViewDataset(views=views, labels=labels, n_classes=4)
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_views_csv(write_views_csv(data, tmp), n_classes=4)
+        assert np.array_equal(loaded.labels, data.labels)
+        for v in views:
+            assert np.array_equal(loaded.views[v], data.views[v])
+            # array_equal holds for 0.0 == -0.0; the bit patterns must match too
+            assert np.array_equal(
+                loaded.views[v].view(np.int64), data.views[v].view(np.int64)
+            )
 
 
 class TestCsvLoader:
