@@ -33,6 +33,7 @@ from .pipeline import (
     read_grid_csv,
     run_experiment,
     write_views_csv,
+    _check_labels,
     _parse_cells,
     _read_csv,
     _write_csv,
@@ -256,6 +257,8 @@ def _cmd_metrics(args) -> int:
     header, records = _read_csv(args.predictions, required=columns)
     pos = [header.index(col) for col in columns]
     y_true, y_pred = _parse_cells(args.predictions, header, records, pos, int, "label")
+    for col, labels in zip(columns, (y_true, y_pred)):
+        _check_labels(args.predictions, col, labels, args.n_classes)
     n_classes = args.n_classes
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1

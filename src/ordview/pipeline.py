@@ -226,6 +226,18 @@ def _parse_cells(path, header, records, pos, parse, what: str) -> list[np.ndarra
     return columns
 
 
+def _check_labels(path, column: str, labels: np.ndarray, n_classes=None) -> None:
+    """Raise a ValueError naming the file and the line of the first label
+    below 0 or, when n_classes is given, above n_classes - 1."""
+    bad = labels < 0 if n_classes is None else (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"file {path}: line {k + 2}: label {labels[k]} in column {column!r}"
+        if n_classes is None:
+            raise ValueError(f"{where} is negative")
+        raise ValueError(f"{where} lies outside [0, {n_classes - 1}]")
+
+
 def _parse_view_csv(path: Path, label_column: str, id_column: str):
     """Sample ids, the (n, d) feature block and the labels of one view CSV."""
     header, records = _read_csv(path, required=(id_column, label_column))
@@ -236,9 +248,7 @@ def _parse_view_csv(path: Path, label_column: str, id_column: str):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
     [labels] = _parse_cells(path, header, records, [label_pos], int, "label")
-    if labels.min() < 0:
-        k = int(np.argmax(labels < 0))
-        raise ValueError(f"file {path}: line {k + 2}: label {labels[k]} is negative")
+    _check_labels(path, label_column, labels)
     feature_pos = [i for i in range(len(header)) if i not in (id_pos, label_pos)]
     features = _parse_cells(path, header, records, feature_pos, float, "feature")
     block = np.array(features, dtype=np.float64).reshape(len(feature_pos), len(ids)).T

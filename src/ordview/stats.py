@@ -4,6 +4,11 @@ Balanced two-way ANOVA with interaction (method x view_config, seeds as
 replicates), Tukey HSD post-hoc comparisons driven by a hand-integrated
 studentized range distribution, and compact letter display subsets.
 
+Tukey decisions come from the cached bisection bracket of the critical
+value q_{k,df,1-alpha}: only a pair whose statistic falls within a rounding
+band of that bracket integrates its p-value. The pairwise p-values
+themselves are integrated only when ``TukeyGrouping.pvalues`` is read.
+
 scipy.special supplies the normal CDF, the inverse incomplete gamma and the
 F upper tail; the studentized range CDF and its inversion, the ANOVA
 decomposition (from one (method, view, replicate) array), and the letter
@@ -12,10 +17,9 @@ display are implemented here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -188,12 +192,15 @@ def studentized_range_sf(q: float, k: int, df: int) -> float:
     return 1.0 - studentized_range_cdf(q, k, df)
 
 
-@lru_cache(maxsize=64)
-def studentized_range_quantile(k: int, df: int, q: float) -> float:
-    """Inverse CDF by bracketing plus bisection to 1e-6 absolute width.
+# Absolute width of the critical-value bisection bracket, and the rounding
+# band around it inside which a Tukey decision integrates its p-value.
+_QUANTILE_TOL = 1e-6
 
-    Cached: every metric's report asks for the same (k, df, 1 - alpha).
-    """
+
+@lru_cache(maxsize=64)
+def _quantile_bracket(k: int, df: int, q: float) -> tuple[float, float]:
+    """[lo, hi] with cdf(lo) <= q <= cdf(hi) and hi - lo <= _QUANTILE_TOL,
+    by doubling hi until it brackets q, then bisection."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0, 1)")
     lo, hi = 0.0, 1.0
@@ -204,14 +211,44 @@ def studentized_range_quantile(k: int, df: int, q: float) -> float:
     else:
         raise RuntimeError("studentized range quantile failed to bracket")
     for _ in range(200):
-        if hi - lo <= 1e-6:
-            return 0.5 * (lo + hi)
+        if hi - lo <= _QUANTILE_TOL:
+            return lo, hi
         mid = 0.5 * (lo + hi)
         if studentized_range_cdf(mid, k, df) < q:
             lo = mid
         else:
             hi = mid
     raise RuntimeError("studentized range quantile failed to converge")
+
+
+@lru_cache(maxsize=64)
+def studentized_range_quantile(k: int, df: int, q: float) -> float:
+    """Inverse CDF: the midpoint of the 1e-6-wide bisection bracket.
+
+    Cached: every metric's report asks for the same (k, df, 1 - alpha).
+    """
+    lo, hi = _quantile_bracket(k, df, q)
+    return 0.5 * (lo + hi)
+
+
+def _significant(q: np.ndarray, k: int, df: int, alpha: float) -> np.ndarray:
+    """studentized_range_sf(q, k, df) < alpha for each statistic in q.
+
+    The critical-value bracket [lo, hi] decides every q outside the band
+    [lo - _QUANTILE_TOL, hi + _QUANTILE_TOL]; only a q inside it integrates
+    its p-value. The band absorbs rounding: across _QUANTILE_TOL the CDF
+    moves by density x 1e-6, which is >= 6e-11 for k <= 50, df >= 3 and
+    alpha >= 0.001 (>= 9e-14 even at df = 1), while the rounding noise of
+    the 400 x 256-node quadrature sum is <= 1e-15 and 1 - alpha rounds by at
+    most 1.1e-16. So a q below the band has a computed p of at least alpha,
+    and one above the band a p below it.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    lo, hi = _quantile_bracket(k, df, 1.0 - alpha)
+    out = q > hi + _QUANTILE_TOL
+    for i in np.flatnonzero((q >= lo - _QUANTILE_TOL) & ~out):
+        out[i] = studentized_range_sf(float(q[i]), k, df) < alpha
+    return out
 
 
 # -------------------------------------------------------------------- anova
@@ -284,20 +321,30 @@ def anova2(table: ResultsTable) -> AnovaTable:
 
 @dataclass(frozen=True)
 class TukeyGrouping:
-    """Tukey HSD outcome: means, pairwise p-values, and CLD subsets.
+    """Tukey HSD outcome: means, pairwise q statistics, and CLD subsets.
 
     levels are ordered by ascending mean; subsets are named S1..Sk in the
     same order and letters[level] lists the subsets containing that level.
+    q_stats maps each pair (lower mean first) to its studentized range
+    statistic; pvalues integrates the matching p-values on first read.
     """
 
     levels: tuple[str, ...]
     means: np.ndarray
-    pvalues: dict[tuple[str, str], float]
+    q_stats: dict[tuple[str, str], float]
     subsets: tuple[tuple[str, ...], ...]
     letters: dict[str, tuple[str, ...]]
     alpha: float
     df: int
     q_critical: float
+
+    @cached_property
+    def pvalues(self) -> dict[tuple[str, str], float]:
+        k = len(self.levels)
+        return {
+            pair: studentized_range_sf(q, k, self.df)
+            for pair, q in self.q_stats.items()
+        }
 
 
 def _compact_letter_display(
@@ -335,9 +382,12 @@ def tukey_hsd(groups: dict[str, "np.ndarray"], alpha: float = 0.05) -> TukeyGrou
     """All-pairs Tukey HSD with pooled within-group variance.
 
     The pairwise statistic is |mean_a - mean_b| / sqrt(s2/2 (1/n_a + 1/n_b))
-    (the Tukey-Kramer form; for equal n it reduces to the classic HSD), with
-    p-values from the studentized range distribution at k = number of groups
-    and df = total within-group degrees of freedom.
+    (the Tukey-Kramer form; for equal n it reduces to the classic HSD), at
+    k = number of groups and df = total within-group degrees of freedom. A
+    pair is significant iff its p-value is below alpha; that is decided from
+    the cached critical-value bracket, and a p-value is integrated only for
+    a statistic within a rounding band of it. ``pvalues`` integrates all of
+    them on first read.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -359,17 +409,20 @@ def tukey_hsd(groups: dict[str, "np.ndarray"], alpha: float = 0.05) -> TukeyGrou
 
     means = {name: float(v.mean()) for name, v in data.items()}
     ordered = sorted(names, key=lambda name: (means[name], name))
+    # first, so that the cold bisection runs (and is timed) here and
+    # _significant finds its bracket cached
+    q_critical = studentized_range_quantile(k, df, 1.0 - alpha)
 
-    pvalues: dict[tuple[str, str], float] = {}
-    significant: set[tuple[str, str]] = set()
-    for x, y_ in itertools.combinations(ordered, 2):
-        na, nb = data[x].size, data[y_].size
-        se = math.sqrt(0.5 * pooled * (1.0 / na + 1.0 / nb))
-        q_stat = abs(means[x] - means[y_]) / se
-        p = studentized_range_sf(q_stat, k, df)
-        pvalues[(x, y_)] = p
-        if p < alpha:
-            significant.add((x, y_))
+    mean = np.array([means[name] for name in ordered])
+    size = np.array([data[name].size for name in ordered])
+    a, b = np.triu_indices(k, 1)
+    q_stat = np.abs(mean[a] - mean[b]) / np.sqrt(
+        0.5 * pooled * (1.0 / size[a] + 1.0 / size[b])
+    )
+    pairs = [(ordered[i], ordered[j]) for i, j in zip(a.tolist(), b.tolist())]
+    significant = {
+        pair for pair, sig in zip(pairs, _significant(q_stat, k, df, alpha)) if sig
+    }
 
     columns = _compact_letter_display(ordered, significant)
     columns.sort(key=lambda col: (min(means[m] for m in col), max(means[m] for m in col), col[0]))
@@ -382,11 +435,11 @@ def tukey_hsd(groups: dict[str, "np.ndarray"], alpha: float = 0.05) -> TukeyGrou
     }
     return TukeyGrouping(
         levels=tuple(ordered),
-        means=np.array([means[name] for name in ordered]),
-        pvalues=pvalues,
+        means=mean,
+        q_stats=dict(zip(pairs, q_stat.tolist())),
         subsets=tuple(tuple(col) for col in columns),
         letters=letters,
         alpha=alpha,
         df=df,
-        q_critical=studentized_range_quantile(k, df, 1.0 - alpha),
+        q_critical=q_critical,
     )

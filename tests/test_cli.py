@@ -1,10 +1,13 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ordview.cli import main, parse_config_file
+from ordview.model import METHODS
+from ordview.pipeline import DEFAULT_VIEWS, view_config_names
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +203,44 @@ class TestStats:
         text = (report_dir / "stats_qwk.md").read_text()
         assert "| Method |" in text
 
+    # sha256 of each stats_<metric>.md for the grid below, as deciding every
+    # pair by its integrated p-value (p < alpha) writes them: pins the Tukey
+    # subsets and the q critical line byte for byte
+    GOLDEN = {
+        "qwk": "b732ecc61f783f5e06d06d10368647d2085b7cc0895661cc6a7eb095ea846f85",
+        "amae": "b7e8fa05ee9f276c15c0c4582d13302cdfdd5125071b49a8ac1ee613e5d0fdcc",
+        "accuracy": "b34c1a2987eff4b7e0f1fd4018969841aefff15c8fce7f0937f3a2429068bdd5",
+    }
+
+    def test_paper_grid_report_golden(self, tmp_path, capsys):
+        # 14 methods x 7 view configs x 3 seeds with method and view effects
+        configs = [name for name, _ in view_config_names(DEFAULT_VIEWS)]
+        rng = np.random.default_rng(20)
+        shape = (3, len(METHODS), len(configs))
+        effect = rng.normal(0.0, 0.04, size=(len(METHODS), 1)) + rng.normal(
+            0.0, 0.03, size=(1, len(configs))
+        )
+        metrics = {
+            "qwk": 0.6 + effect + rng.normal(0.0, 0.05, size=shape),
+            "amae": 0.7 - effect + rng.normal(0.0, 0.06, size=shape),
+            "accuracy": 0.5 + effect + rng.normal(0.0, 0.04, size=shape),
+        }
+        grid = tmp_path / "grid.csv"
+        with grid.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["method", "view_config", "seed", *metrics])
+            for cell in np.ndindex(shape):
+                s, mi, ci = cell
+                values = [repr(float(v[cell])) for v in metrics.values()]
+                writer.writerow([METHODS[mi], configs[ci], s, *values])
+        code, _, _ = run_cli(capsys, "stats", str(grid), "--out", str(tmp_path / "r"))
+        assert code == 0
+        digests = {
+            m: hashlib.sha256((tmp_path / "r" / f"stats_{m}.md").read_bytes()).hexdigest()
+            for m in metrics
+        }
+        assert digests == self.GOLDEN
+
     def test_unknown_metric(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
         grid.write_text("method,view_config,seed,qwk\nnominal,crown,0,0.5\n")
@@ -250,5 +291,24 @@ class TestErrorExits:
         p = tmp_path / "in.csv"
         p.write_text(text)
         code, _, err = run_cli(capsys, command, str(p))
+        assert code == 2
+        assert err.startswith(f"error: file {p}: {message}")
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("true_label,predicted_label\n0,1\n-1,0\n", [],
+             "line 3: label -1 in column 'true_label' is negative"),
+            ("true_label,predicted_label\n0,1\n2,4\n", ["--n-classes", "4"],
+             "line 3: label 4 in column 'predicted_label' lies outside [0, 3]"),
+        ],
+        ids=("negative", "above_n_classes"),
+    )
+    def test_metrics_label_out_of_range_names_line(
+        self, tmp_path, capsys, text, flags, message
+    ):
+        p = tmp_path / "pred.csv"
+        p.write_text(text)
+        code, _, err = run_cli(capsys, "metrics", str(p), *flags)
         assert code == 2
         assert err.startswith(f"error: file {p}: {message}")

@@ -143,6 +143,113 @@ def test_forward_batch(head, backbone, seed, n, j, link):
     )
 
 
+# ------------------------------------------------- properties, no reference
+# The tests above compare the kernels with the oracle loops, which would
+# share a wrong derivation. These check the kernels and the oracles alike
+# against calculus and probability.
+
+IMPLS = pytest.mark.parametrize("impl", (_k, oracles), ids=("kernels", "oracles"))
+FD_STEP = 1e-5
+FD_TOL = 1e-6
+
+
+def well_conditioned_point(rng, head, backbone, link, d_min, n, j):
+    """Inputs, labels, soft targets and parameters (w1, c1, w2, c2, b1,
+    deltas) at which every class probability stays above ~1e-3: no log clamp
+    or cloglog clamp is active and 1 - cum loses few digits, so the mean
+    loss is smooth and accurate enough for central differences."""
+    d, h = 3, 4
+    k_out = 1 if head == "clm" else j
+    width = h if backbone == "one_hidden" else d
+    params = [
+        rng.normal(scale=0.2, size=shape)
+        for shape in ((d, h), (h,), (width, k_out), (k_out,))
+    ]
+    # thresholds 0.09-0.5 apart, centred where the link's CDF is 1/2
+    deltas = rng.choice([-1.0, 1.0], size=j - 2) * rng.uniform(0.3, 0.6, size=j - 2)
+    span = float(np.sum(d_min + deltas**2))
+    median = {"logit": 0.0, "probit": 0.0, "cloglog": np.log(np.log(2.0))}[link]
+    b1 = np.array([median - 0.5 * span])
+    x = rng.normal(size=(n, d))
+    labels = rng.integers(0, j, size=n)
+    targets = rng.dirichlet(np.ones(j), size=n)
+    return x, labels, targets, params + [b1, deltas]
+
+
+def sgd_step(impl, params, x, labels, targets, loss, head, backbone, link, d_min, lr):
+    """One full-batch SGD step on copies of params: the mean loss at params
+    and the stepped copies (params - lr * mean gradient)."""
+    stepped = [p.copy() for p in params]
+    n = x.shape[0]
+    [mean_loss] = impl.run_sgd(
+        x, labels, targets, np.arange(n)[None, :], loss, 0.7, backbone, head,
+        link, d_min, *stepped, lr, n,
+    )
+    return mean_loss, stepped
+
+
+@IMPLS
+@pytest.mark.parametrize("loss", ("cce", "cdwce", "slace"))
+@pytest.mark.parametrize("head", ("softmax", "clm"))
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS),
+    backbone=st.sampled_from(("linear", "one_hidden")), d_min=st.sampled_from((0.0, 0.1)),
+)
+def test_sgd_gradient_matches_central_differences(
+    impl, loss, head, seed, n, j, link, backbone, d_min
+):
+    """The gradient one SGD step applies (lr = 1) against central finite
+    differences of the mean batch loss, for every parameter entry."""
+    rng = np.random.default_rng(seed)
+    x, labels, targets, params = well_conditioned_point(
+        rng, head, backbone, link, d_min, n, j
+    )
+    args = (x, labels, targets, loss, head, backbone, link, d_min)
+    _, stepped = sgd_step(impl, params, *args, lr=1.0)
+    for i, (p, after) in enumerate(zip(params, stepped)):
+        for m in range(p.size):
+            values = []
+            for sign in (1.0, -1.0):
+                shifted = [q.copy() for q in params]
+                shifted[i].flat[m] += sign * FD_STEP
+                values.append(sgd_step(impl, shifted, *args, lr=0.0)[0])
+            fd = (values[0] - values[1]) / (2.0 * FD_STEP)
+            grad = p.flat[m] - after.flat[m]
+            assert abs(grad - fd) <= FD_TOL * max(1.0, abs(fd))
+
+
+@IMPLS
+@kernel_settings
+@given(seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS))
+def test_probability_rows_sum_to_one(impl, seed, n, j, link):
+    rng = np.random.default_rng(seed)
+    probs = impl.softmax_batch(rng.normal(scale=5.0, size=(n, j)))
+    assert np.all(probs >= 0.0)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=KERNEL_TOL)
+    b = impl.materialize_thresholds_raw(*clm_thresholds(rng, j))
+    _, probs = impl.clm_forward_batch(rng.normal(scale=3.0, size=n), b, link)
+    assert np.all(probs >= 0.0)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=KERNEL_TOL)
+
+
+@IMPLS
+@kernel_settings
+@given(seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS))
+def test_clm_cumulative_monotone_and_shift_invariant(impl, seed, n, j, link):
+    rng = np.random.default_rng(seed)
+    b = impl.materialize_thresholds_raw(*clm_thresholds(rng, j))
+    latent = rng.normal(scale=3.0, size=n)
+    cum, probs = impl.clm_forward_batch(latent, b, link)
+    assert np.all(np.diff(cum, axis=1) >= 0.0)
+    assert np.all((cum >= 0.0) & (cum <= 1.0))
+    # only b_j - f enters: a common shift changes it by rounding alone
+    shift = float(rng.uniform(-5.0, 5.0))
+    cum_s, probs_s = impl.clm_forward_batch(latent + shift, b + shift, link)
+    assert_close(cum_s, cum, KERNEL_TOL)
+    assert_close(probs_s, probs, KERNEL_TOL)
+
+
 def _ordinal_data():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(60, 5))

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from ordview import stats
 from ordview.stats import (
+    _QUANTILE_TOL,
     ResultsTable,
+    _quantile_bracket,
+    _significant,
     anova2,
     f_sf,
     studentized_range_cdf,
     studentized_range_quantile,
+    studentized_range_sf,
     tukey_hsd,
 )
 
@@ -259,3 +264,70 @@ class TestTukey:
         groups["winner"] = rng.normal(1.0, 0.05, size=20)
         out = tukey_hsd(groups)
         assert out.subsets[-1] == ("winner",)
+
+
+class TestBandDecision:
+    # (k, df) of the method and view Tukey tables of the grid and report
+    # benchmark workloads
+    SHAPES = [(2, 26), (7, 21), (14, 1946), (7, 1953)]
+
+    @pytest.mark.parametrize("k, df", SHAPES)
+    @pytest.mark.parametrize("alpha", (0.05, 0.01))
+    def test_bracket_edges_and_band(self, k, df, alpha):
+        lo, hi = _quantile_bracket(k, df, 1.0 - alpha)
+        assert 0.0 < hi - lo <= _QUANTILE_TOL
+        assert studentized_range_cdf(lo, k, df) <= 1.0 - alpha
+        assert studentized_range_cdf(hi, k, df) >= 1.0 - alpha
+        d = _QUANTILE_TOL
+        q = np.array([lo, hi, 0.5 * (lo + hi), lo - 2.0 * d, hi + 2.0 * d])
+        expected = [studentized_range_sf(float(v), k, df) < alpha for v in q]
+        assert _significant(q, k, df, alpha).tolist() == expected
+        assert expected[3:] == [False, True]
+
+    def test_decisions_outside_band_integrate_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stats, "studentized_range_sf", lambda *a: calls.append(a))
+        lo, hi = _quantile_bracket(7, 21, 0.95)
+        q = np.array([0.0, lo - 2.0 * _QUANTILE_TOL, hi + 2.0 * _QUANTILE_TOL, 50.0])
+        assert _significant(q, 7, 21, 0.05).tolist() == [False, False, True, True]
+        assert calls == []
+
+    def test_matches_scipy_away_from_critical_value(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(12):
+            k = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 8))
+            alpha = float(rng.choice([0.01, 0.05, 0.1]))
+            groups = {
+                f"g{i}": rng.normal(rng.normal(0.0, 1.5), 1.0, size=n) for i in range(k)
+            }
+            out = tukey_hsd(groups, alpha=alpha)
+            for (x, y), q in out.q_stats.items():
+                if abs(q - out.q_critical) <= 1e-3:
+                    continue
+                significant = not set(out.letters[x]) & set(out.letters[y])
+                assert significant == (sps.studentized_range.sf(q, k, out.df) < alpha)
+                checked += 1
+        assert checked > 100
+
+
+class TestLazyPvalues:
+    def test_integrated_only_when_read(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        groups = {f"m{i}": rng.normal(0.02 * i, 0.05, size=20) for i in range(14)}
+        calls = []
+
+        def counting_sf(q, k, df):
+            calls.append((q, k, df))
+            return studentized_range_sf(q, k, df)
+
+        monkeypatch.setattr(stats, "studentized_range_sf", counting_sf)
+        out = tukey_hsd(groups)
+        assert calls == []
+        pvalues = out.pvalues
+        assert len(calls) == len(out.q_stats) == 14 * 13 // 2
+        for pair, q in out.q_stats.items():
+            assert pvalues[pair] == studentized_range_sf(q, 14, out.df)
+        assert out.pvalues is pvalues
+        assert len(calls) == 91
