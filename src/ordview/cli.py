@@ -201,14 +201,11 @@ def _cmd_train(args) -> int:
     train_part, test_part = stratified_split(data, args.test_fraction, args.seed)
     x_fit = train_part.views[args.view]
     y_fit = train_part.labels
-    if args.no_tuning:
-        config = method_config(args.method, data.n_classes, None, seed=args.seed)
-    else:
-        config = dataclasses.replace(
-            tune(search_space(args.method), x_fit, y_fit,
-                 n_classes=data.n_classes, seed=args.seed),
-            seed=args.seed,
-        )
+    params = None
+    if not args.no_tuning:
+        params = tune(search_space(args.method), x_fit, y_fit,
+                      n_classes=data.n_classes, seed=args.seed)
+    config = method_config(args.method, data.n_classes, params, seed=args.seed)
     model = train(config, x_fit, y_fit)
     probs = predict_proba_batch(model, test_part.views[args.view])
     preds = np.argmax(probs, axis=1)

@@ -7,8 +7,9 @@ thresholds), trained by plain minibatch SGD with a fixed learning rate.
 The 14 method identifiers pair the 7 loss/target families {nominal,
 triangular, beta, exponential, cdwce, sord, slace} with the two heads; the
 cumulative-link variants carry a ``clm``/``clm_`` prefix. ``search_space``
-returns each method's published-range hyperparameter grid and ``tune`` runs
-the exhaustive-or-15-samples search scored by stratified k-fold AMAE.
+returns each method's published-range grid (``FAMILY_GRIDS``), ``tune`` the
+params that the exhaustive-or-15-samples search scored by stratified k-fold
+AMAE picks, and ``method_config`` the ModelConfig of a method and its params.
 """
 
 from __future__ import annotations
@@ -43,23 +44,6 @@ BACKBONES = ("linear", "one_hidden")
 HEADS = ("softmax", "clm")
 LOSSES = ("cce", "cce_soft", "cdwce", "sord", "slace")
 
-METHODS = (
-    "nominal",
-    "triangular",
-    "beta",
-    "exponential",
-    "cdwce",
-    "sord",
-    "slace",
-    "clm",
-    "clm_triangular",
-    "clm_beta",
-    "clm_exponential",
-    "clm_cdwce",
-    "clm_sord",
-    "clm_slace",
-)
-
 LEARNING_RATE_GRID = (1e-4, 1e-3, 1e-2)
 MIX_GRID = (0.8, 1.0)
 ADJACENT_GRID = (0.01, 0.05, 0.10)
@@ -68,6 +52,24 @@ CDWCE_ALPHA_GRID = (0.25, 0.5, 0.75, 1.0)
 SMOOTHING_GRID = (0.3, 0.5, 0.8, 1.0, 2.0, 3.0, 4.0, 7.0, 10.0, 15.0, 20.0, 25.0)
 D_MIN_GRID = (0.0, 0.5, 1.0)
 
+# The 7 loss/target families and the keys tuned for each, in decode order
+# (the last key varies fastest). Every family pairs with the softmax head
+# (bare name) and the cumulative-link head ("clm_" prefix, "clm" for nominal).
+FAMILY_GRIDS: dict[str, dict[str, tuple]] = {
+    "nominal": {},
+    "triangular": {"lam": MIX_GRID, "alpha_adjacent": ADJACENT_GRID},
+    "beta": {"lam": MIX_GRID},
+    "exponential": {"lam": MIX_GRID, "p_exponent": EXPONENT_GRID},
+    "cdwce": {"alpha": CDWCE_ALPHA_GRID},
+    "sord": {"beta": SMOOTHING_GRID, "transform": SORD_TRANSFORMS},
+    "slace": {"beta": SMOOTHING_GRID},
+}
+METHODS = (
+    *FAMILY_GRIDS,
+    *("clm" if f == "nominal" else f"clm_{f}" for f in FAMILY_GRIDS),
+)
+
+_SOFT_FIELDS = ("lam", "alpha_adjacent", "concentration", "tau", "p_exponent")
 MAX_TUNE_EVALS = 15
 
 
@@ -307,57 +309,46 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
 # ------------------------------------------------------------ method registry
 
 
+def _head_family(method: str) -> tuple[str, str]:
+    """(head, loss family) of a method identifier."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method.startswith("clm"):
+        return "clm", method[4:] or "nominal"
+    return "softmax", method
+
+
 def method_config(
     method: str, n_classes: int, params: dict | None = None, **base
 ) -> ModelConfig:
     """Build the ModelConfig for a method identifier.
 
-    ``params`` carries tuned hyperparameters under the search-space key names
-    (learning_rate, lam, alpha_adjacent, p_exponent, alpha, beta, transform,
-    d_min); ``base`` passes through fixed ModelConfig fields such as backbone,
-    epochs, batch_size, or seed.
+    ``params`` carries hyperparameters under the search-space key names
+    (learning_rate, d_min and the ``FAMILY_GRIDS`` keys; a soft-label family
+    also reads tau and concentration), as ``tune`` returns them, or is None
+    for the defaults; ``base`` passes through fixed ModelConfig fields such
+    as backbone, epochs, batch_size, or seed.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    params = dict(params or {})
-    head = "clm" if method.startswith("clm") else "softmax"
-    family = method[4:] if method.startswith("clm_") else method
-    if method == "clm":
-        family = "nominal"
-
-    kwargs: dict = dict(base)
-    kwargs["n_classes"] = n_classes
-    kwargs["head"] = head
+    head, family = _head_family(method)
+    params = params or {}
+    kwargs = {**base, "n_classes": n_classes, "head": head}
     if "learning_rate" in params:
         kwargs["learning_rate"] = float(params["learning_rate"])
     if head == "clm" and "d_min" in params:
         kwargs["d_min"] = float(params["d_min"])
-
+    smoothing = float(params.get("beta", 1.0))  # sord and slace
     if family == "nominal":
         kwargs["loss"] = "cce"
-    elif family in ("triangular", "beta", "exponential"):
-        kwargs["loss"] = "cce_soft"
-        soft_kwargs: dict = {"kind": family, "lam": float(params.get("lam", 1.0))}
-        if family == "triangular":
-            soft_kwargs["alpha_adjacent"] = float(params.get("alpha_adjacent", 0.05))
-        elif family == "exponential":
-            soft_kwargs["tau"] = float(params.get("tau", 1.0))
-            soft_kwargs["p_exponent"] = float(params.get("p_exponent", 1.0))
-        else:
-            soft_kwargs["concentration"] = float(params.get("concentration", 10.0))
-        kwargs["soft"] = SoftLabelConfig(**soft_kwargs)
     elif family == "cdwce":
-        kwargs["loss"] = "cdwce"
-        kwargs["cdwce_alpha"] = float(params.get("alpha", 1.0))
+        kwargs.update(loss="cdwce", cdwce_alpha=float(params.get("alpha", 1.0)))
     elif family == "sord":
-        kwargs["loss"] = "sord"
-        kwargs["sord"] = SordConfig(
-            beta=float(params.get("beta", 1.0)),
-            transform=params.get("transform", "max"),
-        )
-    else:
-        kwargs["loss"] = "slace"
-        kwargs["slace_beta"] = float(params.get("beta", 1.0))
+        sord = SordConfig(beta=smoothing, transform=params.get("transform", "max"))
+        kwargs.update(loss="sord", sord=sord)
+    elif family == "slace":
+        kwargs.update(loss="slace", slace_beta=smoothing)
+    else:  # a soft-label kind; SoftLabelConfig reads only that kind's fields
+        soft = {k: float(v) for k, v in params.items() if k in _SOFT_FIELDS}
+        kwargs.update(loss="cce_soft", soft=SoftLabelConfig(kind=family, **soft))
     return ModelConfig(**kwargs)
 
 
@@ -377,47 +368,24 @@ class SearchSpace:
 
     @property
     def size(self) -> int:
-        out = 1
-        for values in self.grid.values():
-            out *= len(values)
-        return out
+        return math.prod(len(values) for values in self.grid.values())
 
     def at(self, index: int) -> dict:
         """Mixed-radix decode: the last grid key varies fastest."""
         if not 0 <= index < self.size:
             raise IndexError(index)
-        out = {}
-        for key in reversed(list(self.grid)):
-            values = self.grid[key]
-            index, pos = divmod(index, len(values))
-            out[key] = values[pos]
-        return {key: out[key] for key in self.grid}
+        pos = np.unravel_index(index, [len(values) for values in self.grid.values()])
+        return {key: values[p] for (key, values), p in zip(self.grid.items(), pos)}
 
 
 def search_space(method: str) -> SearchSpace:
-    """Published tuning ranges per method (learning rate always included)."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    """Published tuning ranges per method: the learning rate, d_min for the
+    cumulative-link head, then the family's keys from ``FAMILY_GRIDS``."""
+    head, family = _head_family(method)
     grid: dict[str, tuple] = {"learning_rate": LEARNING_RATE_GRID}
-    if method.startswith("clm"):
+    if head == "clm":
         grid["d_min"] = D_MIN_GRID
-    family = method[4:] if method.startswith("clm_") else method
-    if method == "clm":
-        family = "nominal"
-    if family in ("triangular", "beta", "exponential"):
-        grid["lam"] = MIX_GRID
-    if family == "triangular":
-        grid["alpha_adjacent"] = ADJACENT_GRID
-    elif family == "exponential":
-        grid["p_exponent"] = EXPONENT_GRID
-    elif family == "cdwce":
-        grid["alpha"] = CDWCE_ALPHA_GRID
-    elif family == "sord":
-        grid["beta"] = SMOOTHING_GRID
-        grid["transform"] = SORD_TRANSFORMS
-    elif family == "slace":
-        grid["beta"] = SMOOTHING_GRID
-    return SearchSpace(method=method, grid=grid)
+    return SearchSpace(method=method, grid={**grid, **FAMILY_GRIDS[family]})
 
 
 def stratified_folds(y, n_folds: int, seed: int) -> np.ndarray:
@@ -452,14 +420,15 @@ def tune(
     folds: int = 3,
     trace: list | None = None,
     **base,
-) -> ModelConfig:
-    """Pick the config minimizing mean stratified k-fold AMAE.
+) -> dict:
+    """The search-space params minimizing mean stratified k-fold AMAE.
 
     Exhaustive when the grid fits within 15 evaluations, otherwise 15
     distinct configurations sampled uniformly without replacement. A fold
     whose training diverges scores the worst possible AMAE (J - 1). Ties go
     to the earlier candidate in sampling order. ``base`` fixes the
-    non-searched ModelConfig fields (backbone, epochs, batch size, ...).
+    non-searched ModelConfig fields (backbone, epochs, batch size, ...) of
+    the fold fits; pass the returned params on to ``method_config``.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
@@ -471,7 +440,7 @@ def tune(
         candidate_indices = rng.choice(size, size=MAX_TUNE_EVALS, replace=False)
     fold_of = stratified_folds(y, folds, seed)
 
-    best_params: dict | None = None
+    best_params: dict = {}
     best_score = math.inf
     for ci in candidate_indices:
         params = space.at(int(ci))
@@ -497,4 +466,4 @@ def tune(
         if score < best_score:
             best_score = score
             best_params = params
-    return method_config(space.method, n_classes, best_params, **base)
+    return best_params

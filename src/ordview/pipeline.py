@@ -24,13 +24,19 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .core import MultiViewDataset, apportion_counts, stratified_resample, stratified_split
+from .core import (
+    MultiViewDataset,
+    _test_counts,
+    apportion_counts,
+    stratified_resample,
+    stratified_split,
+)
 from .metrics import evaluate
 from .model import METHODS, method_config, predict_proba_batch, search_space, train, tune
 from .ensemble import optimize_weights
@@ -238,7 +244,7 @@ def _check_labels(path, column: str, labels: np.ndarray, n_classes=None) -> None
         raise ValueError(f"{where} lies outside [0, {n_classes - 1}]")
 
 
-def _parse_view_csv(path: Path, label_column: str, id_column: str):
+def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=None):
     """Sample ids, the (n, d) feature block and the labels of one view CSV."""
     header, records = _read_csv(path, required=(id_column, label_column))
     id_pos = header.index(id_column)
@@ -248,7 +254,7 @@ def _parse_view_csv(path: Path, label_column: str, id_column: str):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
     [labels] = _parse_cells(path, header, records, [label_pos], int, "label")
-    _check_labels(path, label_column, labels)
+    _check_labels(path, label_column, labels, n_classes)
     feature_pos = [i for i in range(len(header)) if i not in (id_pos, label_pos)]
     features = _parse_cells(path, header, records, feature_pos, float, "feature")
     block = np.array(features, dtype=np.float64).reshape(len(feature_pos), len(ids)).T
@@ -271,7 +277,7 @@ def load_views_csv(
         raise ValueError("need at least one view path")
     parsed = {}
     for view, path in paths.items():
-        parsed[view] = _parse_view_csv(Path(path), label_column, id_column)
+        parsed[view] = _parse_view_csv(Path(path), label_column, id_column, n_classes)
 
     names = list(parsed)
     first = names[0]
@@ -304,10 +310,6 @@ def load_views_csv(
         )
     labels = view_labels[0]
     j = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    if labels.max() >= j:
-        raise ValueError(
-            f"label {int(labels.max())} outside [0, {j - 1}]"
-        )
     return MultiViewDataset(views=views, labels=labels, n_classes=j)
 
 
@@ -360,6 +362,10 @@ class ExperimentConfig:
             raise ValueError("test_fraction must lie in (0, 1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
+        if self.n_candidates < 1:
+            raise ValueError("n_candidates must be >= 1")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
         if (self.synth is None) == (self.csv_paths is None):
             raise ValueError("configure exactly one of synth or csv_paths")
         if self.qwk_exponent < 1:
@@ -434,8 +440,9 @@ def _train_view_models(cfg, fit_part, seed, mi, method):
             learning_rate=cfg.learning_rate,
         )
         try:
+            params = None
             if cfg.tuning:
-                tuned = tune(
+                params = tune(
                     search_space(method),
                     x_fit,
                     y_fit,
@@ -444,11 +451,9 @@ def _train_view_models(cfg, fit_part, seed, mi, method):
                     folds=cfg.folds,
                     **base,
                 )
-                config = replace(tuned, seed=train_seed)
-            else:
-                config = method_config(
-                    method, fit_part.n_classes, None, seed=train_seed, **base
-                )
+            config = method_config(
+                method, fit_part.n_classes, params, seed=train_seed, **base
+            )
             models[view] = train(config, x_fit, y_fit)
         except Exception as exc:
             raise ExperimentError(
@@ -517,12 +522,27 @@ def _config_json(cfg: ExperimentConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=default)
 
 
+def _check_fit_counts(counts: np.ndarray, val_fraction: float, folds: int) -> None:
+    """Every class must keep >= folds fit rows for tuning. The resample and
+    the validation split keep exact per-class counts, so one check covers
+    every seed."""
+    fit = counts - _test_counts(counts, val_fraction)
+    if fit.min() < folds:
+        q = int(np.argmin(fit))
+        raise ValueError(
+            f"class {q} has {fit[q]} fit samples (train minus validation), "
+            f"fewer than folds={folds}"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     data = _load_data(cfg)
     missing = [v for v in cfg.views if v not in data.view_names]
     if missing:
         raise ValueError(f"views not in dataset: {missing}")
     train_base, test = stratified_split(data, cfg.test_fraction, cfg.base_seed)
+    if cfg.tuning:
+        _check_fit_counts(train_base.counts(), cfg.val_fraction, cfg.folds)
     configs = view_config_names(cfg.views)
     header = grid_header(data.n_classes)
 

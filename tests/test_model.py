@@ -32,6 +32,37 @@ EXPECTED_GRID_SIZES = {
     "clm_slace": 108,
 }
 
+# search_space(m).grid of every method in METHODS order, keys in decode order
+# (the last key varies fastest). The order decides which candidates tune
+# samples, and so decides grid.csv.
+LR = ("learning_rate", (0.0001, 0.001, 0.01))
+D_MIN = ("d_min", (0.0, 0.5, 1.0))
+LAM = ("lam", (0.8, 1.0))
+ADJACENT = ("alpha_adjacent", (0.01, 0.05, 0.1))
+EXPONENT = ("p_exponent", (1.0, 1.5, 2.0))
+CDWCE_ALPHA = ("alpha", (0.25, 0.5, 0.75, 1.0))
+SMOOTHING = ("beta", (0.3, 0.5, 0.8, 1.0, 2.0, 3.0, 4.0, 7.0, 10.0, 15.0, 20.0, 25.0))
+TRANSFORM = (
+    "transform",
+    ("max", "norm_max", "norm_log", "log", "norm_division", "division"),
+)
+PINNED_GRIDS = {
+    "nominal": [LR],
+    "triangular": [LR, LAM, ADJACENT],
+    "beta": [LR, LAM],
+    "exponential": [LR, LAM, EXPONENT],
+    "cdwce": [LR, CDWCE_ALPHA],
+    "sord": [LR, SMOOTHING, TRANSFORM],
+    "slace": [LR, SMOOTHING],
+    "clm": [LR, D_MIN],
+    "clm_triangular": [LR, D_MIN, LAM, ADJACENT],
+    "clm_beta": [LR, D_MIN, LAM],
+    "clm_exponential": [LR, D_MIN, LAM, EXPONENT],
+    "clm_cdwce": [LR, D_MIN, CDWCE_ALPHA],
+    "clm_sord": [LR, D_MIN, SMOOTHING, TRANSFORM],
+    "clm_slace": [LR, D_MIN, SMOOTHING],
+}
+
 
 def blob_dataset(n_per_class, n_classes, n_features=4, scale=4.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -85,6 +116,20 @@ class TestConfig:
 
 
 class TestSearchSpace:
+    def test_grids_pinned_in_order(self):
+        assert METHODS == tuple(PINNED_GRIDS)
+        for method, expected in PINNED_GRIDS.items():
+            assert list(search_space(method).grid.items()) == expected, method
+
+    def test_at_decodes_last_key_fastest(self):
+        space = search_space("clm_sord")
+        assert space.at(0) == {"learning_rate": 1e-4, "d_min": 0.0,
+                               "beta": 0.3, "transform": "max"}
+        assert space.at(1)["transform"] == "norm_max"
+        assert space.at(6)["beta"] == 0.5
+        assert space.at(space.size - 1) == {"learning_rate": 1e-2, "d_min": 1.0,
+                                            "beta": 25.0, "transform": "division"}
+
     def test_at_enumerates_distinct_configs(self):
         space = search_space("triangular")
         seen = {tuple(sorted(space.at(i).items())) for i in range(space.size)}
@@ -226,10 +271,10 @@ class TestTune:
     def test_exhaustive_small_space(self):
         x, y = blob_dataset(12, 3)
         trace = []
-        cfg = tune(search_space("nominal"), x, y, n_classes=3, seed=0,
-                   trace=trace)
+        params = tune(search_space("nominal"), x, y, n_classes=3, seed=0,
+                      trace=trace)
         assert len(trace) == 3
-        assert cfg.loss == "cce"
+        assert params == min(trace, key=lambda t: t["amae"])["params"]
 
     def test_sampled_large_space(self):
         x, y = blob_dataset(12, 3)
@@ -246,8 +291,8 @@ class TestTune:
             method="nominal", grid={"learning_rate": (1e308, 1e-2)}
         )
         trace = []
-        cfg = tune(space, x, y, n_classes=2, seed=0, trace=trace)
-        assert cfg.learning_rate == 1e-2
+        params = tune(space, x, y, n_classes=2, seed=0, trace=trace)
+        assert params == {"learning_rate": 1e-2}
         diverged = [t for t in trace if t["params"]["learning_rate"] == 1e308]
         assert diverged[0]["amae"] == pytest.approx(1.0)  # worst AMAE for J=2
 

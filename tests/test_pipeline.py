@@ -178,7 +178,7 @@ class TestCsvLoader:
     def test_label_out_of_range(self, tmp_path):
         p = tmp_path / "x.csv"
         write_csv(p, ["sample_id", "f0", "label"], [[0, 0.5, 1], [1, 0.6, 4]])
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"file .*x\.csv: line 3: .*outside"):
             load_views_csv({"x": p}, n_classes=4)
 
     def test_duplicate_id(self, tmp_path):
@@ -363,6 +363,25 @@ class TestRunExperiment:
             ExperimentConfig(output_dir=tmp_path, synth=None, csv_paths=None)
         with pytest.raises(ValueError, match="views not in dataset"):
             run_experiment(tiny_config(tmp_path, views=("crown", "missing")))
+
+    def test_rejects_zero_candidates(self, tmp_path):
+        with pytest.raises(ValueError, match="n_candidates must be >= 1"):
+            tiny_config(tmp_path, n_candidates=0)
+
+    def test_rejects_one_fold(self, tmp_path):
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            tiny_config(tmp_path, folds=1)
+
+    def test_small_class_fails_before_outputs(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path,
+            tuning=True,
+            synth=SynthConfig(n_samples=30, n_features_per_view=4),
+        )
+        with pytest.raises(ValueError, match=r"class \d+ has 2 fit samples .*folds=3"):
+            run_experiment(cfg)
+        assert not (cfg.output_dir / "grid.csv").exists()
+        assert not (cfg.output_dir / "config.json").exists()
 
 
 class TestStatsReports:
