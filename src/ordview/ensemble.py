@@ -1,11 +1,12 @@
-"""Decision-level aggregation of per-view classifiers.
+"""Decision-level fusion of per-view classifiers.
 
-For one sample, the V per-view probability vectors stack into a V x J matrix
-P; the ensemble prediction is argmax of the weighted row sum w @ P. Weights
-live on the simplex and are fitted by random search on validation data,
-scored by AMAE. The V one-hot vectors and the uniform vector are always
-evaluated alongside the random candidates, so the selected ensemble can
-never score worse on validation than the best single view.
+The V per-view probability matrices of n samples stack into a V x n x J
+array; ``aggregate`` sums them with simplex weights w into the n x J fused
+probabilities w @ P, whose row argmax is the ensemble prediction. The
+weights are fitted by random search on validation data, scored by AMAE.
+The V one-hot vectors and the uniform vector are always evaluated
+alongside the random candidates, so the selected ensemble can never score
+worse on validation than the best single view.
 """
 
 from __future__ import annotations
@@ -14,36 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _validate_labels, check_probability_vector
-from .model import predict_proba
+from .core import _validate_labels
+from .metrics import _amae
 
 __all__ = [
-    "ViewProbMatrix",
     "WeightVector",
     "aggregate",
     "optimize_weights",
-    "ensemble_predict",
 ]
 
 # aggregate floats scored at once by optimize_weights (8 MB of float64)
 _SCORE_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class ViewProbMatrix:
-    """Per-view probability rows for a single sample."""
-
-    probs: np.ndarray
-    view_names: tuple[str, ...]
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] != len(self.view_names):
-            raise ValueError("probs must be V x J with one row per view name")
-        for row in probs:
-            check_probability_vector(row)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -62,19 +44,15 @@ class WeightVector:
         object.__setattr__(self, "w", w)
 
 
-def _as_weight_array(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.w
-    return WeightVector(w=np.asarray(w, dtype=np.float64)).w
+def aggregate(w, stack) -> np.ndarray:
+    """Weighted sum over the view axis of a V x n x J probability stack.
 
-
-def aggregate(p, w) -> np.ndarray:
-    """Weighted row sum: out_j = sum_i w_i P_ij; a valid probability vector."""
-    probs = p.probs if isinstance(p, ViewProbMatrix) else np.asarray(p, dtype=np.float64)
-    weights = _as_weight_array(w)
-    if probs.ndim != 2 or probs.shape[0] != weights.size:
-        raise ValueError("weight length must match the number of view rows")
-    return weights @ probs
+    (V,) weights give the n x J fused probabilities; (C, V) candidate
+    weight rows give C x n x J, one fused matrix per candidate.
+    """
+    if np.shape(w)[-1] != np.shape(stack)[0]:
+        raise ValueError("weight length must match the number of views")
+    return np.tensordot(w, stack, axes=(-1, 0))
 
 
 def optimize_weights(
@@ -115,20 +93,14 @@ def optimize_weights(
         ]
     )
     # Candidates in blocks of _SCORE_BUDGET aggregate floats (at least one
-    # candidate each): (C, n) predictions, then per-class error sums through
-    # the (n, J) one-hot label matrix
-    one_hot = np.eye(n_classes)[y_val]
-    counts = one_hot.sum(axis=0)
-    present = counts > 0
+    # candidate each); argmin keeps the first of ties within a block, the
+    # strict < the first across blocks
     block = max(1, _SCORE_BUDGET // (n_val * n_classes))
     best, best_score = 0, np.inf
     for start in range(0, len(candidates), block):
         chunk = candidates[start : start + block]
-        preds = np.argmax(np.tensordot(chunk, stack, axes=(1, 0)), axis=2)
-        per_class = (np.abs(preds - y_val) @ one_hot)[:, present] / counts[present]
-        # AMAE over the classes present in y_val; argmin keeps the first of
-        # ties within a block, the strict < the first across blocks
-        scores = per_class.mean(axis=1)
+        preds = np.argmax(aggregate(chunk, stack), axis=2)
+        scores = _amae(y_val, preds, n_classes)
         i = int(np.argmin(scores))
         if scores[i] < best_score:
             best, best_score = start + i, scores[i]
@@ -145,24 +117,3 @@ def _sample_simplex(rng: np.random.Generator, n: int, v: int) -> np.ndarray:
         raw[degenerate] = 1.0
         sums = raw.sum(axis=1, keepdims=True)
     return raw / sums
-
-
-def ensemble_predict(models, sample_views, w) -> int:
-    """Per-view predict_proba, aggregate, argmax.
-
-    ``models`` maps view name -> TrainedModel and ``sample_views`` maps view
-    name -> feature vector; every model view must be present in the sample.
-    """
-    if not models:
-        raise ValueError("need at least one model")
-    weights = _as_weight_array(w)
-    if weights.size != len(models):
-        raise ValueError("weight length must match the number of views")
-    names = list(models)
-    missing = [name for name in names if name not in sample_views]
-    if missing:
-        raise KeyError(f"sample is missing views: {missing}")
-    rows = np.vstack(
-        [predict_proba(models[name], sample_views[name]) for name in names]
-    )
-    return int(np.argmax(aggregate(rows, weights)))

@@ -104,19 +104,28 @@ def per_class_sensitivity(cm) -> np.ndarray:
     return out
 
 
+def _class_mae(y_true, preds, n_classes: int) -> np.ndarray:
+    """Mean |preds - y_true| per true class, over the last axis of ``preds``
+    (any leading axes); NaN for a class absent from y_true."""
+    one_hot = np.eye(n_classes)[y_true]
+    counts = one_hot.sum(axis=0)
+    err = np.abs(preds - y_true) @ one_hot
+    return np.divide(err, counts, out=np.full(err.shape, np.nan), where=counts > 0)
+
+
+def _amae(y_true, preds, n_classes: int) -> np.ndarray:
+    """_class_mae averaged over the classes present in y_true."""
+    present = np.bincount(y_true, minlength=n_classes) > 0
+    return _class_mae(y_true, preds, n_classes)[..., present].mean(axis=-1)
+
+
 def per_class_mae(y_true, y_pred, n_classes: int) -> np.ndarray:
     """Mean |y - y_hat| over samples of each true class; NaN if unsupported."""
     yt = _validate_labels(y_true, n_classes)
     yp = _validate_labels(y_pred, n_classes)
     if yt.shape != yp.shape or yt.size == 0:
         raise ValueError("inputs must be nonempty and equal length")
-    err = np.abs(yt - yp).astype(np.float64)
-    out = np.full(n_classes, np.nan)
-    for q in range(n_classes):
-        mask = yt == q
-        if mask.any():
-            out[q] = err[mask].mean()
-    return out
+    return _class_mae(yt, yp, n_classes)
 
 
 def amae(y_true, y_pred, n_classes: int | None = None) -> float:

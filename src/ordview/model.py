@@ -23,7 +23,7 @@ from . import _kernels as _k
 from .clm import LINKS, ClmParams
 from .losses import SORD_TRANSFORMS, SordConfig, sord_targets
 from .metrics import amae
-from .softlabel import SoftLabelConfig, target_matrix
+from .softlabel import KINDS as SOFT_KINDS, SoftLabelConfig, target_matrix
 
 __all__ = [
     "ModelConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "method_config",
     "search_space",
     "train",
-    "predict_proba",
     "predict_proba_batch",
     "stratified_folds",
     "tune",
@@ -298,14 +297,6 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
     )
 
 
-def predict_proba(model: TrainedModel, features) -> np.ndarray:
-    """One feature vector -> one probability vector."""
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("features must be a 1-D vector")
-    return predict_proba_batch(model, arr.reshape(1, -1))[0]
-
-
 # ------------------------------------------------------------ method registry
 
 
@@ -324,17 +315,23 @@ def method_config(
     """Build the ModelConfig for a method identifier.
 
     ``params`` carries hyperparameters under the search-space key names
-    (learning_rate, d_min and the ``FAMILY_GRIDS`` keys; a soft-label family
-    also reads tau and concentration), as ``tune`` returns them, or is None
-    for the defaults; ``base`` passes through fixed ModelConfig fields such
-    as backbone, epochs, batch_size, or seed.
+    (the keys of ``search_space(method).grid``; a soft-label family also
+    reads tau and concentration), as ``tune`` returns them, or is None for
+    the defaults; any other key raises a ValueError. ``base`` passes through
+    fixed ModelConfig fields such as backbone, epochs, batch_size, or seed.
     """
     head, family = _head_family(method)
     params = params or {}
+    known = set(search_space(method).grid)
+    if family in SOFT_KINDS:
+        known.update(_SOFT_FIELDS)
+    for key in params:
+        if key not in known:
+            raise ValueError(f"method {method!r} has no parameter {key!r}")
     kwargs = {**base, "n_classes": n_classes, "head": head}
     if "learning_rate" in params:
         kwargs["learning_rate"] = float(params["learning_rate"])
-    if head == "clm" and "d_min" in params:
+    if "d_min" in params:
         kwargs["d_min"] = float(params["d_min"])
     smoothing = float(params.get("beta", 1.0))  # sord and slace
     if family == "nominal":

@@ -38,8 +38,10 @@ from .core import (
     stratified_split,
 )
 from .metrics import evaluate
-from .model import METHODS, method_config, predict_proba_batch, search_space, train, tune
-from .ensemble import optimize_weights
+from .model import (
+    METHODS, ModelConfig, method_config, predict_proba_batch, search_space, train, tune
+)
+from .ensemble import aggregate, optimize_weights
 from .stats import ResultsTable, anova2, tukey_hsd
 
 __all__ = [
@@ -374,6 +376,16 @@ class ExperimentConfig:
             raise ValueError("e_normalization must be 'n' or 'j'")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # the model options fail here, before anything is written, through
+        # the checks of a throwaway ModelConfig
+        ModelConfig(
+            n_classes=2,
+            backbone=self.backbone,
+            hidden_width=self.hidden_width,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+        )
 
 
 @dataclass(frozen=True)
@@ -484,15 +496,11 @@ def _run_seed(cfg: ExperimentConfig, train_base, test, configs, seed) -> list[tu
                         n_candidates=cfg.n_candidates,
                         seed=_subseed(cfg.base_seed, seed, 5, mi, ci),
                     )
-                    probs = np.tensordot(
-                        w.w, np.stack([p_test[v] for v in members]), axes=(0, 0)
-                    )
+                    probs = aggregate(w.w, np.stack([p_test[v] for v in members]))
                 preds = np.argmax(probs, axis=1)
                 report = evaluate(
                     test.labels, preds, j, cfg.qwk_exponent, cfg.e_normalization
                 )
-            except ExperimentError:
-                raise
             except Exception as exc:
                 raise ExperimentError(
                     f"method={method} view={name} seed={seed}: {exc}"

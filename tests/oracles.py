@@ -364,3 +364,16 @@ def optimize_weights_loop(per_view_val_probs, y_val, n_candidates=1000, seed=0):
         if score < best_score:
             best_w, best_score = w, score
     return best_w
+
+
+def per_class_mae_loop(y_true, y_pred, n_classes):
+    """Mean |y - y_hat| over the samples of each true class, one class at a
+    time; NaN for a class absent from y_true."""
+    y_true = np.asarray(y_true, dtype=np.int64)
+    err = np.abs(y_true - np.asarray(y_pred, dtype=np.int64)).astype(np.float64)
+    out = np.full(n_classes, np.nan)
+    for q in range(n_classes):
+        mask = y_true == q
+        if mask.any():
+            out[q] = err[mask].mean()
+    return out

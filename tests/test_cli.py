@@ -257,7 +257,7 @@ class TestErrorExits:
             "views = crown\n"
             "n_seeds = 1\n"
             "tuning = false\n"
-            "epochs = 0\n"
+            "learning_rate = 1e308\n"
             "synth.n_samples = 60\n"
             "synth.class_proportions = 0.25, 0.25, 0.25, 0.25\n"
         )

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ordview.ensemble import (
-    ViewProbMatrix,
-    WeightVector,
-    aggregate,
-    ensemble_predict,
-    optimize_weights,
-)
+from ordview.ensemble import WeightVector, aggregate, optimize_weights
 from ordview.metrics import amae
-from ordview.model import method_config, predict_proba_batch, train
 
 
 def random_probs(rng, n, j):
@@ -32,21 +25,21 @@ class TestWeightVector:
 
 class TestAggregate:
     def test_hand_case(self):
-        probs = np.array([[0.9, 0.1], [0.0, 1.0]])
-        out = aggregate(probs, np.array([0.5, 0.5]))
-        assert np.allclose(out, [0.45, 0.55])
+        stack = np.array([[[0.9, 0.1]], [[0.0, 1.0]]])
+        out = aggregate(np.array([0.5, 0.5]), stack)
+        assert np.allclose(out, [[0.45, 0.55]])
 
-    def test_view_prob_matrix_input(self):
-        vpm = ViewProbMatrix(
-            probs=np.array([[0.2, 0.8], [0.6, 0.4]]), view_names=("a", "b")
-        )
-        out = aggregate(vpm, WeightVector(w=np.array([0.25, 0.75])))
-        assert np.allclose(out, 0.25 * vpm.probs[0] + 0.75 * vpm.probs[1])
-        assert abs(out.sum() - 1.0) < 1e-12
+    def test_one_hot_weights_pick_views(self):
+        # weight [1.0] on one view is the identity; (C, V) one-hot candidate
+        # rows give back each view's matrix, one per candidate
+        rng = np.random.default_rng(4)
+        stack = np.stack([random_probs(rng, 6, 3) for _ in range(3)])
+        assert np.array_equal(aggregate(np.array([1.0]), stack[:1]), stack[0])
+        assert np.array_equal(aggregate(np.eye(3), stack), stack)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            aggregate(np.ones((2, 3)) / 3, np.array([1.0]))
+            aggregate(np.array([1.0]), np.ones((2, 4, 3)) / 3)
 
 
 class TestOptimizeWeights:
@@ -61,9 +54,7 @@ class TestOptimizeWeights:
             y[: j] = np.arange(j)  # every class present
             per_view = [random_probs(rng, n, j) for _ in range(v)]
             w = optimize_weights(per_view, y, n_candidates=200, seed=trial)
-            agg_preds = np.argmax(
-                np.tensordot(w.w, np.stack(per_view), axes=(0, 0)), axis=1
-            )
+            agg_preds = np.argmax(aggregate(w.w, np.stack(per_view)), axis=1)
             best_single = min(
                 amae(y, np.argmax(p, axis=1), j) for p in per_view
             )
@@ -93,35 +84,9 @@ class TestOptimizeWeights:
         perfect = np.eye(3)[y]
         noise = random_probs(rng, 50, 3)
         w = optimize_weights([noise, perfect], y, n_candidates=50, seed=0)
-        preds = np.argmax(np.tensordot(w.w, np.stack([noise, perfect]), axes=(0, 0)), axis=1)
+        preds = np.argmax(aggregate(w.w, np.stack([noise, perfect])), axis=1)
         assert amae(y, preds, 3) == 0.0
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             optimize_weights([np.zeros((0, 3))], np.zeros(0, dtype=np.int64))
-
-
-class TestEnsemblePredict:
-    def test_matches_manual_aggregation(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(60, 5))
-        y = (x[:, 0] > 0).astype(np.int64) + (x[:, 1] > 0).astype(np.int64)
-        models = {}
-        for view in ("a", "b"):
-            models[view] = train(method_config("nominal", 3, None, seed=1), x, y)
-        sample = {"a": x[0], "b": x[1]}
-        w = WeightVector(w=np.array([0.3, 0.7]))
-        label = ensemble_predict(models, sample, w)
-        manual = 0.3 * predict_proba_batch(models["a"], x[:1])[0] \
-            + 0.7 * predict_proba_batch(models["b"], x[1:2])[0]
-        assert label == int(np.argmax(manual))
-
-    def test_single_view_equals_model_prediction(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(40, 3))
-        y = (x[:, 0] > 0).astype(np.int64)
-        model = train(method_config("clm", 2, None, seed=0), x, y)
-        w = WeightVector(w=np.array([1.0]))
-        label = ensemble_predict({"only": model}, {"only": x[3]}, w)
-        direct = int(np.argmax(predict_proba_batch(model, x[3:4])[0]))
-        assert label == direct

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import qwk_brute_force
+from oracles import per_class_mae_loop, qwk_brute_force
 from ordview.core import confusion_matrix
 from ordview.metrics import (
     accuracy,
@@ -122,6 +124,26 @@ class TestPerClass:
         mae = per_class_mae(np.array([0, 0]), np.array([2, 1]), 3)
         assert mae[0] == pytest.approx(1.5, abs=1e-12)
         assert np.isnan(mae[1]) and np.isnan(mae[2])
+
+    def test_mae_matches_loop_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            j = int(rng.integers(2, 7))
+            # labels drawn from a random subset of the classes, so some
+            # classes are often absent from y_true
+            classes = rng.choice(j, size=int(rng.integers(1, j + 1)), replace=False)
+            n = int(rng.integers(1, 40))
+            y_true = rng.choice(classes, size=n)
+            y_pred = rng.integers(0, j, size=n)
+            expected = per_class_mae_loop(y_true, y_pred, j)
+            got = per_class_mae(y_true, y_pred, j)
+            assert np.array_equal(got, expected, equal_nan=True)
+            present = ~np.isnan(expected)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = amae(y_true, y_pred, j)
+            assert len(caught) == int(not present.all())
+            assert value == expected[present].mean()
 
 
 class TestImbalanceRatio:

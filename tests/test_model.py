@@ -7,7 +7,6 @@ from ordview.model import (
     ModelConfig,
     TrainingDiverged,
     method_config,
-    predict_proba,
     predict_proba_batch,
     search_space,
     stratified_folds,
@@ -114,6 +113,19 @@ class TestConfig:
         assert cfg.sord.beta == params["beta"]
         assert cfg.sord.transform == params["transform"]
 
+    @pytest.mark.parametrize(
+        "method, key",
+        [("nominal", "learnig_rate"), ("nominal", "d_min"), ("sord", "lam"),
+         ("clm_cdwce", "beta")],
+    )
+    def test_method_config_rejects_unknown_params(self, method, key):
+        with pytest.raises(ValueError, match=f"{method!r}.*{key!r}"):
+            method_config(method, 4, {key: 0.5})
+
+    def test_method_config_soft_fields(self):
+        cfg = method_config("exponential", 4, {"tau": 2.0, "learning_rate": 0.1})
+        assert cfg.soft.tau == 2.0 and cfg.learning_rate == 0.1
+
 
 class TestSearchSpace:
     def test_grids_pinned_in_order(self):
@@ -213,14 +225,6 @@ class TestTrain:
 
 
 class TestPredict:
-    def test_single_sample_matches_batch(self):
-        x, y = blob_dataset(20, 3)
-        model = train(method_config("clm", 3, None, seed=0), x, y)
-        batch = predict_proba_batch(model, x[:5])
-        for i in range(5):
-            single = predict_proba(model, x[i])
-            assert np.allclose(single, batch[i], atol=1e-12)
-
     def test_rows_are_distributions(self):
         x, y = blob_dataset(20, 4)
         for method in ("nominal", "clm_beta"):
@@ -233,7 +237,7 @@ class TestPredict:
         x, y = blob_dataset(10, 2)
         model = train(method_config("nominal", 2, None, seed=0), x, y)
         with pytest.raises(ValueError):
-            predict_proba(model, np.zeros(x.shape[1] + 1))
+            predict_proba_batch(model, np.zeros((1, x.shape[1] + 1)))
 
 
 @pytest.mark.parametrize("entry", (np.nan, np.inf))

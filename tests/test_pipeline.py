@@ -330,10 +330,20 @@ class TestRunExperiment:
             assert res.stats_paths[metric].exists()
 
     def test_error_carries_context(self, tmp_path):
-        # epochs=0 is rejected by ModelConfig inside the per-view training
-        cfg = tiny_config(tmp_path, epochs=0)
-        with pytest.raises(ExperimentError, match="method=nominal.*seed=0"):
+        # the per-view training diverges at this learning rate
+        cfg = tiny_config(tmp_path, learning_rate=1e308)
+        with pytest.raises(ExperimentError, match="method=nominal.*seed=0.*NaN"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"backbone": "cnn"}, {"epochs": 0}, {"batch_size": 0},
+         {"learning_rate": -1.0}, {"backbone": "one_hidden", "hidden_width": 0}],
+    )
+    def test_bad_model_option_fails_before_outputs(self, tmp_path, option):
+        with pytest.raises(ValueError):
+            run_experiment(tiny_config(tmp_path, **option))
+        assert not (tmp_path / "run").exists()
 
     def test_partial_flush_before_abort(self, tmp_path, monkeypatch):
         import ordview.pipeline as pl
