@@ -2,18 +2,20 @@
 
 Every kernel works on a whole batch with numpy array operations. The string
 options of the public API (backbone ``"linear"``/``"one_hidden"``, head
-``"softmax"``/``"clm"``, link ``"logit"``/``"probit"``/``"cloglog"``, loss
-family ``"cce"``/``"cdwce"``/``"slace"``) are dispatched in Python. Python
-loops run only over epochs and minibatches.
+``"softmax"``/``"clm"``, link one of ``LINKS``, loss family
+``"cce"``/``"cdwce"``/``"slace"``) are dispatched in Python. Python loops run
+only over epochs and minibatches. These kernels are the only implementation
+of the link, threshold and loss math; there is no per-sample API, so a single
+sample is a one-row batch.
 
 Numerical conventions shared with the public modules:
 
 * probabilities are clamped to [1e-12, 1 - 1e-12] inside log terms;
 * the complementary log-log inner exponent is clamped to [-30, 30];
 * exponentials only ever see non-positive (or NaN) arguments, so a fit that
-  diverges surfaces as NaN epoch losses; ``run_sgd`` silences the overflow
-  and invalid-value warnings on the way there, leaving the NaN loss as the
-  one signal.
+  diverges surfaces as NaN epoch losses or non-finite parameters; ``run_sgd``
+  silences the overflow and invalid-value warnings on the way there, and
+  ``model.train`` turns either into its one signal, ``TrainingDiverged``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
+
+LINKS = ("logit", "probit", "cloglog")
 
 P_CLAMP = 1e-12
 CLOGLOG_CLAMP = 30.0
@@ -35,10 +40,6 @@ def link_inverse(x, link):
         e = np.exp(-np.abs(x))
         return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     if link == "probit":
-        # imported here: loading scipy.special at package import raises the
-        # import-time peak RSS, and only the probit link needs it
-        from scipy.special import erf
-
         return 0.5 * (1.0 + erf(x / _SQRT2))
     inner = np.clip(x, -CLOGLOG_CLAMP, CLOGLOG_CLAMP)
     return 1.0 - np.exp(-np.exp(inner))

@@ -5,7 +5,9 @@ Conventions used across the package:
 * labels are 0-based ordinal ranks ``0..n_classes-1`` stored as int64;
 * probability vectors are 1-D float64 arrays summing to 1;
 * every random operation takes an explicit integer seed and builds its own
-  ``numpy.random.Generator``; nothing touches global RNG state.
+  ``numpy.random.Generator``; nothing touches global RNG state. A seed for
+  one role under a parent seed (a fold, a split, a fit) is derived by
+  ``_subseed(parent, role, ...)``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ __all__ = [
     "stratified_split",
     "stratified_resample",
 ]
+
+
+def _subseed(*parts: int) -> int:
+    """Stable derived seed: the first word of SeedSequence(parts)."""
+    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
 def check_probability_vector(p, tol: float = 1e-9) -> np.ndarray:

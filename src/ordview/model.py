@@ -20,10 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as _k
-from .clm import LINKS, ClmParams
-from .losses import SORD_TRANSFORMS, SordConfig, sord_targets
+from .core import _subseed
 from .metrics import amae
-from .softlabel import KINDS as SOFT_KINDS, SoftLabelConfig, target_matrix
+from .softlabel import (
+    KINDS as SOFT_KINDS,
+    SORD_TRANSFORMS,
+    SoftLabelConfig,
+    SordConfig,
+    sord_targets,
+    target_matrix,
+)
 
 __all__ = [
     "ModelConfig",
@@ -73,10 +79,15 @@ MAX_TUNE_EVALS = 15
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes NaN; carries the epoch index."""
+    """Raised when the training loss or a parameter becomes non-finite;
+    carries the epoch index (the last one when only its final update
+    overflowed)."""
 
     def __init__(self, epoch: int):
-        super().__init__(f"training loss became NaN at epoch {epoch}")
+        super().__init__(
+            f"training diverged: a loss or parameter became NaN or infinite "
+            f"at epoch {epoch}"
+        )
         self.epoch = epoch
 
 
@@ -107,7 +118,7 @@ class ModelConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}")
-        if self.head == "clm" and self.link not in LINKS:
+        if self.head == "clm" and self.link not in _k.LINKS:
             raise ValueError(f"unknown link {self.link!r}")
         if self.loss == "cce_soft" and self.soft is None:
             raise ValueError("loss 'cce_soft' needs a SoftLabelConfig")
@@ -127,19 +138,25 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Immutable parameters after training; safe for concurrent prediction."""
+    """Immutable parameters after training; safe for concurrent prediction.
+
+    clm_b1 (shape (1,)) and clm_deltas (J - 2 entries) are the threshold
+    parameters of the cumulative-link head; a softmax model holds zeros of
+    shape (1,) and (0,).
+    """
 
     config: ModelConfig
     w1: np.ndarray
     c1: np.ndarray
     w2: np.ndarray
     c2: np.ndarray
-    clm: ClmParams | None
+    clm_b1: np.ndarray
+    clm_deltas: np.ndarray
     epoch_losses: np.ndarray
     training_log: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("w1", "c1", "w2", "c2", "epoch_losses"):
+        for name in ("w1", "c1", "w2", "c2", "clm_b1", "clm_deltas", "epoch_losses"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -252,18 +269,12 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise TrainingDiverged(int(bad[0]))
-
-    clm_params = None
-    if config.head == "clm":
-        clm_params = ClmParams(
-            b1=float(clm_b1[0]),
-            deltas=clm_deltas,
-            link=config.link,
-            d_min=config.d_min,
-        )
-    return TrainedModel(
-        config=config, w1=w1, c1=c1, w2=w2, c2=c2, clm=clm_params, epoch_losses=losses
-    )
+    params = (w1, c1, w2, c2, clm_b1, clm_deltas)
+    # the epoch loss is taken before each update, so only the parameters
+    # show an overflow in the last one
+    if not all(np.isfinite(p).all() for p in params):
+        raise TrainingDiverged(config.epochs - 1)
+    return TrainedModel(config, *params, epoch_losses=losses)
 
 
 def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
@@ -277,11 +288,6 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
         )
     _check_finite(x)
     cfg = model.config
-    if cfg.head == "clm":
-        clm_b1 = np.array([model.clm.b1])
-        clm_deltas = model.clm.deltas
-    else:
-        clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
     return _k.forward_batch(
         x,
         cfg.backbone,
@@ -292,8 +298,8 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
         model.c1,
         model.w2,
         model.c2,
-        clm_b1,
-        clm_deltas,
+        model.clm_b1,
+        model.clm_deltas,
     )
 
 
@@ -404,10 +410,6 @@ def stratified_folds(y, n_folds: int, seed: int) -> np.ndarray:
     return folds
 
 
-def _fold_seed(seed: int, fold: int) -> int:
-    return int(np.random.SeedSequence((seed, fold)).generate_state(1)[0])
-
-
 def tune(
     space: SearchSpace,
     x,
@@ -448,7 +450,7 @@ def tune(
                 space.method,
                 n_classes,
                 params,
-                seed=_fold_seed(seed, f),
+                seed=_subseed(seed, f),
                 **base,
             )
             try:

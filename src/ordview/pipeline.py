@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     MultiViewDataset,
+    _subseed,
     _test_counts,
     apportion_counts,
     stratified_resample,
@@ -66,11 +67,6 @@ METRIC_COLUMNS = ("qwk", "amae", "accuracy")
 
 class ExperimentError(RuntimeError):
     """A module error wrapped with its (method, view_config, seed) context."""
-
-
-def _subseed(*parts: int) -> int:
-    """Stable derived seed for one role in the experiment tree."""
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
 # ----------------------------------------------------------- synthetic data

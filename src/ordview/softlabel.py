@@ -11,6 +11,9 @@ Two smoothing schemes over 0-based ranks plus three unimodal encoders:
   segments [j/J, (j+1)/J] is a difference of the closed-form CDF (elementary
   for the triangle, the regularized incomplete beta function for the beta).
 * ``exponential_target``: normalized exp(-tau * |j - k| ** p) decay.
+* ``sord_targets``: softmax over transformed rank distances (one of
+  ``SORD_TRANSFORMS``), the targets of the SORD loss and, with transform
+  "max", of SLACE.
 
 All encoders return nonnegative vectors summing to 1 with their mode at the
 true class (unimodal in |j - k|) for the supported hyperparameter ranges.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betainc
 
 from .core import argmax_label, check_probability_vector
 
@@ -35,9 +39,20 @@ __all__ = [
     "exponential_target",
     "ordinal_smooth",
     "target_matrix",
+    "SORD_TRANSFORMS",
+    "SordConfig",
+    "sord_targets",
 ]
 
 KINDS = ("uniform", "triangular", "beta", "exponential")
+SORD_TRANSFORMS = (
+    "max",
+    "norm_max",
+    "norm_log",
+    "log",
+    "norm_division",
+    "division",
+)
 
 
 @dataclass(frozen=True)
@@ -168,10 +183,6 @@ def beta_target(k: int, n_classes: int, concentration: float) -> np.ndarray:
     _check_k(k, n_classes)
     if not concentration > 2.0:
         raise ValueError("concentration must exceed 2")
-    # imported here, as _kernels does for erf: loading scipy.special at
-    # package import raises the import-time peak RSS
-    from scipy.special import betainc
-
     mode = (2 * k + 1) / (2.0 * n_classes)
     a = mode * (concentration - 2.0) + 1.0
     b = (1.0 - mode) * (concentration - 2.0) + 1.0
@@ -191,6 +202,51 @@ def exponential_target(
     dist = np.abs(np.arange(n_classes) - k).astype(np.float64)
     dist = np.exp(-tau * dist**p_exponent)
     return dist / dist.sum()
+
+
+@dataclass(frozen=True)
+class SordConfig:
+    beta: float = 1.0
+    transform: str = "max"
+
+    def __post_init__(self):
+        if not self.beta > 0.0:
+            raise ValueError("beta must be positive")
+        if self.transform not in SORD_TRANSFORMS:
+            raise ValueError(f"unknown transform {self.transform!r}")
+
+
+def sord_targets(k: int, n_classes: int, cfg: SordConfig) -> np.ndarray:
+    """Unimodal soft targets: softmax over transformed rank distances.
+
+    The distance vector phi_j = |j - k| is rescored by cfg.transform:
+
+    * max:            phi / max(phi), softmax of -beta * score
+    * norm_max:       as max, renormalized after the softmax
+    * log:            log(1 + phi), softmax of -beta * score
+    * norm_log:       log(1 + phi) / log(1 + max(phi)), softmax of -beta * score
+    * division:       1 / (1 + phi) as similarity, softmax of +beta * score
+    * norm_division:  similarity divided by its sum, softmax of +beta * score
+    """
+    _check_k(k, n_classes)
+    phi = np.abs(np.arange(n_classes) - k).astype(np.float64)
+    t = cfg.transform
+    if t == "max" or t == "norm_max":
+        score = -cfg.beta * phi / phi.max()
+    elif t == "log":
+        score = -cfg.beta * np.log1p(phi)
+    elif t == "norm_log":
+        score = -cfg.beta * np.log1p(phi) / np.log1p(phi.max())
+    elif t == "division":
+        score = cfg.beta / (1.0 + phi)
+    else:
+        sim = 1.0 / (1.0 + phi)
+        score = cfg.beta * sim / sim.sum()
+    e = np.exp(score - score.max())
+    out = e / e.sum()
+    if t == "norm_max":
+        out = out / out.sum()
+    return out
 
 
 def _base_distribution(k: int, n_classes: int, config: SoftLabelConfig) -> np.ndarray:

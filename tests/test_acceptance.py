@@ -18,14 +18,9 @@ from oracles import (
     qwk_brute_force,
     triangle_cell_masses,
 )
+from ordview import _kernels as _k
+from ordview._kernels import LINKS
 from ordview.cli import main as cli_main
-from ordview.clm import (
-    LINKS,
-    ClmParams,
-    clm_backward,
-    clm_forward,
-    materialize_thresholds,
-)
 from ordview.core import (
     MultiViewDataset,
     argmax_label,
@@ -33,7 +28,6 @@ from ordview.core import (
     stratified_split,
 )
 from ordview.ensemble import optimize_weights
-from ordview.losses import SORD_TRANSFORMS, SordConfig, grad_check, sord_targets
 from ordview.metrics import amae, imbalance_ratio, per_class_mae, qwk
 from ordview.model import (
     ADJACENT_GRID,
@@ -44,9 +38,12 @@ from ordview.model import (
 )
 from ordview.pipeline import ExperimentConfig, run_experiment
 from ordview.softlabel import (
+    SORD_TRANSFORMS,
+    SordConfig,
     beta_target,
     exponential_target,
     ordinal_smooth,
+    sord_targets,
     triangular_target,
     uniform_smooth,
 )
@@ -156,27 +153,76 @@ def test_criterion_03_soft_label_grid():
     assert elapsed < 30.0
 
 
-def clm_fd_grads(f, params, upstream, step=1e-6):
+def loss_row(loss, p, k, config):
+    """Value and gradient of one loss at the probability vector p, as a
+    one-row ``loss_batch``. ``loss`` is cce (against config["target"]),
+    cdwce, sord (cce against sord targets) or slace."""
+    if loss == "cce":
+        kernel, target, alpha = "cce", config["target"], 1.0
+    elif loss == "cdwce":
+        kernel, target, alpha = "cdwce", np.zeros(p.size), config["alpha"]
+    elif loss == "sord":
+        cfg = SordConfig(beta=config["beta"], transform=config["transform"])
+        kernel, target, alpha = "cce", sord_targets(k, p.size, cfg), 1.0
+    else:
+        cfg = SordConfig(beta=config["beta"], transform="max")
+        kernel, target, alpha = "slace", sord_targets(k, p.size, cfg), 1.0
+    value, grad = _k.loss_batch(
+        p.reshape(1, -1), target.reshape(1, -1), np.array([k]), kernel, alpha
+    )
+    return float(value), grad[0]
+
+
+def loss_grad_error(loss, point, k, config, step=1e-5):
+    """Max relative error between the analytic gradient and central
+    differences, per coordinate of the probability vector (denominator
+    max(|analytic|, |numeric|, 1e-6))."""
+    analytic = loss_row(loss, point, k, config)[1]
+    numeric = np.empty_like(point)
+    for i in range(point.size):
+        hi = point.copy()
+        lo = point.copy()
+        hi[i] += step
+        lo[i] -= step
+        numeric[i] = (
+            loss_row(loss, hi, k, config)[0] - loss_row(loss, lo, k, config)[0]
+        ) / (2.0 * step)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def clm_row(f, b1, deltas, link, d_min):
+    """Thresholds, cumulative and class probabilities at one latent score."""
+    b = _k.materialize_thresholds_raw(b1, deltas, d_min)
+    cum, probs = _k.clm_forward_batch(np.array([f]), b, link)
+    return b, cum[0], probs[0]
+
+
+def clm_row_grads(f, b1, deltas, link, d_min, upstream):
+    """Gradients of upstream . probs in (f, b1, deltas) from the kernels."""
+    b = _k.materialize_thresholds_raw(b1, deltas, d_min)
+    grad_f, grad_b = _k.clm_backward_batch(
+        np.array([f]), b, link, upstream.reshape(1, -1)
+    )
+    d_b1, d_deltas = _k.threshold_param_grads(deltas, grad_b)
+    return float(grad_f[0]), d_b1, d_deltas
+
+
+def clm_fd_grads(f, b1, deltas, link, d_min, upstream, step=1e-6):
     """Central differences of upstream . probs in (f, b1, each delta)."""
 
-    def probs_at(f_, b1_, deltas_):
-        p = ClmParams(b1=b1_, deltas=deltas_, link=params.link, d_min=params.d_min)
-        return clm_forward(f_, p).probs
-
     def val(f_, b1_, deltas_):
-        return float(upstream @ probs_at(f_, b1_, deltas_))
+        return float(upstream @ clm_row(f_, b1_, deltas_, link, d_min)[2])
 
-    d_f = (val(f + step, params.b1, params.deltas)
-           - val(f - step, params.b1, params.deltas)) / (2 * step)
-    d_b1 = (val(f, params.b1 + step, params.deltas)
-            - val(f, params.b1 - step, params.deltas)) / (2 * step)
-    d_deltas = np.empty(params.deltas.size)
-    for m in range(params.deltas.size):
-        hi = params.deltas.copy()
-        lo = params.deltas.copy()
+    d_f = (val(f + step, b1, deltas) - val(f - step, b1, deltas)) / (2 * step)
+    d_b1 = (val(f, b1 + step, deltas) - val(f, b1 - step, deltas)) / (2 * step)
+    d_deltas = np.empty(deltas.size)
+    for m in range(deltas.size):
+        hi = deltas.copy()
+        lo = deltas.copy()
         hi[m] += step
         lo[m] -= step
-        d_deltas[m] = (val(f, params.b1, hi) - val(f, params.b1, lo)) / (2 * step)
+        d_deltas[m] = (val(f, b1, hi) - val(f, b1, lo)) / (2 * step)
     return d_f, d_b1, d_deltas
 
 
@@ -202,17 +248,17 @@ def test_criterion_04_gradient_checks():
         point = interior_point(rng, j, 0.02)
         target = interior_point(rng, j, 1e-3)
         worst["cce"] = max(
-            worst["cce"], grad_check("cce", point, k, {"target": target})
+            worst["cce"], loss_grad_error("cce", point, k, {"target": target})
         )
         worst["cdwce"] = max(
             worst["cdwce"],
-            grad_check("cdwce", point, k, {"alpha": CDWCE_ALPHA_GRID[i % 4]}),
+            loss_grad_error("cdwce", point, k, {"alpha": CDWCE_ALPHA_GRID[i % 4]}),
         )
         # larger step: peaked sord targets make some loss terms so small that
         # a 1e-5 step leaves their finite difference below float64 granularity
         worst["sord"] = max(
             worst["sord"],
-            grad_check(
+            loss_grad_error(
                 "sord",
                 point,
                 k,
@@ -222,7 +268,7 @@ def test_criterion_04_gradient_checks():
         )
         worst["slace"] = max(
             worst["slace"],
-            grad_check(
+            loss_grad_error(
                 "slace",
                 interior_point(rng, j, 0.05),
                 k,
@@ -235,21 +281,15 @@ def test_criterion_04_gradient_checks():
             j = int(rng.integers(3, 6))
             # bounded |b - f| keeps every link CDF away from the float64
             # saturation band, where finite differences read pure cancellation
-            params = ClmParams(
-                b1=float(rng.uniform(-2.0, -0.5)),
-                deltas=rng.uniform(-0.4, 0.4, size=j - 2),
-                link=link,
-                d_min=(0.0, 0.5, 1.0)[i % 3],
-            )
+            b1 = float(rng.uniform(-2.0, -0.5))
+            deltas = rng.uniform(-0.4, 0.4, size=j - 2)
+            head = (b1, deltas, link, (0.0, 0.5, 1.0)[i % 3])
             f = float(rng.uniform(-1.5, 1.5))
             upstream = rng.normal(size=j)
-            grads = clm_backward(f, params, upstream)
-            d_f, d_b1, d_deltas = clm_fd_grads(f, params, upstream, step=5e-6)
-            errs = [rel_err(grads.df, d_f), rel_err(grads.db1, d_b1)]
-            errs += [
-                rel_err(grads.ddeltas[m], d_deltas[m])
-                for m in range(params.deltas.size)
-            ]
+            g_f, g_b1, g_deltas = clm_row_grads(f, *head, upstream)
+            d_f, d_b1, d_deltas = clm_fd_grads(f, *head, upstream, step=5e-6)
+            errs = [rel_err(g_f, d_f), rel_err(g_b1, d_b1)]
+            errs += [rel_err(g_deltas[m], d_deltas[m]) for m in range(deltas.size)]
             worst[f"clm_{link}"] = max(worst[f"clm_{link}"], max(errs))
     elapsed = time.perf_counter() - t0
     report = ", ".join(f"{name}={err:.2e}" for name, err in worst.items())
@@ -269,26 +309,21 @@ def test_criterion_05_clm_invariants():
     for i in range(n_draws):
         j = int(rng.integers(3, 6))
         d_min = (0.0, 0.5, 1.0)[i % 3]
-        params = ClmParams(
-            b1=float(rng.uniform(-2.0, -0.5)),
-            deltas=rng.uniform(-0.4, 0.4, size=j - 2),
-            link=links[i % len(links)],
-            d_min=d_min,
-        )
-        b = materialize_thresholds(params)
+        b1 = float(rng.uniform(-2.0, -0.5))
+        head = (b1, rng.uniform(-0.4, 0.4, size=j - 2), links[i % len(links)], d_min)
+        f = float(rng.uniform(-0.5, 2.0))
+        b, cum, probs = clm_row(f, *head)
         gaps = np.diff(b)
         assert np.all(gaps > 0)
         if d_min > 0:
             assert np.all(gaps >= d_min - 1e-12)
         else:
             assert np.all(gaps >= 0.99e-6)
-        f = float(rng.uniform(-0.5, 2.0))
-        out = clm_forward(f, params)
-        assert np.all(out.probs >= 0.0)
-        assert abs(out.probs.sum() - 1.0) <= 1e-9
-        assert np.all(np.diff(out.cumulative) > 0)
-        shifted = clm_forward(f + 0.5, params)
-        assert np.all(shifted.cumulative < out.cumulative)
+        assert np.all(probs >= 0.0)
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        assert np.all(np.diff(cum) > 0)
+        shifted_cum = clm_row(f + 0.5, *head)[1]
+        assert np.all(shifted_cum < cum)
     print(f"criterion 5: {n_draws} random draws over links {links}, "
           f"d_min grid (0.0, 0.5, 1.0): all invariants held")
 

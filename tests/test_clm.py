@@ -1,105 +1,91 @@
+"""The cumulative-link head at one latent score: thresholds, class
+probabilities and gradients through one-row calls of the batch kernels."""
+
 import math
 
 import numpy as np
 import pytest
 
-from ordview.clm import (
-    LINKS,
-    ClmParams,
-    clm_backward,
-    clm_forward,
-    materialize_thresholds,
-)
+from ordview import _kernels as _k
+from ordview._kernels import LINKS
+from ordview.model import ModelConfig
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + math.exp(-x))
+def clm_row(f, b1, deltas, link="logit", d_min=0.0):
+    """Thresholds, cumulative and class probabilities at latent score f."""
+    b = _k.materialize_thresholds_raw(b1, np.asarray(deltas, dtype=np.float64), d_min)
+    cum, probs = _k.clm_forward_batch(np.array([f]), b, link)
+    return b, cum[0], probs[0]
 
 
-def finite_diff_probs(f, params, step=1e-6):
+def clm_row_grads(f, b1, deltas, link, d_min, upstream):
+    """Gradients of upstream . probs in (f, b1, deltas) from the kernels."""
+    b = _k.materialize_thresholds_raw(b1, deltas, d_min)
+    grad_f, grad_b = _k.clm_backward_batch(
+        np.array([f]), b, link, upstream.reshape(1, -1)
+    )
+    d_b1, d_deltas = _k.threshold_param_grads(deltas, grad_b)
+    return float(grad_f[0]), d_b1, d_deltas
+
+
+def finite_diff_probs(f, b1, deltas, link, d_min, step=1e-6):
     """Central differences of every class probability in (f, b1, deltas)."""
-    j = params.n_classes
 
     def probs_at(f_, b1_, deltas_):
-        p = ClmParams(b1=b1_, deltas=deltas_, link=params.link, d_min=params.d_min)
-        return clm_forward(f_, p).probs
+        return clm_row(f_, b1_, deltas_, link, d_min)[2]
 
-    d_f = (probs_at(f + step, params.b1, params.deltas)
-           - probs_at(f - step, params.b1, params.deltas)) / (2 * step)
-    d_b1 = (probs_at(f, params.b1 + step, params.deltas)
-            - probs_at(f, params.b1 - step, params.deltas)) / (2 * step)
-    d_deltas = np.empty((params.deltas.size, j))
-    for m in range(params.deltas.size):
-        hi = params.deltas.copy()
-        lo = params.deltas.copy()
+    d_f = (probs_at(f + step, b1, deltas) - probs_at(f - step, b1, deltas)) / (2 * step)
+    d_b1 = (probs_at(f, b1 + step, deltas) - probs_at(f, b1 - step, deltas)) / (2 * step)
+    d_deltas = np.empty((deltas.size, deltas.size + 2))
+    for m in range(deltas.size):
+        hi = deltas.copy()
+        lo = deltas.copy()
         hi[m] += step
         lo[m] -= step
-        d_deltas[m] = (probs_at(f, params.b1, hi)
-                       - probs_at(f, params.b1, lo)) / (2 * step)
+        d_deltas[m] = (probs_at(f, b1, hi) - probs_at(f, b1, lo)) / (2 * step)
     return d_f, d_b1, d_deltas
 
 
 class TestThresholds:
     def test_reference_values(self):
-        params = ClmParams(
-            b1=0.0, deltas=np.array([math.sqrt(1.5), math.sqrt(1.5)]), d_min=0.0
-        )
-        b = materialize_thresholds(params)
+        b = _k.materialize_thresholds_raw(0.0, np.full(2, math.sqrt(1.5)), 0.0)
         assert np.allclose(b, [0.0, 1.5, 3.0], atol=1e-5)
 
     def test_strictly_increasing_without_dmin(self):
-        params = ClmParams(b1=2.0, deltas=np.zeros(3), d_min=0.0)
-        b = materialize_thresholds(params)
+        b = _k.materialize_thresholds_raw(2.0, np.zeros(3), 0.0)
         assert np.all(np.diff(b) > 0)
 
     def test_dmin_enforces_gap(self):
-        params = ClmParams(b1=-1.0, deltas=np.zeros(3), d_min=0.5)
-        b = materialize_thresholds(params)
+        b = _k.materialize_thresholds_raw(-1.0, np.zeros(3), 0.5)
         assert np.all(np.diff(b) >= 0.5)
 
 
 class TestForward:
-    def test_logit_reference(self):
-        params = ClmParams(b1=0.0, deltas=np.array([1.0]), d_min=0.0)
-        out = clm_forward(1.0, params)
-        b = materialize_thresholds(params)
-        cum = np.array([sigmoid(t - 1.0) for t in b])
-        assert np.allclose(out.cumulative, cum, atol=1e-9)
-        probs = np.diff(np.concatenate([[0.0], cum, [1.0]]))
-        assert np.allclose(out.probs, probs / probs.sum(), atol=1e-9)
-
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             j = int(rng.integers(2, 9))
-            params = ClmParams(
-                b1=float(rng.normal()),
-                deltas=rng.normal(size=j - 2),
-                link=str(rng.choice(list(LINKS))),
-                d_min=float(rng.choice([0.0, 0.5, 1.0])),
+            head = (
+                float(rng.normal()),
+                rng.normal(size=j - 2),
+                str(rng.choice(list(LINKS))),
+                float(rng.choice([0.0, 0.5, 1.0])),
             )
-            out = clm_forward(float(rng.normal(scale=3)), params)
-            assert abs(out.probs.sum() - 1.0) < 1e-9
-            assert np.all(out.probs >= 0)
-            assert np.all(np.diff(out.cumulative) >= 0)
-
-    def test_stochastic_ordering_in_f(self):
-        params = ClmParams(b1=-1.0, deltas=np.array([0.8, 0.3]), link="probit")
-        low = clm_forward(-2.0, params)
-        high = clm_forward(2.0, params)
-        # larger latent score pushes cumulative mass down at every threshold
-        assert np.all(high.cumulative < low.cumulative)
+            _, cum, probs = clm_row(float(rng.normal(scale=3)), *head)
+            assert abs(probs.sum() - 1.0) < 1e-9
+            assert np.all(probs >= 0)
+            assert np.all(np.diff(cum) >= 0)
 
     def test_translation_invariance(self):
         # shifting f and b1 together leaves the distribution unchanged
         deltas = np.array([0.7, -0.2])
-        a = clm_forward(0.3, ClmParams(b1=0.1, deltas=deltas))
-        b = clm_forward(1.3, ClmParams(b1=1.1, deltas=deltas))
-        assert np.allclose(a.probs, b.probs, atol=1e-12)
+        a = clm_row(0.3, 0.1, deltas)[2]
+        b = clm_row(1.3, 1.1, deltas)[2]
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_link_validation(self):
-        with pytest.raises(ValueError):
-            ClmParams(b1=0.0, deltas=np.zeros(1), link="cauchit")
+        with pytest.raises(ValueError, match="unknown link"):
+            ModelConfig(n_classes=4, head="clm", link="cauchit")
 
 
 class TestBackward:
@@ -108,25 +94,17 @@ class TestBackward:
         for link in LINKS:
             for _ in range(30):
                 j = int(rng.integers(3, 7))
-                params = ClmParams(
-                    b1=float(rng.normal()),
-                    deltas=rng.normal(size=j - 2) + 0.3,
-                    link=link,
-                    d_min=float(rng.choice([0.0, 0.5])),
-                )
+                b1 = float(rng.normal())
+                deltas = rng.normal(size=j - 2) + 0.3
+                d_min = float(rng.choice([0.0, 0.5]))
                 f = float(rng.normal())
                 g = rng.normal(size=j)
-                grads = clm_backward(f, params, g)
-                d_f, d_b1, d_deltas = finite_diff_probs(f, params)
-                assert abs(grads.df - g @ d_f) < 1e-5
-                assert abs(grads.db1 - g @ d_b1) < 1e-5
-                for m in range(params.deltas.size):
-                    assert abs(grads.ddeltas[m] - g @ d_deltas[m]) < 1e-5
-
-    def test_upstream_shape_checked(self):
-        params = ClmParams(b1=0.0, deltas=np.zeros(2))
-        with pytest.raises(ValueError):
-            clm_backward(0.0, params, np.zeros(3))
+                g_f, g_b1, g_deltas = clm_row_grads(f, b1, deltas, link, d_min, g)
+                d_f, d_b1, d_deltas = finite_diff_probs(f, b1, deltas, link, d_min)
+                assert abs(g_f - g @ d_f) < 1e-5
+                assert abs(g_b1 - g @ d_b1) < 1e-5
+                for m in range(deltas.size):
+                    assert abs(g_deltas[m] - g @ d_deltas[m]) < 1e-5
 
 
 class TestInvariants:
@@ -135,18 +113,17 @@ class TestInvariants:
         for _ in range(2000):
             j = int(rng.integers(2, 10))
             d_min = float(rng.choice([0.0, 0.5, 1.0]))
-            params = ClmParams(
-                b1=float(rng.normal(scale=2)),
-                deltas=rng.normal(size=j - 2, scale=2),
-                link=str(rng.choice(list(LINKS))),
-                d_min=d_min,
+            head = (
+                float(rng.normal(scale=2)),
+                rng.normal(size=j - 2, scale=2),
+                str(rng.choice(list(LINKS))),
+                d_min,
             )
-            b = materialize_thresholds(params)
+            b, cum, probs = clm_row(float(rng.normal(scale=4)), *head)
             gaps = np.diff(b)
             assert np.all(gaps > 0)
             if d_min > 0:
                 assert np.all(gaps >= d_min)
-            out = clm_forward(float(rng.normal(scale=4)), params)
-            assert np.all(out.probs >= 0)
-            assert abs(out.probs.sum() - 1.0) < 1e-9
-            assert np.all(np.diff(out.cumulative) >= -1e-15)
+            assert np.all(probs >= 0)
+            assert abs(probs.sum() - 1.0) < 1e-9
+            assert np.all(np.diff(cum) >= -1e-15)

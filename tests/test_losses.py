@@ -1,46 +1,46 @@
+"""Hand-computed loss values and central-difference gradient checks through
+one-row ``loss_batch`` calls, and the SORD targets the sord and slace losses
+train against."""
+
 import math
 
 import numpy as np
-import pytest
 
-from ordview.losses import (
-    SORD_TRANSFORMS,
-    SordConfig,
-    cce,
-    cdwce,
-    grad_check,
-    slace,
-    sord_targets,
-)
+from ordview._kernels import loss_batch, softmax_backward_batch, softmax_batch
+from ordview.softlabel import SORD_TRANSFORMS, SordConfig, sord_targets
 
 
-def random_simplex(rng, n):
-    p = rng.dirichlet(np.ones(n))
-    # keep coordinates away from the clamp so finite differences are clean
-    p = 0.98 * p + 0.02 / n
-    return p / p.sum()
+def one_row(loss, p, target=None, k=0, alpha=1.0):
+    """(value, gradient) of a loss at one probability vector p."""
+    p = np.asarray(p, dtype=np.float64)
+    target = np.zeros(p.size) if target is None else np.asarray(target, dtype=np.float64)
+    value, grad = loss_batch(
+        p.reshape(1, -1), target.reshape(1, -1), np.array([k]), loss, alpha
+    )
+    return float(value), grad[0]
+
+
+def slace_row(p, k, beta):
+    targets = sord_targets(k, len(p), SordConfig(beta=beta, transform="max"))
+    return one_row("slace", p, targets, k)
 
 
 class TestCce:
     def test_one_hot_value(self):
-        out = cce(np.array([0.2, 0.6, 0.2]), np.array([0.0, 1.0, 0.0]))
-        assert abs(out.value - (-math.log(0.6))) < 1e-12
-        assert np.allclose(out.grad, [0.0, -1.0 / 0.6, 0.0])
+        value, grad = one_row("cce", [0.2, 0.6, 0.2], [0.0, 1.0, 0.0])
+        assert abs(value - (-math.log(0.6))) < 1e-12
+        assert np.allclose(grad, [0.0, -1.0 / 0.6, 0.0])
 
     def test_soft_target_value(self):
         p = np.array([0.5, 0.3, 0.2])
         t = np.array([0.6, 0.3, 0.1])
         expected = -np.sum(t * np.log(p))
-        assert abs(cce(p, t).value - expected) < 1e-12
+        assert abs(one_row("cce", p, t)[0] - expected) < 1e-12
 
     def test_clamped_at_zero(self):
-        out = cce(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert math.isfinite(out.value)
-        assert np.all(np.isfinite(out.grad))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cce(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+        value, grad = one_row("cce", [0.0, 1.0], [1.0, 0.0])
+        assert math.isfinite(value)
+        assert np.all(np.isfinite(grad))
 
 
 class TestCdwce:
@@ -51,15 +51,11 @@ class TestCdwce:
         expected = -sum(
             abs(j - k) ** alpha * math.log(1.0 - p[j]) for j in range(3) if j != k
         )
-        assert abs(cdwce(p, k, alpha).value - expected) < 1e-12
+        assert abs(one_row("cdwce", p, k=k, alpha=alpha)[0] - expected) < 1e-12
 
     def test_perfect_prediction_is_zero(self):
-        out = cdwce(np.array([0.0, 1.0, 0.0]), 1, 1.0)
-        assert abs(out.value) < 1e-9
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            cdwce(np.array([0.5, 0.5]), 0, 0.0)
+        value, _ = one_row("cdwce", [0.0, 1.0, 0.0], k=1)
+        assert abs(value) < 1e-9
 
 
 class TestSordTargets:
@@ -112,12 +108,42 @@ class TestSlace:
             tc += t[j]
             pc += p[j]
             expected -= tc * math.log(pc) + (1.0 - tc) * math.log(1.0 - pc)
-        assert abs(slace(p, k, beta).value - expected) < 1e-12
+        assert abs(slace_row(p, k, beta)[0] - expected) < 1e-12
 
     def test_clamped_at_edges(self):
-        out = slace(np.array([1.0, 0.0, 0.0]), 2, 1.0)
-        assert math.isfinite(out.value)
-        assert np.all(np.isfinite(out.grad))
+        value, grad = slace_row([1.0, 0.0, 0.0], 2, 1.0)
+        assert math.isfinite(value)
+        assert np.all(np.isfinite(grad))
+
+
+def random_simplex(rng, n):
+    p = rng.dirichlet(np.ones(n))
+    # keep coordinates away from the clamp so finite differences are clean
+    p = 0.98 * p + 0.02 / n
+    return p / p.sum()
+
+
+def grad_error(value_grad, point, step=1e-5):
+    """Max relative error between the analytic gradient of value_grad (a
+    function returning (value, gradient)) and central differences at point;
+    the denominator is max(|analytic|, |numeric|, 1e-6) per coordinate."""
+    analytic = value_grad(point)[1]
+    numeric = np.empty_like(point)
+    for i in range(point.size):
+        hi = point.copy()
+        lo = point.copy()
+        hi[i] += step
+        lo[i] -= step
+        numeric[i] = (value_grad(hi)[0] - value_grad(lo)[0]) / (2.0 * step)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def cce_of_logits(z, t):
+    """cce of softmax(z) against t, its gradient chained through the softmax."""
+    probs = softmax_batch(z.reshape(1, -1))
+    value, grad = one_row("cce", probs[0], t)
+    return value, softmax_backward_batch(probs, grad.reshape(1, -1))[0]
 
 
 class TestGradCheck:
@@ -127,9 +153,9 @@ class TestGradCheck:
             n = int(rng.integers(2, 8))
             t = random_simplex(rng, n)
             p = random_simplex(rng, n)
-            assert grad_check("cce", p, config={"target": t}) < 1e-4
+            assert grad_error(lambda v: one_row("cce", v, t), p) < 1e-4
             z = rng.normal(size=n)
-            assert grad_check("cce", z, config={"target": t}, space="logit") < 1e-4
+            assert grad_error(lambda v: cce_of_logits(v, t), z) < 1e-4
 
     def test_cdwce(self):
         rng = np.random.default_rng(1)
@@ -138,7 +164,8 @@ class TestGradCheck:
             k = int(rng.integers(0, n))
             alpha = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
             p = random_simplex(rng, n)
-            assert grad_check("cdwce", p, k=k, config={"alpha": alpha}) < 1e-4
+            err = grad_error(lambda v: one_row("cdwce", v, k=k, alpha=alpha), p)
+            assert err < 1e-4
 
     def test_sord(self):
         rng = np.random.default_rng(2)
@@ -147,10 +174,8 @@ class TestGradCheck:
             k = int(rng.integers(0, n))
             tr = str(rng.choice(SORD_TRANSFORMS))
             p = random_simplex(rng, n)
-            err = grad_check(
-                "sord", p, k=k, config={"beta": 2.0, "transform": tr}
-            )
-            assert err < 1e-4
+            t = sord_targets(k, n, SordConfig(beta=2.0, transform=tr))
+            assert grad_error(lambda v: one_row("cce", v, t, k), p) < 1e-4
 
     def test_slace(self):
         rng = np.random.default_rng(3)
@@ -158,8 +183,4 @@ class TestGradCheck:
             n = int(rng.integers(3, 8))
             k = int(rng.integers(0, n))
             p = random_simplex(rng, n)
-            assert grad_check("slace", p, k=k, config={"beta": 1.0}) < 1e-4
-
-    def test_unknown_loss(self):
-        with pytest.raises(ValueError):
-            grad_check("huber", np.array([0.5, 0.5]))
+            assert grad_error(lambda v: slace_row(v, k, 1.0), p) < 1e-4

@@ -210,6 +210,17 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(cfg, x, y)
 
+    @pytest.mark.parametrize("head", ("softmax", "clm"))
+    def test_overflow_in_last_update_raises(self, head):
+        # one epoch of one batch: the epoch loss, taken before the update,
+        # is finite, and only the updated parameters overflow
+        rng = np.random.default_rng(0)
+        x = 10 * rng.normal(size=(40, 5))
+        cfg = ModelConfig(n_classes=3, head=head, epochs=1, batch_size=40,
+                          learning_rate=1e308)
+        with pytest.raises(TrainingDiverged):
+            train(cfg, x, np.arange(40) % 3)
+
     def test_degenerate_single_class_fit(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 3))
