@@ -34,8 +34,7 @@ from .pipeline import (
     run_experiment,
     write_views_csv,
     _check_labels,
-    _parse_cells,
-    _read_csv,
+    _read_table,
     _write_csv,
     _write_stats_report,
 )
@@ -251,9 +250,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_metrics(args) -> int:
     columns = ("true_label", "predicted_label")
-    header, records = _read_csv(args.predictions, required=columns)
-    pos = [header.index(col) for col in columns]
-    y_true, y_pred = _parse_cells(args.predictions, header, records, pos, int, "label")
+    header, cells = _read_table(
+        args.predictions,
+        lambda header: [int if col in columns else str for col in header],
+        {int: "label"},
+        required=columns,
+    )
+    y_true, y_pred = (cells[header.index(col)] for col in columns)
     for col, labels in zip(columns, (y_true, y_pred)):
         _check_labels(args.predictions, col, labels, args.n_classes)
     n_classes = args.n_classes

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -169,21 +170,40 @@ def write_views_csv(
 
 
 def _write_csv(path: Path, header, rows) -> Path:
-    """Write a header line and the rows; csv.writer writes floats with repr,
-    so every float reads back bit for bit."""
+    """Write a header line and the rows, streamed one line at a time.
+
+    Every cell of ``rows`` must be a Python int or float (both callers pass
+    values from ``.tolist()``). Each is written with ``repr``, so every float
+    reads back bit for bit, and the bytes equal what ``csv.writer`` writes,
+    since no such cell needs quoting.
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     return path
 
 
-def _read_csv(path, required=()) -> tuple[list[str], list[list[str]]]:
-    """Header and data records of one CSV file.
+def _read_table(
+    path, column_types, what, required=()
+) -> tuple[list[str], list[np.ndarray]]:
+    """Header and typed columns of one CSV file.
 
-    Raises ValueError, naming the file, for an empty file, a missing
-    required column, a record whose width differs from the header's and a
-    file without data rows. Record i (0-based) sits on line i + 2.
+    ``column_types(header)`` gives every column's type: ``str`` for an
+    object array of the cells as read, ``int`` or ``float`` for an int64 or
+    float64 column, whose bad cells are reported as ``what[int]`` or
+    ``what[float]`` values. It may raise ValueError to reject the header.
+    An empty file, a missing required column and a duplicate column are
+    rejected before any row is read.
+
+    The body is parsed by one ``np.loadtxt`` call; integer cells then go
+    through ``int``. Its float parse gives the bits of Python's ``float``
+    and accepts no spelling that ``float`` rejects. Its result is used only
+    when it raised nothing and has one row per physical data line
+    (``loadtxt`` skips blank lines and reads a quoted newline as part of a
+    cell, where ``csv.reader`` reports a short row or joins two lines). Else
+    ``_read_csv`` and ``_parse_cells`` read the file cell by cell: they
+    raise the ValueError naming the file and the line, or return the cells
+    that only ``float`` or ``int`` parse, such as ``1_0.5``.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -194,40 +214,91 @@ def _read_csv(path, required=()) -> tuple[list[str], list[list[str]]]:
         for col in required:
             if col not in header:
                 raise ValueError(f"file {path}: missing required column {col!r}")
-        records = list(reader)
+        dup = next((col for col, n in Counter(header).items() if n > 1), None)
+        if dup is not None:
+            raise ValueError(f"file {path}: duplicate column {dup!r}")
+        types = column_types(header)
+        n_rows = sum(1 for _ in fh)
+        columns = _loadtxt_columns(fh, types, reader.line_num, n_rows) if n_rows else None
+        if columns is not None:
+            return header, columns
+        records = _read_csv(path, fh, len(header))
+    columns = [
+        np.array([rec[i] for rec in records], dtype=object) if t is str else None
+        for i, t in enumerate(types)
+    ]
+    # integer columns first, so a bad label is named before a bad feature
+    for parse in (int, float):
+        for i, t in enumerate(types):
+            if t is parse:
+                columns[i] = _parse_cells(path, header, records, i, parse, what[parse])
+    return header, columns
+
+
+def _loadtxt_columns(fh, types, skip: int, n_rows: int) -> list[np.ndarray] | None:
+    """The typed columns of the lines after the first ``skip`` of ``fh``,
+    parsed by one ``np.loadtxt`` call; None when a cell does not parse or
+    the call reads other than ``n_rows`` rows."""
+    fh.seek(0)
+    dtype = [(f"c{i}", np.float64 if t is float else object)
+             for i, t in enumerate(types)]
+    try:
+        with warnings.catch_warnings():
+            # an all-blank body reads as zero rows, which the count rejects
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, skiprows=skip, ndmin=1)
+        if len(table) != n_rows:
+            return None
+        return [
+            np.fromiter(map(int, table[name]), np.int64, n_rows)
+            if t is int else table[name]
+            for (name, _), t in zip(dtype, types)
+        ]
+    except (ValueError, OverflowError):
+        return None
+
+
+def _read_csv(path, fh, width: int) -> list[list[str]]:
+    """The data records of the open CSV file ``fh``, read by ``csv.reader``.
+
+    Raises ValueError, naming the file, for a record whose width differs
+    from the header's and a file without data rows. Record i (0-based) sits
+    on line i + 2.
+    """
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    records = list(reader)
     for line_no, rec in enumerate(records, start=2):
-        if len(rec) != len(header):
+        if len(rec) != width:
             raise ValueError(
                 f"file {path}: line {line_no} has {len(rec)} fields, "
-                f"expected {len(header)}"
+                f"expected {width}"
             )
     if not records:
         raise ValueError(f"file {path}: no data rows")
-    return header, records
+    return records
 
 
-def _parse_cells(path, header, records, pos, parse, what: str) -> list[np.ndarray]:
-    """The columns at positions ``pos`` of every record, each parsed by
-    ``parse`` (int or float) into one int64 or float64 array; a cell that
-    does not parse or fit raises a ValueError naming the file, the line and
-    the column."""
+def _parse_cells(path, header, records, i: int, parse, what: str) -> np.ndarray:
+    """Column ``i`` of every record, each cell parsed by ``parse`` (int or
+    float) into one int64 or float64 array; a cell that does not parse or
+    fit raises a ValueError naming the file, the line and the column."""
     dtype, kind = (np.int64, "an integer") if parse is int else (np.float64, "a number")
-    columns = []
-    for i in pos:
-        cells = [rec[i] for rec in records]
-        try:
-            columns.append(np.fromiter(map(parse, cells), dtype, len(cells)))
-        except (ValueError, OverflowError):
-            for line_no, cell in enumerate(cells, start=2):
-                try:
-                    dtype(parse(cell))
-                except (ValueError, OverflowError):
-                    raise ValueError(
-                        f"file {path}: line {line_no}: cannot parse {what} value "
-                        f"{cell!r} in column {header[i]!r}: not {kind}"
-                    ) from None
-            raise
-    return columns
+    cells = [rec[i] for rec in records]
+    try:
+        return np.fromiter(map(parse, cells), dtype, len(cells))
+    except (ValueError, OverflowError):
+        for line_no, cell in enumerate(cells, start=2):
+            try:
+                dtype(parse(cell))
+            except (ValueError, OverflowError):
+                raise ValueError(
+                    f"file {path}: line {line_no}: cannot parse {what} value "
+                    f"{cell!r} in column {header[i]!r}: not {kind}"
+                ) from None
+        raise
 
 
 def _check_labels(path, column: str, labels: np.ndarray, n_classes=None) -> None:
@@ -244,18 +315,27 @@ def _check_labels(path, column: str, labels: np.ndarray, n_classes=None) -> None
 
 def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=None):
     """Sample ids, the (n, d) feature block and the labels of one view CSV."""
-    header, records = _read_csv(path, required=(id_column, label_column))
+
+    def types(header):
+        return [
+            str if col == id_column else int if col == label_column else float
+            for col in header
+        ]
+
+    header, columns = _read_table(
+        path, types, {int: "label", float: "feature"},
+        required=(id_column, label_column),
+    )
     id_pos = header.index(id_column)
     label_pos = header.index(label_column)
-    ids = [rec[id_pos] for rec in records]
+    ids = columns[id_pos].tolist()
     if len(set(ids)) < len(ids):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
-    [labels] = _parse_cells(path, header, records, [label_pos], int, "label")
+    labels = columns[label_pos]
     _check_labels(path, label_column, labels, n_classes)
-    feature_pos = [i for i in range(len(header)) if i not in (id_pos, label_pos)]
-    features = _parse_cells(path, header, records, feature_pos, float, "feature")
-    block = np.array(features, dtype=np.float64).reshape(len(feature_pos), len(ids)).T
+    features = [col for i, col in enumerate(columns) if i not in (id_pos, label_pos)]
+    block = np.array(features, dtype=np.float64).reshape(len(features), len(ids)).T
     return ids, block, labels
 
 
@@ -695,11 +775,13 @@ def _write_stats_report(out: Path, header, rows, metric: str) -> Path:
 def read_grid_csv(path) -> tuple[tuple[str, ...], list[tuple]]:
     """Parse a grid CSV back into typed rows (strings, int seed, floats)."""
     path = Path(path)
-    header, records = _read_csv(path)
-    header = tuple(header)
-    if header[:3] != ("method", "view_config", "seed"):
-        raise ValueError(f"file {path}: not a grid CSV (header {header[:3]})")
-    names = ([rec[0] for rec in records], [rec[1] for rec in records])
-    [seeds] = _parse_cells(path, header, records, [2], int, "seed")
-    values = _parse_cells(path, header, records, range(3, len(header)), float, "metric")
-    return header, list(zip(*names, *(col.tolist() for col in (seeds, *values))))
+
+    def types(header):
+        if tuple(header[:3]) != ("method", "view_config", "seed"):
+            raise ValueError(
+                f"file {path}: not a grid CSV (header {tuple(header[:3])})"
+            )
+        return [str, str, int] + [float] * (len(header) - 3)
+
+    header, columns = _read_table(path, types, {int: "seed", float: "metric"})
+    return tuple(header), list(zip(*(col.tolist() for col in columns)))

@@ -285,6 +285,10 @@ class TestErrorExits:
              "line 2: cannot parse metric value 'n/a' in column 'qwk'"),
             ("metrics", "true_label,predicted_label\n0,1\n99999999999999999999,1\n",
              "line 3: cannot parse label value '99999999999999999999'"),
+            ("metrics", "true_label,predicted_label,true_label\n0,1,0\n",
+             "duplicate column 'true_label'"),
+            ("stats", "method,view_config,seed,qwk,qwk\nnominal,crown,0,0.5,0.5\n",
+             "duplicate column 'qwk'"),
         ],
     )
     def test_malformed_csv_names_file(self, tmp_path, capsys, command, text, message):
