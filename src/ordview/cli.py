@@ -250,7 +250,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_metrics(args) -> int:
     columns = ("true_label", "predicted_label")
-    header, cells = _read_table(
+    header, cells, lines = _read_table(
         args.predictions,
         lambda header: [int if col in columns else str for col in header],
         {int: "label"},
@@ -258,7 +258,7 @@ def _cmd_metrics(args) -> int:
     )
     y_true, y_pred = (cells[header.index(col)] for col in columns)
     for col, labels in zip(columns, (y_true, y_pred)):
-        _check_labels(args.predictions, col, labels, args.n_classes)
+        _check_labels(args.predictions, col, labels, lines, args.n_classes)
     n_classes = args.n_classes
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1

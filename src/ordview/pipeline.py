@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -185,8 +186,8 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 def _read_table(
     path, column_types, what, required=()
-) -> tuple[list[str], list[np.ndarray]]:
-    """Header and typed columns of one CSV file.
+) -> tuple[list[str], list[np.ndarray], Sequence[int]]:
+    """Header, typed columns and the line of each data row of one CSV file.
 
     ``column_types(header)`` gives every column's type: ``str`` for an
     object array of the cells as read, ``int`` or ``float`` for an int64 or
@@ -203,7 +204,8 @@ def _read_table(
     cell, where ``csv.reader`` reports a short row or joins two lines). Else
     ``_read_csv`` and ``_parse_cells`` read the file cell by cell: they
     raise the ValueError naming the file and the line, or return the cells
-    that only ``float`` or ``int`` parse, such as ``1_0.5``.
+    that only ``float`` or ``int`` parse, such as ``1_0.5``. A row's line is
+    the physical line it ends on, so a quoted newline before it counts.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -218,11 +220,12 @@ def _read_table(
         if dup is not None:
             raise ValueError(f"file {path}: duplicate column {dup!r}")
         types = column_types(header)
+        skip = reader.line_num
         n_rows = sum(1 for _ in fh)
-        columns = _loadtxt_columns(fh, types, reader.line_num, n_rows) if n_rows else None
+        columns = _loadtxt_columns(fh, types, skip, n_rows) if n_rows else None
         if columns is not None:
-            return header, columns
-        records = _read_csv(path, fh, len(header))
+            return header, columns, range(skip + 1, skip + 1 + n_rows)
+        records, lines = _read_csv(path, fh, len(header))
     columns = [
         np.array([rec[i] for rec in records], dtype=object) if t is str else None
         for i, t in enumerate(types)
@@ -231,8 +234,10 @@ def _read_table(
     for parse in (int, float):
         for i, t in enumerate(types):
             if t is parse:
-                columns[i] = _parse_cells(path, header, records, i, parse, what[parse])
-    return header, columns
+                columns[i] = _parse_cells(
+                    path, header, records, lines, i, parse, what[parse]
+                )
+    return header, columns, lines
 
 
 def _loadtxt_columns(fh, types, skip: int, n_rows: int) -> list[np.ndarray] | None:
@@ -259,18 +264,21 @@ def _loadtxt_columns(fh, types, skip: int, n_rows: int) -> list[np.ndarray] | No
         return None
 
 
-def _read_csv(path, fh, width: int) -> list[list[str]]:
-    """The data records of the open CSV file ``fh``, read by ``csv.reader``.
+def _read_csv(path, fh, width: int) -> tuple[list[list[str]], list[int]]:
+    """The data records of the open CSV file ``fh``, read by ``csv.reader``,
+    and the line each record ends on.
 
-    Raises ValueError, naming the file, for a record whose width differs
-    from the header's and a file without data rows. Record i (0-based) sits
-    on line i + 2.
+    Raises ValueError, naming the file and the line, for a record whose
+    width differs from the header's, and for a file without data rows.
     """
     fh.seek(0)
     reader = csv.reader(fh)
     next(reader)
-    records = list(reader)
-    for line_no, rec in enumerate(records, start=2):
+    records, lines = [], []
+    for rec in reader:
+        records.append(rec)
+        lines.append(reader.line_num)
+    for line_no, rec in zip(lines, records):
         if len(rec) != width:
             raise ValueError(
                 f"file {path}: line {line_no} has {len(rec)} fields, "
@@ -278,19 +286,22 @@ def _read_csv(path, fh, width: int) -> list[list[str]]:
             )
     if not records:
         raise ValueError(f"file {path}: no data rows")
-    return records
+    return records, lines
 
 
-def _parse_cells(path, header, records, i: int, parse, what: str) -> np.ndarray:
+def _parse_cells(
+    path, header, records, lines, i: int, parse, what: str
+) -> np.ndarray:
     """Column ``i`` of every record, each cell parsed by ``parse`` (int or
     float) into one int64 or float64 array; a cell that does not parse or
-    fit raises a ValueError naming the file, the line and the column."""
+    fit raises a ValueError naming the file, its line in ``lines`` and the
+    column."""
     dtype, kind = (np.int64, "an integer") if parse is int else (np.float64, "a number")
     cells = [rec[i] for rec in records]
     try:
         return np.fromiter(map(parse, cells), dtype, len(cells))
     except (ValueError, OverflowError):
-        for line_no, cell in enumerate(cells, start=2):
+        for line_no, cell in zip(lines, cells):
             try:
                 dtype(parse(cell))
             except (ValueError, OverflowError):
@@ -301,13 +312,15 @@ def _parse_cells(path, header, records, i: int, parse, what: str) -> np.ndarray:
         raise
 
 
-def _check_labels(path, column: str, labels: np.ndarray, n_classes=None) -> None:
-    """Raise a ValueError naming the file and the line of the first label
-    below 0 or, when n_classes is given, above n_classes - 1."""
+def _check_labels(
+    path, column: str, labels: np.ndarray, lines, n_classes=None
+) -> None:
+    """Raise a ValueError naming the file and the line (from ``lines``) of
+    the first label below 0 or, when n_classes is given, above n_classes - 1."""
     bad = labels < 0 if n_classes is None else (labels < 0) | (labels >= n_classes)
     if bad.any():
         k = int(np.argmax(bad))
-        where = f"file {path}: line {k + 2}: label {labels[k]} in column {column!r}"
+        where = f"file {path}: line {lines[k]}: label {labels[k]} in column {column!r}"
         if n_classes is None:
             raise ValueError(f"{where} is negative")
         raise ValueError(f"{where} lies outside [0, {n_classes - 1}]")
@@ -322,7 +335,7 @@ def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=Non
             for col in header
         ]
 
-    header, columns = _read_table(
+    header, columns, lines = _read_table(
         path, types, {int: "label", float: "feature"},
         required=(id_column, label_column),
     )
@@ -333,7 +346,7 @@ def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=Non
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
     labels = columns[label_pos]
-    _check_labels(path, label_column, labels, n_classes)
+    _check_labels(path, label_column, labels, lines, n_classes)
     features = [col for i, col in enumerate(columns) if i not in (id_pos, label_pos)]
     block = np.array(features, dtype=np.float64).reshape(len(features), len(ids)).T
     return ids, block, labels
@@ -783,5 +796,5 @@ def read_grid_csv(path) -> tuple[tuple[str, ...], list[tuple]]:
             )
         return [str, str, int] + [float] * (len(header) - 3)
 
-    header, columns = _read_table(path, types, {int: "seed", float: "metric"})
+    header, columns, _ = _read_table(path, types, {int: "seed", float: "metric"})
     return tuple(header), list(zip(*(col.tolist() for col in columns)))

@@ -4,10 +4,12 @@ Balanced two-way ANOVA with interaction (method x view_config, seeds as
 replicates), Tukey HSD post-hoc comparisons driven by a hand-integrated
 studentized range distribution, and compact letter display subsets.
 
-Tukey decisions come from the cached bisection bracket of the critical
-value q_{k,df,1-alpha}: only a pair whose statistic falls within a rounding
-band of that bracket integrates its p-value. The pairwise p-values
-themselves are integrated only when ``TukeyGrouping.pvalues`` is read.
+Tukey decisions come from the cached bracket of the critical value
+q_{k,df,1-alpha}: the 2**-20-wide cell that doubling and bisection would
+end in, found by Newton steps in about a quarter of their quadrature passes.
+Only a pair whose statistic falls within a rounding band of that bracket
+integrates its p-value. The pairwise p-values themselves are integrated only
+when ``TukeyGrouping.pvalues`` is read.
 
 scipy.special supplies the normal CDF, the inverse incomplete gamma and the
 F upper tail; the studentized range CDF and its inversion, the ANOVA
@@ -18,6 +20,7 @@ display are implemented here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -134,24 +137,6 @@ def _gauss_legendre(n: int, a: float, b: float):
     return mid + half * nodes, half * weights
 
 
-def _normal_range_cdf(r: np.ndarray, k: int) -> np.ndarray:
-    """P(range of k iid standard normals <= r), vectorized over r.
-
-    F(r) = k * Integral phi(u) [Phi(u + r) - Phi(u)]**(k-1) du, integrated by
-    Gauss-Legendre on [-13, 13] (the integrand is bounded by phi(u) outside).
-    """
-    u, w = _gauss_legendre(256, -13.0, 13.0)
-    r = np.asarray(r, dtype=np.float64)
-    out = np.zeros(r.shape)
-    pos = r > 0
-    if np.any(pos):
-        rp = r[pos][:, None]
-        phi_u = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        inner = _sp.ndtr(u[None, :] + rp) - _sp.ndtr(u)[None, :]
-        out[pos] = k * np.sum(w * phi_u * inner ** (k - 1), axis=1)
-    return np.clip(out, 0.0, 1.0)
-
-
 @lru_cache(maxsize=64)
 def _scale_quadrature(df: int):
     """Nodes, weights and density values for S = sqrt(chi2_df / df)."""
@@ -169,65 +154,139 @@ def _scale_quadrature(df: int):
     return s, w * np.exp(log_pdf)
 
 
+def _range_quadrature(
+    q: float, k: int, df: int, density: bool = False
+) -> tuple[float, float]:
+    """P(Q <= q) for q > 0 and, when ``density`` is set, dP/dq (else NaN).
+
+    P(Q <= q) = E_S[F_range(q S)] over the density of the scale factor
+    S = sqrt(chi2_df / df), with the normal-range CDF
+    F_range(r) = k * Integral phi(u) [Phi(u + r) - Phi(u)]**(k-1) du
+    integrated by Gauss-Legendre on [-13, 13] (the integrand is bounded by
+    phi(u) outside). The density dP/dq = E_S[S f_range(q S)], with
+    f_range(r) = k(k-1) Integral phi(u) phi(u + r) [Phi(u + r) - Phi(u)]**(k-2) du,
+    reuses the same 400 x 256 nodes and ``ndtr`` values.
+    """
+    s, weighted = _scale_quadrature(df)
+    u, w = _gauss_legendre(256, -13.0, 13.0)
+    w_phi = w * (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    x = u + (q * s)[:, None]
+    inner = _sp.ndtr(x)
+    inner -= _sp.ndtr(u)
+    term = inner ** (k - 1)
+    term *= w_phi
+    per_node = np.clip(k * np.sum(term, axis=1), 0.0, 1.0)
+    cdf = float(min(1.0, max(0.0, np.sum(weighted * per_node))))
+    if not density:
+        return cdf, math.nan
+    # term / inner = w phi(u) [Phi(u + r) - Phi(u)]**(k-2), save where inner
+    # is 0 (u far in the upper tail), which the density, a guide, can skip
+    np.divide(term, inner, out=term, where=inner > 0.0)
+    x *= x
+    x *= -0.5
+    np.exp(x, out=x)
+    x *= term
+    pdf = k * (k - 1) / math.sqrt(2.0 * math.pi) * np.sum(x, axis=1)
+    return cdf, float(np.sum(weighted * s * pdf))
+
+
+def _shape(k: int, df: int) -> tuple[int, int]:
+    """k and df as Python ints; a ValueError for a bool, a non-integer (even
+    3.0) or a value below 2 (k) or 1 (df)."""
+    for name, value, least in (("k", k, 2), ("df", df, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+    return int(k), int(df)
+
+
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
     """P(Q <= q) for the studentized range of k groups with df error dof.
 
     Integrates the normal-range CDF against the density of the scale factor
     S = sqrt(chi2_df / df): P(Q <= q) = E_S[ F_range(q S) ].
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if df < 1:
-        raise ValueError("df must be >= 1")
+    k, df = _shape(k, df)
+    if math.isnan(q):
+        raise ValueError("q must not be NaN")
     if not math.isfinite(q):
         return 1.0 if q > 0 else 0.0
     if q <= 0.0:
         return 0.0
-    s, weighted = _scale_quadrature(int(df))
-    vals = _normal_range_cdf(q * s, int(k))
-    return float(min(1.0, max(0.0, np.sum(weighted * vals))))
+    return _range_quadrature(q, k, df)[0]
 
 
 def studentized_range_sf(q: float, k: int, df: int) -> float:
     return 1.0 - studentized_range_cdf(q, k, df)
 
 
-# Absolute width of the critical-value bisection bracket, and the rounding
-# band around it inside which a Tukey decision integrates its p-value.
+# Absolute width of the critical-value bracket, and the rounding band around
+# it inside which a Tukey decision integrates its p-value.
 _QUANTILE_TOL = 1e-6
+# The bracket's width, and the spacing of the grid its ends lie on: 2**-20,
+# the largest power of two <= _QUANTILE_TOL (see _quantile_bracket).
+_CELL = 2.0 ** math.floor(math.log2(_QUANTILE_TOL))
 
 
-@lru_cache(maxsize=64)
-def _quantile_bracket(k: int, df: int, q: float) -> tuple[float, float]:
-    """[lo, hi] with cdf(lo) <= q <= cdf(hi) and hi - lo <= _QUANTILE_TOL,
-    by doubling hi until it brackets q, then bisection."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly inside (0, 1)")
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        if studentized_range_cdf(hi, k, df) > q:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise RuntimeError("studentized range quantile failed to bracket")
-    for _ in range(200):
-        if hi - lo <= _QUANTILE_TOL:
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        if studentized_range_cdf(mid, k, df) < q:
-            lo = mid
+# typed, so that k=3.0 or k=True misses the entry of k=3 and is rejected
+@lru_cache(maxsize=64, typed=True)
+def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
+    """The [lo, hi] around the root of cdf(q) = p that doubling hi from
+    [0, 1] until cdf(hi) > p, then bisecting until hi - lo <= _QUANTILE_TOL,
+    returns, bit for bit.
+
+    Doubling stops at [0, 1] or [2^m, 2^(m+1)], and halving either to width
+    <= 1e-6 ends at width 2**-20: the bracket is the cell [i, i + 1] * 2**-20
+    whose lo that search leaves below the root and whose hi it does not.
+
+    It leaves a doubled power of two below when cdf <= p and a bisection
+    midpoint when cdf < p. Newton steps on grid points find the cell: each
+    goes to an end of the cell holding its root estimate, and one that leaves
+    the known bracket bisects it (or doubles lo) instead. Only the CDF values
+    decide the result; the density only steers.
+    """
+    k, df = _shape(k, df)
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    lo, hi = 0.0, math.inf
+    x = 3.5  # a grid point near the usual 5 % critical values
+    for _ in range(100):
+        cdf, density = _range_quadrature(x, k, df, density=True)
+        power_of_two = x >= 1.0 and math.frexp(x)[0] == 0.5
+        if cdf < p or (power_of_two and cdf == p):
+            lo = x
         else:
-            hi = mid
+            hi = x
+        if hi - lo == _CELL:
+            return lo, hi
+        # a Newton step on log(1 - cdf), which bends less than cdf over the
+        # upper tail and so takes fewer passes
+        tail = 1.0 - cdf
+        if density > 0.0 and tail > 0.0:
+            root = x + tail * math.log(tail / (1.0 - p)) / density
+        else:
+            root = math.nan
+        if lo < root < hi:
+            # the end of root's cell nearer to it, unless that end is known
+            end = math.floor(root / _CELL) * _CELL
+            if end == lo or (root - end >= 0.5 * _CELL and end + _CELL < hi):
+                end += _CELL
+            x = end
+        elif hi == math.inf:
+            x = 2.0 * lo
+        else:
+            x = math.floor(0.5 * (lo + hi) / _CELL) * _CELL
     raise RuntimeError("studentized range quantile failed to converge")
 
 
-@lru_cache(maxsize=64)
-def studentized_range_quantile(k: int, df: int, q: float) -> float:
-    """Inverse CDF: the midpoint of the 1e-6-wide bisection bracket.
+@lru_cache(maxsize=64, typed=True)
+def studentized_range_quantile(k: int, df: int, p: float) -> float:
+    """Inverse CDF: the midpoint of the 2**-20-wide critical-value bracket.
 
     Cached: every metric's report asks for the same (k, df, 1 - alpha).
     """
-    lo, hi = _quantile_bracket(k, df, q)
+    lo, hi = _quantile_bracket(k, df, p)
     return 0.5 * (lo + hi)
 
 
@@ -409,8 +468,8 @@ def tukey_hsd(groups: dict[str, "np.ndarray"], alpha: float = 0.05) -> TukeyGrou
 
     means = {name: float(v.mean()) for name, v in data.items()}
     ordered = sorted(names, key=lambda name: (means[name], name))
-    # first, so that the cold bisection runs (and is timed) here and
-    # _significant finds its bracket cached
+    # first, so that a cold bracket search runs (and is timed) here and
+    # _significant finds the bracket cached
     q_critical = studentized_range_quantile(k, df, 1.0 - alpha)
 
     mean = np.array([means[name] for name in ordered])

@@ -87,6 +87,31 @@ def mc_studentized_range_quantile(k, df, q, n_draws=10_000_000, seed=0,
     return float(np.quantile(samples, q))
 
 
+def bisect_quantile_bracket(cdf, p, tol=1e-6):
+    """[lo, hi] with cdf(lo) <= p <= cdf(hi) and hi - lo <= tol: double hi
+    from [0, 1] until cdf(hi) > p, then bisect, one scalar cdf call a step.
+
+    The plain search whose result ``stats._quantile_bracket`` reproduces bit
+    for bit from fewer cdf calls.
+    """
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        if cdf(hi) > p:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise RuntimeError("studentized range quantile failed to bracket")
+    for _ in range(200):
+        if hi - lo <= tol:
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError("studentized range quantile failed to converge")
+
+
 # ------------------------------------------------------------- scalar kernels
 #
 # Sample-by-sample loops over the same equations as ordview._kernels: the CLM

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from ordview import pipeline
 from ordview.core import MultiViewDataset, stratified_split
 from ordview.metrics import amae
-from ordview.model import method_config, predict_proba_batch, train
+from ordview.model import METHODS, method_config, predict_proba_batch, train
 from ordview.pipeline import (
     ExperimentConfig,
     ExperimentError,
@@ -306,6 +307,25 @@ class TestCsvLoader:
             load_views_csv({"x": p})
 
     @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('sample_id,f0,label\n"a\nb",0.1,0\n1,bad,0\n',
+             "line 4: cannot parse feature value 'bad'"),
+            ('sample_id,f0,label\n"a\nb",0.1,0\n1,0.2,7\n',
+             r"line 4: label 7 in column 'label' lies outside \[0, 2\]"),
+            ('sample_id,"f\n0",label\n0,0.1,0\n1,0.2,7\n',
+             r"line 4: label 7 in column 'label' lies outside \[0, 2\]"),
+        ],
+        ids=("feature_after_quoted_newline", "label_after_quoted_newline",
+             "label_after_quoted_newline_in_header"),
+    )
+    def test_error_names_physical_line(self, tmp_path, text, error):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=error):
+            load_views_csv({"x": p}, n_classes=3)
+
+    @pytest.mark.parametrize(
         "ids", [["a,b", "#e", 'f"g', " h "], ["c\nd", "e"]], ids=("one_line", "newline")
     )
     def test_ids_read_as_csv_reader_reads_them(self, tmp_path, ids):
@@ -411,6 +431,25 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         seeds = [r[2] for r in res.rows]
         assert seeds == sorted(seeds)
+
+    # sha256 of grid.csv for a tuning-on run of all 14 methods on two views,
+    # one seed and 10 epochs, per backbone: pins the tuned fits, the fused
+    # predictions and the grid's formatting byte for byte
+    GOLDEN_GRID = {
+        "linear": "0c88d087cf6a6628b293ce1f4c3995423cc3ba4f70519669748f1c2770e18950",
+        "one_hidden": "2d486f79b9e39580564581c3eaf5a8b2fdfba28dd4fa1b91930cd35d2911d5e6",
+    }
+
+    @pytest.mark.parametrize("backbone", GOLDEN_GRID)
+    def test_tuned_grid_golden(self, tmp_path, backbone):
+        cfg = tiny_config(
+            tmp_path, methods=METHODS, views=("crown", "north"), tuning=True,
+            epochs=10, folds=2, backbone=backbone,
+        )
+        res = run_experiment(cfg)
+        assert len(res.rows) == len(METHODS) * 3
+        digest = hashlib.sha256(res.grid_path.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_GRID[backbone]
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg_a = tiny_config(tmp_path, output_dir=tmp_path / "a", n_seeds=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from oracles import bisect_quantile_bracket
 from ordview import stats
 from ordview.stats import (
     _QUANTILE_TOL,
@@ -187,6 +188,132 @@ class TestStudentizedRange:
             ref = sps.studentized_range.ppf(0.95, k, df)
             assert got == pytest.approx(ref, abs=1e-3)
 
+    @staticmethod
+    def forbid_quadrature(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature ran before the input was checked")
+
+        monkeypatch.setattr(stats, "_range_quadrature", fail)
+
+    def test_nan_q_rejected(self, monkeypatch):
+        self.forbid_quadrature(monkeypatch)
+        for fn in (studentized_range_cdf, studentized_range_sf):
+            with pytest.raises(ValueError, match="q must not be NaN"):
+                fn(math.nan, 3, 10)
+
+    @pytest.mark.parametrize(
+        "k, df", [(3.5, 10), (3.0, 10), (True, 10), (3, 10.7), (3, 10.0), (3, True)]
+    )
+    def test_non_integer_or_bool_shape_rejected(self, k, df, monkeypatch):
+        # the quantile caches are typed: a cached (3, 10) does not answer (3.0, 10)
+        studentized_range_quantile(3, 10, 0.95)
+        self.forbid_quadrature(monkeypatch)
+        for call in (
+            lambda: studentized_range_cdf(3.0, k, df),
+            lambda: studentized_range_sf(3.0, k, df),
+            lambda: studentized_range_quantile(k, df, 0.95),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_p_outside_unit_interval_rejected(self, p, monkeypatch):
+        self.forbid_quadrature(monkeypatch)
+        with pytest.raises(ValueError, match=r"p must lie strictly inside \(0, 1\)"):
+            studentized_range_quantile(3, 10, p)
+
+
+class TestBracketBits:
+    """``_quantile_bracket`` returns the bracket bits of the doubling-and-
+    bisection search in ``oracles.bisect_quantile_bracket``."""
+
+    # i = lo / 2**-20 of that search's bracket at p = 0.9, 0.95, 0.99; its hi
+    # is (i + 1) * 2**-20
+    CELLS = {
+        (2, 1): (9362727, 18842163, 94397243),
+        (2, 2): (4330076, 6380448, 14717653),
+        (2, 5): (2988136, 3811942, 5979306),
+        (2, 21): (2551707, 3083880, 4198652),
+        (2, 26): (2529278, 3048165, 4120584),
+        (2, 1946): (2440332, 2908259, 3823474),
+        (2, 1953): (2440328, 2908253, 3823460),
+        (2, 2000): (2440300, 2908210, 3823372),
+        (3, 1): (14089400, 28285893, 141600394),
+        (3, 2): (6011118, 8735458, 19942799),
+        (3, 5): (3897673, 4825259, 7314590),
+        (3, 21): (3217822, 3737780, 4836190),
+        (3, 26): (3183021, 3684874, 4729447),
+        (3, 1946): (3045165, 3478164, 4325523),
+        (3, 1953): (3045158, 3478154, 4325504),
+        (3, 2000): (3045116, 3478092, 4325386),
+        (5, 1): (19386259, 38882772, 194589798),
+        (5, 2): (7903674, 11409674, 25917848),
+        (5, 5): (4890377, 5948702, 8830572),
+        (5, 21): (3904478, 4417645, 5512523),
+        (5, 26): (3853364, 4342630, 5370236),
+        (5, 1946): (3649907, 4048842, 4833133),
+        (5, 1953): (3649898, 4048828, 4833109),
+        (5, 2000): (3649835, 4048739, 4832951),
+        (7, 1): (22548762, 45213162, 226250323),
+        (7, 2): (9051835, 13038955, 29570431),
+        (7, 5): (5492646, 6637382, 9773653),
+        (7, 21): (4308251, 4820620, 5919778),
+        (7, 26): (4245941, 4730624, 5753848),
+        (7, 1946): (3996369, 4376686, 5127169),
+        (7, 1953): (3996358, 4376669, 5127141),
+        (7, 2000): (3996281, 4376561, 5126957),
+        (14, 1): (28416008, 56961742, 285015696),
+        (14, 2): (11217871, 16121649, 36497109),
+        (14, 5): (6643453, 7964877, 11613556),
+        (14, 21): (5067984, 5585634, 6705610),
+        (14, 26): (4981999, 5464134, 6490356),
+        (14, 1946): (4630939, 4979482, 5672694),
+        (14, 1953): (4630922, 4979460, 5672657),
+        (14, 2000): (4630811, 4979310, 5672416),
+        (20, 1): (31156530, 62450638, 312472698),
+        (20, 2): (12242861, 17583348, 39786603),
+        (20, 5): (7196134, 8606751, 12511369),
+        (20, 21): (5431755, 5955072, 7090856),
+        (20, 26): (5333567, 5817325, 6850153),
+        (20, 1946): (4927645, 5262494, 5931027),
+        (20, 1953): (4927625, 5262467, 5930985),
+        (20, 2000): (4927496, 5262295, 5930713),
+    }
+    # roots below 1 (k = 2, p = 0.5), so that doubling stops at [0, 1], and
+    # roots within one cell below or above 4 and below 2, where doubling
+    # stops at the power of two or one step later
+    EDGE_CELLS = {
+        (2, 26, 0.5): 1014374,
+        (7, 26, 0.892710596): 4194303,
+        (7, 26, 0.892710742): 4194304,
+        (3, 10, 0.629455166): 2097151,
+    }
+    LIVE = [(14, 1946, 0.95), (2, 26, 0.5), (7, 26, 0.892710596), (20, 1, 0.99)]
+
+    @staticmethod
+    def bits(lo, hi):
+        return lo.hex(), hi.hex()
+
+    def cell_bits(self, i):
+        return self.bits(i * 2.0**-20, (i + 1) * 2.0**-20)
+
+    @pytest.mark.parametrize("k, df", CELLS)
+    def test_bracket_bits_pinned(self, k, df):
+        got = [self.bits(*_quantile_bracket(k, df, p)) for p in (0.9, 0.95, 0.99)]
+        assert got == [self.cell_bits(i) for i in self.CELLS[k, df]]
+
+    @pytest.mark.parametrize("k, df, p", EDGE_CELLS)
+    def test_edge_bracket_bits_pinned(self, k, df, p):
+        lo, hi = _quantile_bracket(k, df, p)
+        assert self.bits(lo, hi) == self.cell_bits(self.EDGE_CELLS[k, df, p])
+
+    @pytest.mark.parametrize("k, df, p", LIVE)
+    def test_matches_bisection_oracle(self, k, df, p):
+        want = bisect_quantile_bracket(
+            lambda q: studentized_range_cdf(q, k, df), p, _QUANTILE_TOL
+        )
+        assert self.bits(*_quantile_bracket(k, df, p)) == self.bits(*want)
+
 
 class TestTukey:
     def test_identical_groups_share_subset(self):
@@ -283,6 +410,21 @@ class TestBandDecision:
         expected = [studentized_range_sf(float(v), k, df) < alpha for v in q]
         assert _significant(q, k, df, alpha).tolist() == expected
         assert expected[3:] == [False, True]
+
+    @pytest.mark.parametrize("k, df", SHAPES)
+    def test_cold_bracket_takes_at_most_10_passes(self, k, df, monkeypatch):
+        # doubling and bisection take 24-26; a silent fall back to bisection
+        # steps fails this
+        calls = []
+        quadrature = stats._range_quadrature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "_range_quadrature", counting)
+        _quantile_bracket.__wrapped__(k, df, 0.95)
+        assert len(calls) <= 10
 
     def test_decisions_outside_band_integrate_nothing(self, monkeypatch):
         calls = []
