@@ -5,6 +5,7 @@ so agreement is checked to a tolerance (1e-12 per kernel, 1e-10 after a
 short training run), scaled by the magnitude of the reference value.
 """
 
+import inspect
 import math
 import tracemalloc
 
@@ -318,6 +319,15 @@ def test_train_matches_oracle_sgd(method, backbone, monkeypatch):
         oracles.forward_batch(x, *head_args, w1, c1, w2, c2, b1, deltas),
         TRAIN_TOL,
     )
+
+
+def test_run_sgd_signature_keeps_step_count_readable():
+    """perfbench/tracing.py::_run_sgd_counts reads the step count of a
+    traced call from args[3] (shuffles) and args[-1] (batch_size); a
+    reordered signature would turn its count into "uncounted"."""
+    names = list(inspect.signature(_k.run_sgd).parameters)
+    assert names[3] == "shuffles"
+    assert names[-1] == "batch_size"
 
 
 def dyadic_rows(j):
