@@ -8,6 +8,19 @@ only over epochs and minibatches. These kernels are the only implementation
 of the link, threshold and loss math; there is no per-sample API, so a single
 sample is a one-row batch.
 
+At minibatch size (32 x 10) a step costs numpy call overhead, not
+arithmetic, so ``run_sgd`` does each piece of work as rarely as it can:
+
+* per fit: the loss's per-row constants (``loss_rows``);
+* per epoch: the shuffled copies of ``x`` and of those constants, so that
+  a step takes basic slices (views) of them instead of gathering rows;
+* per step: the forward pass, the loss and the backward pass. The CLM
+  head computes b - f and the link response once and reuses both in its
+  backward pass. Sums, prefix sums and clamps call the ufuncs
+  (``np.add.reduce``, ``np.add.accumulate``, ``np.minimum``/``np.maximum``)
+  directly rather than through the slower ``np.sum``/``np.cumsum``/
+  ``np.clip`` wrappers, with the same arithmetic in the same order.
+
 Numerical conventions shared with the public modules:
 
 * probabilities are clamped to [1e-12, 1 - 1e-12] inside log terms;
@@ -38,23 +51,24 @@ def link_inverse(x, link):
     """Inverse link g^{-1}(x), the cumulative-probability response."""
     if link == "logit":
         e = np.exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        one_e = 1.0 + e
+        return np.where(x >= 0.0, 1.0 / one_e, e / one_e)
     if link == "probit":
         return 0.5 * (1.0 + erf(x / _SQRT2))
-    inner = np.clip(x, -CLOGLOG_CLAMP, CLOGLOG_CLAMP)
+    inner = np.minimum(np.maximum(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
     return 1.0 - np.exp(-np.exp(inner))
 
 
-def link_inverse_deriv(x, link):
-    """d/dx of link_inverse. Zero in the cloglog clamp region, where the
+def link_inverse_deriv(x, c, link):
+    """d/dx of link_inverse, given c = link_inverse(x, link): the logit
+    derivative is c (1 - c). Zero in the cloglog clamp region, where the
     forward value is constant."""
     if link == "logit":
-        s = link_inverse(x, "logit")
-        return s * (1.0 - s)
+        return c * (1.0 - c)
     if link == "probit":
         return np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    inner = np.clip(x, -CLOGLOG_CLAMP, CLOGLOG_CLAMP)
-    clamped = (x > CLOGLOG_CLAMP) | (x < -CLOGLOG_CLAMP)
+    inner = np.minimum(np.maximum(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
+    clamped = np.abs(x) > CLOGLOG_CLAMP
     return np.where(clamped, 0.0, np.exp(inner - np.exp(inner)))
 
 
@@ -66,48 +80,60 @@ def materialize_thresholds_raw(b1, deltas, d_min):
     """
     eps = 1e-6 if d_min == 0.0 else 0.0
     steps = d_min + deltas * deltas + eps
-    return np.concatenate(([b1], b1 + np.cumsum(steps)))
+    b = np.empty(deltas.shape[0] + 1)
+    b[0] = b1
+    np.add(b1, np.add.accumulate(steps), out=b[1:])
+    return b
 
 
 def softmax_batch(scores):
     """Row-wise softmax with max subtraction; exp never sees positive args."""
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def softmax_backward_batch(probs, grad_probs):
     """Chain dL/dp through the softmax: dL/ds_j = p_j (g_j - sum_m p_m g_m)."""
-    dot = np.sum(probs * grad_probs, axis=1, keepdims=True)
+    dot = np.add.reduce(probs * grad_probs, axis=1, keepdims=True)
     return probs * (grad_probs - dot)
 
 
-def clm_forward_batch(latent, thresholds, link):
-    """Cumulative-link head for a batch of latent scores.
+def clm_probs(c):
+    """(cum, probs) from the link responses c[i, j] = g^{-1}(b_j - f_i).
 
-    Returns (cum, probs): cum[i, j] = g^{-1}(b_j - f_i) forced non-decreasing
-    against round-off, probs[i] the first differences padded with the tail
-    class and renormalized (a round-off guard; the sum is already 1 up to
-    machine precision).
+    cum is c forced non-decreasing against round-off; probs[i] holds its
+    first differences and the tail class, renormalized (a round-off guard;
+    the sum is already 1 up to machine precision).
     """
-    c = link_inverse(thresholds[None, :] - latent[:, None], link)
     cum = np.maximum.accumulate(c, axis=1)
-    tail = np.maximum(1.0 - cum[:, -1:], 0.0)
-    probs = np.concatenate((cum[:, :1], np.diff(cum, axis=1), tail), axis=1)
-    tot = probs.sum(axis=1, keepdims=True)
+    probs = np.empty((cum.shape[0], cum.shape[1] + 1))
+    probs[:, 0] = cum[:, 0]
+    np.subtract(cum[:, 1:], cum[:, :-1], out=probs[:, 1:-1])
+    np.maximum(1.0 - cum[:, -1], 0.0, out=probs[:, -1])
+    tot = np.add.reduce(probs, axis=1, keepdims=True)
     np.divide(probs, tot, out=probs, where=tot > 0.0)
     return cum, probs
 
 
-def clm_backward_batch(latent, thresholds, link, grad_probs):
+def clm_forward_batch(latent, thresholds, link):
+    """Cumulative-link head for a batch of latent scores: the (cum, probs)
+    of ``clm_probs`` at c[i, j] = g^{-1}(b_j - f_i)."""
+    return clm_probs(link_inverse(thresholds - latent[:, None], link))
+
+
+def clm_backward_batch(gap, c, link, grad_probs):
     """Backprop dL/dp through the cumulative-link head.
 
-    With dL/dcum_j = g_j - g_{j+1} (g = grad_probs row), returns per-sample
-    latent gradients and threshold gradients summed over the batch.
+    gap[i, j] = b_j - f_i and c = link_inverse(gap, link), as in the forward
+    pass. With dL/dcum_j = g_j - g_{j+1} (g = grad_probs row), returns
+    per-sample latent gradients and threshold gradients summed over the
+    batch.
     """
     dc = grad_probs[:, :-1] - grad_probs[:, 1:]
-    gp = link_inverse_deriv(thresholds[None, :] - latent[:, None], link)
-    term = gp * dc
-    return -term.sum(axis=1), term.sum(axis=0)
+    term = link_inverse_deriv(gap, c, link) * dc
+    return -np.add.reduce(term, axis=1), np.add.reduce(term, axis=0)
 
 
 def threshold_param_grads(deltas, grad_thresholds):
@@ -116,41 +142,62 @@ def threshold_param_grads(deltas, grad_thresholds):
     b_j depends on delta_m for m < j via delta_m**2, so
     d/d(delta_m) = 2 delta_m * sum_{j > m} grad_thresholds[j].
     """
-    later = np.cumsum(grad_thresholds[:0:-1])[::-1]
-    return float(grad_thresholds.sum()), 2.0 * deltas * later
+    later = np.add.accumulate(grad_thresholds[:0:-1])[::-1]
+    return float(np.add.reduce(grad_thresholds)), 2.0 * deltas * later
 
 
-def loss_batch(probs, targets, labels, loss, loss_alpha):
-    """Summed loss over the batch plus per-sample dL/dp.
+def loss_rows(targets, labels, loss, loss_alpha):
+    """The per-row constants ``loss_batch`` takes, built once per fit.
 
-    * ``"cce"``: -sum_j t_j log p_j with target rows ``targets``.
-    * ``"cdwce"``: -sum_{j != y} |j - y|**alpha log(1 - p_j); uses ``labels``.
-    * ``"slace"``: binary cross-entropy between the cumulative sums of
-      ``targets`` and of p over the first J-1 prefixes.
+    * ``"cce"``: the mask ``targets != 0`` and ``-targets``;
+    * ``"cdwce"``: the mask ``j != y`` and the weights ``|j - y|**alpha``;
+    * ``"slace"``: the prefix sums ``tc`` of ``targets`` over the first J-1
+      classes and ``1 - tc``.
+
+    Each is an array with one row per sample, so a minibatch takes the rows
+    of its samples.
+    """
+    if loss == "cce":
+        return targets != 0.0, -targets
+    if loss == "cdwce":
+        dist = np.abs(np.arange(targets.shape[1])[None, :] - labels[:, None])
+        return dist != 0, dist.astype(np.float64) ** loss_alpha
+    tc = np.add.accumulate(targets[:, :-1], axis=1)
+    return tc, 1.0 - tc
+
+
+def loss_batch(probs, rows, loss):
+    """Summed loss over the batch plus per-sample dL/dp, given the batch's
+    ``loss_rows``.
+
+    * ``"cce"``: -sum_j t_j log p_j with target rows t.
+    * ``"cdwce"``: -sum_{j != y} |j - y|**alpha log(1 - p_j).
+    * ``"slace"``: binary cross-entropy between the cumulative sums of the
+      target rows and of p over the first J-1 prefixes.
 
     Log arguments are clamped to [1e-12, 1 - 1e-12] in both the value and
     the gradient. Entries a loss skips (t_j == 0, j == y) contribute exactly
     zero to both, whatever the probability there.
     """
     if loss == "cce":
-        p = np.clip(probs, P_CLAMP, 1.0 - P_CLAMP)
-        used = targets != 0.0
-        total = -np.sum(np.where(used, targets * np.log(p), 0.0))
-        return total, np.where(used, -targets / p, 0.0)
+        used, neg_t = rows
+        p = np.minimum(np.maximum(probs, P_CLAMP), 1.0 - P_CLAMP)
+        total = np.add.reduce(np.where(used, neg_t * np.log(p), 0.0), axis=None)
+        return total, np.where(used, neg_t / p, 0.0)
     if loss == "cdwce":
-        dist = np.abs(np.arange(probs.shape[1])[None, :] - labels[:, None])
-        w = dist.astype(np.float64) ** loss_alpha
-        q = np.clip(1.0 - probs, P_CLAMP, 1.0 - P_CLAMP)
-        used = dist != 0
-        total = -np.sum(np.where(used, w * np.log(q), 0.0))
+        used, w = rows
+        q = np.minimum(np.maximum(1.0 - probs, P_CLAMP), 1.0 - P_CLAMP)
+        total = -np.add.reduce(np.where(used, w * np.log(q), 0.0), axis=None)
         return total, np.where(used, w / q, 0.0)
-    tc = np.cumsum(targets[:, :-1], axis=1)
-    q = np.clip(np.cumsum(probs[:, :-1], axis=1), P_CLAMP, 1.0 - P_CLAMP)
-    total = -np.sum(tc * np.log(q) + (1.0 - tc) * np.log(1.0 - q))
-    g = -(tc / q - (1.0 - tc) / (1.0 - q))
+    tc, one_tc = rows
+    q = np.add.accumulate(probs[:, :-1], axis=1)
+    q = np.minimum(np.maximum(q, P_CLAMP), 1.0 - P_CLAMP)
+    one_q = 1.0 - q
+    total = -np.add.reduce(tc * np.log(q) + one_tc * np.log(one_q), axis=None)
+    g = -(tc / q - one_tc / one_q)
     # dL/dp_m collects the prefix terms j >= m
-    grad = np.zeros_like(probs)
-    grad[:, :-1] = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+    grad = np.zeros(probs.shape)
+    np.add.accumulate(g[:, ::-1], axis=1, out=grad[:, -2::-1])
     return total, grad
 
 
@@ -215,29 +262,30 @@ def run_sgd(
     """
     n = x.shape[0]
     losses = np.empty(shuffles.shape[0])
+    rows = loss_rows(targets, labels, loss, loss_alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         for e, order in enumerate(shuffles):
+            xe = x[order]
+            rows_e = [r[order] for r in rows]
             running = 0.0
             for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                nb = idx.size
-                xb = x[idx]
+                stop = start + batch_size
+                xb = xe[start:stop]
+                nb = xb.shape[0]
                 s, z, pre = _scores(xb, backbone, w1, c1, w2, c2)
+                rows_b = [r[start:stop] for r in rows_e]
 
                 if head == "softmax":
                     probs = softmax_batch(s)
-                    batch_loss, grad_p = loss_batch(
-                        probs, targets[idx], labels[idx], loss, loss_alpha
-                    )
+                    batch_loss, grad_p = loss_batch(probs, rows_b, loss)
                     grad_s = softmax_backward_batch(probs, grad_p)
                 else:
-                    f = s[:, 0]
                     b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-                    _, probs = clm_forward_batch(f, b, link)
-                    batch_loss, grad_p = loss_batch(
-                        probs, targets[idx], labels[idx], loss, loss_alpha
-                    )
-                    grad_f, grad_b = clm_backward_batch(f, b, link, grad_p)
+                    gap = b - s
+                    c = link_inverse(gap, link)
+                    _, probs = clm_probs(c)
+                    batch_loss, grad_p = loss_batch(probs, rows_b, loss)
+                    grad_f, grad_b = clm_backward_batch(gap, c, link, grad_p)
                     gb1, gd = threshold_param_grads(clm_deltas, grad_b)
                     grad_s = grad_f[:, None]
                 running += batch_loss
@@ -248,9 +296,9 @@ def run_sgd(
                 if backbone == "one_hidden":
                     grad_act = np.where(pre <= 0.0, 0.0, grad_s @ w2.T)
                     w1 -= lr * (xb.T @ grad_act) / nb
-                    c1 -= lr * grad_act.sum(axis=0) / nb
+                    c1 -= lr * np.add.reduce(grad_act, axis=0) / nb
                 w2 -= lr * grad_w2 / nb
-                c2 -= lr * grad_s.sum(axis=0) / nb
+                c2 -= lr * np.add.reduce(grad_s, axis=0) / nb
                 if head == "clm":
                     clm_b1[0] -= lr * gb1 / nb
                     clm_deltas -= lr * gd / nb

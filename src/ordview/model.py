@@ -15,7 +15,7 @@ AMAE picks, and ``method_config`` the ModelConfig of a method and its params.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,16 +153,12 @@ class TrainedModel:
     clm_b1: np.ndarray
     clm_deltas: np.ndarray
     epoch_losses: np.ndarray
-    training_log: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("w1", "c1", "w2", "c2", "clm_b1", "clm_deltas", "epoch_losses"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        log = np.minimum.accumulate(self.epoch_losses)
-        log.flags.writeable = False
-        object.__setattr__(self, "training_log", log)
 
     @property
     def n_features(self) -> int:

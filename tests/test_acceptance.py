@@ -155,8 +155,8 @@ def test_criterion_03_soft_label_grid():
 
 def loss_row(loss, p, k, config):
     """Value and gradient of one loss at the probability vector p, as a
-    one-row ``loss_batch``. ``loss`` is cce (against config["target"]),
-    cdwce, sord (cce against sord targets) or slace."""
+    one-row ``loss_rows`` + ``loss_batch``. ``loss`` is cce (against
+    config["target"]), cdwce, sord (cce against sord targets) or slace."""
     if loss == "cce":
         kernel, target, alpha = "cce", config["target"], 1.0
     elif loss == "cdwce":
@@ -167,9 +167,8 @@ def loss_row(loss, p, k, config):
     else:
         cfg = SordConfig(beta=config["beta"], transform="max")
         kernel, target, alpha = "slace", sord_targets(k, p.size, cfg), 1.0
-    value, grad = _k.loss_batch(
-        p.reshape(1, -1), target.reshape(1, -1), np.array([k]), kernel, alpha
-    )
+    rows = _k.loss_rows(target.reshape(1, -1), np.array([k]), kernel, alpha)
+    value, grad = _k.loss_batch(p.reshape(1, -1), rows, kernel)
     return float(value), grad[0]
 
 
@@ -201,8 +200,9 @@ def clm_row(f, b1, deltas, link, d_min):
 def clm_row_grads(f, b1, deltas, link, d_min, upstream):
     """Gradients of upstream . probs in (f, b1, deltas) from the kernels."""
     b = _k.materialize_thresholds_raw(b1, deltas, d_min)
+    gap = b - np.array([[f]])
     grad_f, grad_b = _k.clm_backward_batch(
-        np.array([f]), b, link, upstream.reshape(1, -1)
+        gap, _k.link_inverse(gap, link), link, upstream.reshape(1, -1)
     )
     d_b1, d_deltas = _k.threshold_param_grads(deltas, grad_b)
     return float(grad_f[0]), d_b1, d_deltas

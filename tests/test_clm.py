@@ -21,8 +21,9 @@ def clm_row(f, b1, deltas, link="logit", d_min=0.0):
 def clm_row_grads(f, b1, deltas, link, d_min, upstream):
     """Gradients of upstream . probs in (f, b1, deltas) from the kernels."""
     b = _k.materialize_thresholds_raw(b1, deltas, d_min)
+    gap = b - np.array([[f]])
     grad_f, grad_b = _k.clm_backward_batch(
-        np.array([f]), b, link, upstream.reshape(1, -1)
+        gap, _k.link_inverse(gap, link), link, upstream.reshape(1, -1)
     )
     d_b1, d_deltas = _k.threshold_param_grads(deltas, grad_b)
     return float(grad_f[0]), d_b1, d_deltas

@@ -65,7 +65,7 @@ def test_link_inverse_and_derivative(link, seed, n):
         KERNEL_TOL,
     )
     assert_close(
-        _k.link_inverse_deriv(x, link),
+        _k.link_inverse_deriv(x, _k.link_inverse(x, link), link),
         [oracles.link_inverse_deriv(v, link) for v in x],
         KERNEL_TOL,
     )
@@ -101,7 +101,10 @@ def test_clm_forward_and_backward(link, seed, n, j):
     ):
         assert_close(got, ref, KERNEL_TOL)
     upstream = rng.normal(size=(n, j))
-    grad_f, grad_b = _k.clm_backward_batch(latent, b, link, upstream)
+    gap = b - latent[:, None]
+    grad_f, grad_b = _k.clm_backward_batch(
+        gap, _k.link_inverse(gap, link), link, upstream
+    )
     ref_f, ref_b = oracles.clm_backward_batch(latent, b, link, upstream)
     assert_close(grad_f, ref_f, KERNEL_TOL)
     assert_close(grad_b, ref_b, KERNEL_TOL)
@@ -120,7 +123,8 @@ def test_loss_value_and_gradient(loss, seed, n, j):
     targets = prob_rows(rng, n, j)
     labels = rng.integers(0, j, size=n)
     alpha = float(rng.uniform(0.25, 2.0))
-    total, grad = _k.loss_batch(probs, targets, labels, loss, alpha)
+    rows = _k.loss_rows(targets, labels, loss, alpha)
+    total, grad = _k.loss_batch(probs, rows, loss)
     ref_total, ref_grad = oracles.loss_batch(probs, targets, labels, loss, alpha)
     assert_close(total, ref_total, KERNEL_TOL)
     assert_close(grad, ref_grad, KERNEL_TOL)

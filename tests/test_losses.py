@@ -1,12 +1,17 @@
 """Hand-computed loss values and central-difference gradient checks through
-one-row ``loss_batch`` calls, and the SORD targets the sord and slace losses
-train against."""
+one-row ``loss_rows`` + ``loss_batch`` calls, and the SORD targets the sord
+and slace losses train against."""
 
 import math
 
 import numpy as np
 
-from ordview._kernels import loss_batch, softmax_backward_batch, softmax_batch
+from ordview._kernels import (
+    loss_batch,
+    loss_rows,
+    softmax_backward_batch,
+    softmax_batch,
+)
 from ordview.softlabel import SORD_TRANSFORMS, SordConfig, sord_targets
 
 
@@ -14,9 +19,8 @@ def one_row(loss, p, target=None, k=0, alpha=1.0):
     """(value, gradient) of a loss at one probability vector p."""
     p = np.asarray(p, dtype=np.float64)
     target = np.zeros(p.size) if target is None else np.asarray(target, dtype=np.float64)
-    value, grad = loss_batch(
-        p.reshape(1, -1), target.reshape(1, -1), np.array([k]), loss, alpha
-    )
+    rows = loss_rows(target.reshape(1, -1), np.array([k]), loss, alpha)
+    value, grad = loss_batch(p.reshape(1, -1), rows, loss)
     return float(value), grad[0]
 
 

@@ -192,13 +192,6 @@ class TestTrain:
         model = train(cfg, x, y)
         assert model.epoch_losses[-1] < model.epoch_losses[0]
 
-    def test_training_log_monotone(self):
-        x, y = blob_dataset(15, 3)
-        model = train(method_config("sord", 3, None, seed=2), x, y)
-        log = model.training_log
-        assert np.all(np.diff(log) <= 0)
-        assert log.size == model.epoch_losses.size > 0
-
     def test_hidden_backbone(self):
         x, y = blob_dataset(30, 3)
         cfg = method_config("clm", 3, None, seed=0, backbone="one_hidden",
