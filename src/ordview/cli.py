@@ -15,13 +15,12 @@ Options may come from a ``--config`` file of ``key = value`` lines
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import stratified_split
+from .core import field_types, parse_option, stratified_split
 from .metrics import evaluate
 from .model import METHODS, method_config, predict_proba_batch, search_space, train, tune
 from .pipeline import (
@@ -42,28 +41,11 @@ from .pipeline import (
 __all__ = ["main"]
 
 
-def _parse_scalar(text: str):
-    low = text.lower()
-    if low in ("true", "on", "yes"):
-        return True
-    if low in ("false", "off", "no"):
-        return False
-    if low in ("none", "null"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def parse_config_file(path) -> dict:
-    """``key = value`` pairs; values with commas become tuples of scalars."""
-    out: dict = {}
+def parse_config_file(path) -> dict[str, str]:
+    """``key = value`` pairs as text; each value is read later by the
+    annotation of the field its key sets. A key set twice is an error."""
+    out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,108 +54,70 @@ def parse_config_file(path) -> dict:
             raise ValueError(f"config {path}: line {line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ValueError(f"config {path}: line {line_no}: empty key")
-        if "," in value:
-            out[key] = tuple(
-                _parse_scalar(part.strip()) for part in value.split(",") if part.strip()
+        if key in out:
+            raise ValueError(
+                f"config {path}: line {line_no}: {key} already set on line {lines[key]}"
             )
-        else:
-            out[key] = _parse_scalar(value)
+        out[key], lines[key] = value.strip(), line_no
     return out
 
 
-def _split_option(value):
-    if value is None:
-        return None
-    if isinstance(value, tuple):
-        return value
-    return tuple(part.strip() for part in str(value).split(",") if part.strip())
+def _take(entries: dict[str, str], prefix: str) -> dict[str, str]:
+    """Remove the entries whose key starts with prefix; return them with the
+    prefix stripped."""
+    keys = [key for key in entries if key.startswith(prefix)]
+    return {key[len(prefix):]: entries.pop(key) for key in keys}
 
 
-def _as_tuple(value):
-    return value if isinstance(value, tuple) else (value,)
+def _options(cls, entries: dict[str, str], path, prefix: str = "") -> dict:
+    """Keyword arguments of the config dataclass cls from config entries,
+    each value read by its field's annotation."""
+    types = field_types(cls)
+    options = {}
+    for name, text in entries.items():
+        key = prefix + name
+        if name not in types:
+            raise ValueError(f"config {path}: unknown option {key!r}")
+        try:
+            options[name] = parse_option(types[name], text)
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {key}: {exc}") from None
+    return options
 
 
-def _build_synth_config(file_cfg: dict) -> SynthConfig:
-    kwargs = {}
-    fields = {f.name for f in dataclasses.fields(SynthConfig)}
-    for key, value in file_cfg.items():
-        if not key.startswith("synth."):
-            continue
-        name = key[len("synth.") :]
-        if name not in fields:
-            raise ValueError(f"unknown synth option {name!r}")
-        if name in ("class_proportions", "view_names", "view_noise"):
-            value = _as_tuple(value)
-        kwargs[name] = value
-    return SynthConfig(**kwargs)
+def _build_synth_config(entries: dict[str, str], path) -> SynthConfig:
+    return SynthConfig(**_options(SynthConfig, _take(entries, "synth."), path, "synth."))
 
 
 def _build_experiment_config(args) -> ExperimentConfig:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    csv_paths = {
-        key[len("csv.") :]: str(value)
-        for key, value in file_cfg.items()
-        if key.startswith("csv.")
-    }
-    simple = {
-        key: value
-        for key, value in file_cfg.items()
-        if not key.startswith(("synth.", "csv."))
-    }
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = [k for k in simple if k not in known]
-    if unknown:
-        raise ValueError(f"unknown experiment options: {unknown}")
-    if "methods" in simple:
-        simple["methods"] = _as_tuple(simple["methods"])
-    if "views" in simple:
-        simple["views"] = _as_tuple(simple["views"])
-
-    if csv_paths:
-        simple["csv_paths"] = csv_paths
-        simple["synth"] = None
-    else:
-        simple["synth"] = _build_synth_config(file_cfg)
-
-    if args.out is not None:
-        simple["output_dir"] = args.out
-    if "output_dir" not in simple:
+    entries = parse_config_file(args.config) if args.config else {}
+    # the flags, named by the fields they set, override the file's values
+    types = field_types(ExperimentConfig)
+    for name, value in vars(args).items():
+        if name in types and value is not None:
+            entries[name] = str(value)
+    if "output_dir" not in entries:
         raise ValueError("output directory required (--out or output_dir in config)")
-    if args.seed is not None:
-        simple["base_seed"] = args.seed
-    if args.methods is not None:
-        simple["methods"] = _split_option(args.methods)
-    if args.views is not None:
-        simple["views"] = _split_option(args.views)
-        if simple.get("synth") is not None:
-            synth = simple["synth"]
-            if set(simple["views"]) - set(synth.view_names):
-                noise = synth.view_noise[0]
-                simple["synth"] = dataclasses.replace(
-                    synth,
-                    view_names=simple["views"],
-                    view_noise=(noise,) * len(simple["views"]),
-                )
-    if args.n_seeds is not None:
-        simple["n_seeds"] = args.n_seeds
-    if args.no_tuning:
-        simple["tuning"] = False
-    if args.qwk_exponent is not None:
-        simple["qwk_exponent"] = args.qwk_exponent
-    if args.e_normalization is not None:
-        simple["e_normalization"] = args.e_normalization
-    return ExperimentConfig(**simple)
+    csv_paths = _take(entries, "csv.")
+    # with csv inputs a synth.* key conflicts rather than being dropped
+    use_synth = not csv_paths or any(key.startswith("synth.") for key in entries)
+    synth = _build_synth_config(entries, args.config) if use_synth else None
+    options = {"synth": synth, **_options(ExperimentConfig, entries, args.config)}
+    if csv_paths:
+        options["csv_paths"] = csv_paths
+    if args.views is not None and options["synth"] is not None:
+        options["synth"] = options["synth"].for_views(options["views"])
+    return ExperimentConfig(**options)
 
 
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_generate(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = _build_synth_config(file_cfg)
+    entries = parse_config_file(args.config) if args.config else {}
+    cfg = _build_synth_config(entries, args.config)
     data = generate_synthetic(cfg, args.seed)
     paths = write_views_csv(data, args.out)
     for name, path in paths.items():
@@ -237,12 +181,16 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    metrics = parse_option(tuple[str, ...], args.metrics)
+    if not metrics or len(set(metrics)) != len(metrics):
+        raise ValueError(f"--metrics must name distinct metrics, got {args.metrics!r}")
     header, rows = read_grid_csv(args.grid)
-    out_dir = Path(args.out) if args.out else Path(args.grid).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for metric in _split_option(args.metrics):
+    for metric in metrics:
         if metric not in header:
             raise ValueError(f"metric {metric!r} not in grid columns")
+    out_dir = Path(args.out) if args.out else Path(args.grid).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for metric in metrics:
         path = _write_stats_report(out_dir, header, rows, metric)
         print(f"stats[{metric}]: {path}")
     return 0
@@ -307,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the full experiment grid")
     p.add_argument("--config", default=None, help="experiment options file")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="base seed")
+    p.add_argument("--out", dest="output_dir", default=None, help="output directory")
+    p.add_argument("--seed", dest="base_seed", type=int, default=None, help="base seed")
     p.add_argument("--methods", default=None, help="comma-separated methods")
     p.add_argument("--views", default=None, help="comma-separated views")
     p.add_argument("--n-seeds", type=int, default=None)
-    p.add_argument("--no-tuning", action="store_true")
+    p.add_argument("--no-tuning", dest="tuning", action="store_const", const="false")
     # no flag defaults: an unset flag leaves the config file's value
     _add_scoring_flags(p, exponent=None, normalization=None)
     p.set_defaults(func=_cmd_experiment)

@@ -1,4 +1,4 @@
-"""Labels, confusion matrices, and stratified data handling.
+"""Labels, confusion matrices, stratified data handling, and config fields.
 
 Conventions used across the package:
 
@@ -12,8 +12,12 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +36,87 @@ __all__ = [
 def _subseed(*parts: int) -> int:
     """Stable derived seed: the first word of SeedSequence(parts)."""
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
+
+
+# ----------------------------------------------------------- config fields
+# The field annotations of a config dataclass are its one table of option
+# types, for API values (check_fields) and config-file text (parse_option).
+
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+_BOOL_TEXT = {"true": True, "on": True, "yes": True,
+              "false": False, "off": False, "no": False}
+
+
+# field name -> evaluated annotation of a config dataclass, once per class:
+# typing.get_type_hints costs ~50 ModelConfig constructions
+field_types = functools.cache(typing.get_type_hints)
+
+
+def _type_name(hint) -> str:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return f"tuple[{_type_name(args[0])}, ...]"
+    if args:
+        return " | ".join(map(_type_name, args))
+    return "None" if hint is type(None) else hint.__name__
+
+
+def _typed(hint, value):
+    """value as a field annotated hint stores it; TypeError if it does not fit."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (tuple, list)):
+            return tuple(_typed(args[0], v) for v in value)
+    elif args:  # X | None
+        return None if value is None else _typed(args[0], value)
+    elif hint is Path:
+        if isinstance(value, (str, Path)):
+            return Path(value)
+    elif hint in _NUMBERS:  # bool is an Integral, but no number here
+        if isinstance(value, _NUMBERS[hint]) and not isinstance(value, bool):
+            return hint(value)
+    elif isinstance(value, hint):
+        return value
+    raise TypeError
+
+
+def check_fields(obj) -> None:
+    """Hold each field of a frozen config dataclass to its annotation; call it
+    first in ``__post_init__``. A float field takes an integer, an int field
+    takes no float or bool, and both store the builtin type. A Path field
+    takes a str, and a tuple field a list."""
+    for name, hint in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if type(value) is hint:  # the common case, without the typing calls
+            continue
+        try:
+            typed = _typed(hint, value)
+        except TypeError:
+            expected = _type_name(hint)
+            raise ValueError(f"{name}: expected {expected}, got {value!r}") from None
+        if typed is not value:
+            object.__setattr__(obj, name, typed)
+
+
+def parse_option(hint, text: str):
+    """A config value read from text by its field's annotation: ``none`` for
+    an optional field, true/false/on/off/yes/no for a bool, and
+    comma-separated items for a tuple."""
+    args = typing.get_args(hint)
+    try:
+        if typing.get_origin(hint) is tuple:
+            parts = (part.strip() for part in text.split(","))
+            return tuple(parse_option(args[0], part) for part in parts if part)
+        if args:  # X | None
+            none = text.lower() in ("none", "null")
+            return None if none else parse_option(args[0], text)
+        if hint is bool:
+            return _BOOL_TEXT[text.lower()]
+        if hint in (int, float, str, Path):
+            return hint(text)
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"expected {_type_name(hint)}, got {text}")
 
 
 def check_probability_vector(p, tol: float = 1e-9) -> np.ndarray:

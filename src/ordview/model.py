@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .core import _subseed
+from .core import _subseed, check_fields
 from .metrics import amae
 from .softlabel import (
     KINDS as SOFT_KINDS,
@@ -110,6 +110,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         if self.loss not in LOSSES:
@@ -124,8 +125,8 @@ class ModelConfig:
             raise ValueError("loss 'cce_soft' needs a SoftLabelConfig")
         if self.loss == "sord" and self.sord is None:
             raise ValueError("loss 'sord' needs a SordConfig")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -171,7 +172,7 @@ def _kernel_loss(config: ModelConfig) -> tuple[str, float]:
     """The kernel loss family and its exponent; cce_soft and sord train as
     cross-entropy against their target rows."""
     if config.loss == "cdwce":
-        return "cdwce", float(config.cdwce_alpha)
+        return "cdwce", config.cdwce_alpha
     if config.loss == "slace":
         return "slace", 1.0
     return "cce", 1.0
@@ -252,15 +253,15 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         config.backbone,
         config.head,
         config.link,
-        float(config.d_min),
+        config.d_min,
         w1,
         c1,
         w2,
         c2,
         clm_b1,
         clm_deltas,
-        float(config.learning_rate),
-        int(config.batch_size),
+        config.learning_rate,
+        config.batch_size,
     )
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
@@ -289,7 +290,7 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
         cfg.backbone,
         cfg.head,
         cfg.link,
-        float(cfg.d_min),
+        cfg.d_min,
         model.w1,
         model.c1,
         model.w2,

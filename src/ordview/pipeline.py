@@ -37,6 +37,7 @@ from .core import (
     _subseed,
     _test_counts,
     apportion_counts,
+    check_fields,
     stratified_resample,
     stratified_split,
 )
@@ -65,6 +66,7 @@ DEFAULT_PROPORTIONS = (0.1356, 0.3458, 0.3593, 0.1593)
 DEFAULT_VIEWS = ("crown", "north", "south")
 
 METRIC_COLUMNS = ("qwk", "amae", "accuracy")
+_MODEL_OPTIONS = ("backbone", "hidden_width", "epochs", "batch_size", "learning_rate")
 
 
 class ExperimentError(RuntimeError):
@@ -94,6 +96,7 @@ class SynthConfig:
     latent_correlation: float = 0.1
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
         if self.n_features_per_view < 1:
@@ -102,7 +105,7 @@ class SynthConfig:
             raise ValueError("n_classes must be >= 2")
         if len(self.class_proportions) != self.n_classes:
             raise ValueError("class_proportions length must equal n_classes")
-        if any(p <= 0 for p in self.class_proportions):
+        if not all(p > 0 for p in self.class_proportions):  # NaN fails too
             raise ValueError("class proportions must be positive")
         if abs(sum(self.class_proportions) - 1.0) > 1e-6:
             raise ValueError("class proportions must sum to 1")
@@ -112,10 +115,18 @@ class SynthConfig:
             raise ValueError("view names must be unique")
         if len(self.view_noise) != len(self.view_names):
             raise ValueError("view_noise length must match view_names")
-        if any(s < 0 for s in self.view_noise):
+        if not all(s >= 0 for s in self.view_noise):
             raise ValueError("view_noise entries must be >= 0")
         if not 0.0 <= self.latent_correlation <= 1.0:
             raise ValueError("latent_correlation must lie in [0, 1]")
+
+    def for_views(self, views: tuple[str, ...]) -> SynthConfig:
+        """This config if it generates all of ``views``, else one generating
+        exactly ``views``, each with the first view's noise."""
+        if set(views) <= set(self.view_names):
+            return self
+        noise = (self.view_noise[0],) * len(views)
+        return dataclasses.replace(self, view_names=views, view_noise=noise)
 
 
 def generate_synthetic(cfg: SynthConfig, seed: int) -> MultiViewDataset:
@@ -435,9 +446,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "views", tuple(self.views))
+        check_fields(self)
         if not self.methods:
             raise ValueError("need at least one method")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -467,14 +476,12 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         # the model options fail here, before anything is written, through
         # the checks of a throwaway ModelConfig
-        ModelConfig(
-            n_classes=2,
-            backbone=self.backbone,
-            hidden_width=self.hidden_width,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-        )
+        ModelConfig(n_classes=2, **self.model_options)
+
+    @property
+    def model_options(self) -> dict:
+        """The ModelConfig fields that every fit of the experiment shares."""
+        return {name: getattr(self, name) for name in _MODEL_OPTIONS}
 
 
 @dataclass(frozen=True)
@@ -533,13 +540,7 @@ def _train_view_models(cfg, fit_part, seed, mi, method):
         x_fit = fit_part.views[view]
         y_fit = fit_part.labels
         train_seed = _subseed(cfg.base_seed, seed, 4, mi, vi)
-        base = dict(
-            backbone=cfg.backbone,
-            hidden_width=cfg.hidden_width,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-        )
+        base = cfg.model_options
         try:
             params = None
             if cfg.tuning:

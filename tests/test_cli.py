@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordview.cli import main, parse_config_file
+from ordview.cli import _build_experiment_config, build_parser, main, parse_config_file
 from ordview.model import METHODS
 from ordview.pipeline import DEFAULT_VIEWS, view_config_names
 
@@ -16,29 +16,107 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def experiment_config(tmp_path, text, *flags):
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    argv = ["experiment", "--config", str(p), "--out", str(tmp_path / "run"), *flags]
+    return _build_experiment_config(build_parser().parse_args(argv))
+
+
+# a config that runs in well under a second; each bad value is set on it
+BASE_OPTIONS = {
+    "methods": "nominal", "views": "crown", "n_seeds": "1", "epochs": "5",
+    "tuning": "false",
+}
+
+
+def config_text(options: dict) -> str:
+    options = {**BASE_OPTIONS, **options}
+    return "".join(f"{key} = {value}\n" for key, value in options.items())
+
+
 class TestConfigFile:
     def test_scalars_and_lists(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text(
+        # values are read by the annotation of the field they set
+        cfg = experiment_config(
+            tmp_path,
             "# comment line\n"
             "n_seeds = 5\n"
             "tuning = false\n"
             "methods = nominal, clm  # trailing comment\n"
             "test_fraction = 0.25\n"
-            "label = crown\n"
+            "label_column = crown\n",
         )
-        cfg = parse_config_file(p)
-        assert cfg["n_seeds"] == 5
-        assert cfg["tuning"] is False
-        assert cfg["methods"] == ("nominal", "clm")
-        assert cfg["test_fraction"] == 0.25
-        assert cfg["label"] == "crown"
+        assert cfg.n_seeds == 5
+        assert cfg.tuning is False
+        assert cfg.methods == ("nominal", "clm")
+        assert cfg.test_fraction == 0.25
+        assert cfg.label_column == "crown"
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [("tuning = ON", True), ("tuning = no", False), ("csv_n_classes = none", None),
+         ("csv_n_classes = 5", 5), ("learning_rate = 1", 1.0),
+         ("test_fraction = 3e-1", 0.3)],
+    )
+    def test_value_read_by_field_type(self, tmp_path, line, value):
+        key = line.split(" = ")[0]
+        got = getattr(experiment_config(tmp_path, line + "\n"), key)
+        assert got == value and type(got) is type(value)
 
     def test_bad_line_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("just some words\n")
         with pytest.raises(ValueError):
             parse_config_file(p)
+
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("n_seeds = 2\n# comment\nn_seeds = 1\n")
+        with pytest.raises(ValueError) as info:
+            parse_config_file(p)
+        assert str(info.value) == f"config {p}: line 3: n_seeds already set on line 1"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_seeds", "ten", "n_seeds: expected int, got ten"),
+            ("synth.n_samples", "3e2", "synth.n_samples: expected int, got 3e2"),
+            ("test_fraction", "0.2, 0.3", "test_fraction: expected float, got 0.2, 0.3"),
+            ("epochs", "2.5", "epochs: expected int, got 2.5"),
+            ("tuning", "maybe", "tuning: expected bool, got maybe"),
+            ("batch_size", "8.0", "batch_size: expected int, got 8.0"),
+            ("n_candidates", "1.5", "n_candidates: expected int, got 1.5"),
+            ("folds", "2.0", "folds: expected int, got 2.0"),
+            ("csv_n_classes", "four", "csv_n_classes: expected int | None, got four"),
+            ("synth.view_noise", "1.0, x, 1.0",
+             "synth.view_noise: expected tuple[float, ...], got 1.0, x, 1.0"),
+            ("workres", "2", "unknown option 'workres'"),
+            ("synth.n_sample", "30", "unknown option 'synth.n_sample'"),
+        ],
+    )
+    def test_bad_value_exits_2_before_output(
+        self, tmp_path, capsys, key, value, message
+    ):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(config_text({key: value}))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err == f"error: config {cfg}: {message}\n"
+        assert not out_dir.exists()
+
+    def test_csv_and_synth_keys_conflict(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(config_text({"csv.crown": "crown.csv", "synth.n_samples": "60"}))
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert err == "error: configure exactly one of synth or csv_paths\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestGenerate:
@@ -155,6 +233,19 @@ class TestExperiment:
             saved = json.loads((out_dir / "config.json").read_text())
             assert (saved["qwk_exponent"], saved["e_normalization"]) == expected
 
+    @pytest.mark.parametrize(
+        "views, names, noise",
+        [("north", ("crown", "north", "south"), (0.5, 1.0, 2.0)),
+         ("left, right", ("left", "right"), (0.5, 0.5))],
+    )
+    def test_views_flag_picks_synthetic_views(self, tmp_path, views, names, noise):
+        # --views naming a view the generator lacks generates exactly those,
+        # each with the first view's noise
+        cfg = experiment_config(tmp_path, "synth.view_noise = 0.5, 1.0, 2.0\n",
+                                "--views", views)
+        assert cfg.views == tuple(v.strip() for v in views.split(","))
+        assert (cfg.synth.view_names, cfg.synth.view_noise) == (names, noise)
+
     def test_requires_output_dir(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n-seeds", "1")
         assert code == 2
@@ -247,6 +338,18 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", str(grid), "--metrics", "f1")
         assert code == 2
         assert "not in grid columns" in err
+
+    @pytest.mark.parametrize("metrics", ["", " , ", "qwk,qwk", "qwk,f1"])
+    def test_bad_metric_list_writes_nothing(self, tmp_path, capsys, metrics):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("method,view_config,seed,qwk\nnominal,crown,0,0.5\n")
+        out_dir = tmp_path / "r"
+        code, _, err = run_cli(
+            capsys, "stats", str(grid), "--metrics", metrics, "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 class TestErrorExits:

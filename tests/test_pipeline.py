@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from ordview import pipeline
 from ordview.core import MultiViewDataset, stratified_split
 from ordview.metrics import amae
-from ordview.model import METHODS, method_config, predict_proba_batch, train
+from ordview.model import METHODS, ModelConfig, method_config, predict_proba_batch, train
 from ordview.pipeline import (
     ExperimentConfig,
     ExperimentError,
@@ -133,6 +134,10 @@ class TestSynthetic:
             SynthConfig(latent_correlation=1.5)
         with pytest.raises(ValueError):
             SynthConfig(view_noise=(1.0,))
+        with pytest.raises(ValueError, match="class proportions must be positive"):
+            SynthConfig(class_proportions=(math.nan, 0.5, 0.25, 0.25))
+        with pytest.raises(ValueError, match="view_noise entries must be >= 0"):
+            SynthConfig(view_noise=(math.nan, 1.0, 1.0))
 
 
 class TestCsvRoundtrip:
@@ -495,7 +500,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "option",
         [{"backbone": "cnn"}, {"epochs": 0}, {"batch_size": 0},
-         {"learning_rate": -1.0}, {"backbone": "one_hidden", "hidden_width": 0}],
+         {"learning_rate": -1.0}, {"backbone": "one_hidden", "hidden_width": 0},
+         {"learning_rate": math.inf}],
     )
     def test_bad_model_option_fails_before_outputs(self, tmp_path, option):
         with pytest.raises(ValueError):
@@ -549,6 +555,62 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not (cfg.output_dir / "grid.csv").exists()
         assert not (cfg.output_dir / "config.json").exists()
+
+
+class TestFieldTypes:
+    """Each config dataclass holds its values to its field annotations."""
+
+    @pytest.mark.parametrize(
+        "cls, option, message",
+        [
+            (ExperimentConfig, {"n_seeds": "ten"}, "n_seeds: expected int, got 'ten'"),
+            (SynthConfig, {"n_samples": 3e2}, "n_samples: expected int, got 300.0"),
+            (ExperimentConfig, {"test_fraction": (0.2, 0.3)},
+             "test_fraction: expected float, got (0.2, 0.3)"),
+            (ExperimentConfig, {"epochs": 2.5}, "epochs: expected int, got 2.5"),
+            (ExperimentConfig, {"tuning": "maybe"}, "tuning: expected bool, got 'maybe'"),
+            (ExperimentConfig, {"batch_size": 8.0}, "batch_size: expected int, got 8.0"),
+            (ExperimentConfig, {"n_candidates": 1.5}, "n_candidates: expected int, got 1.5"),
+            (ExperimentConfig, {"folds": 2.0}, "folds: expected int, got 2.0"),
+            (ExperimentConfig, {"n_seeds": True}, "n_seeds: expected int, got True"),
+            (ExperimentConfig, {"learning_rate": False},
+             "learning_rate: expected float, got False"),
+            (ExperimentConfig, {"methods": "nominal"},
+             "methods: expected tuple[str, ...], got 'nominal'"),
+            (ExperimentConfig, {"output_dir": 3}, "output_dir: expected Path, got 3"),
+            (ExperimentConfig, {"csv_n_classes": 4.0},
+             "csv_n_classes: expected int | None, got 4.0"),
+            (SynthConfig, {"view_noise": (1.0, "x", 1.0)},
+             "view_noise: expected tuple[float, ...], got (1.0, 'x', 1.0)"),
+            (ModelConfig, {"n_classes": 4.0}, "n_classes: expected int, got 4.0"),
+            (ModelConfig, {"soft": "beta"},
+             "soft: expected SoftLabelConfig | None, got 'beta'"),
+        ],
+    )
+    def test_wrong_type_rejected(self, tmp_path, cls, option, message):
+        defaults = {
+            ExperimentConfig: {"output_dir": tmp_path / "run"},
+            SynthConfig: {},
+            ModelConfig: {"n_classes": 4},
+        }[cls]
+        with pytest.raises(ValueError) as info:
+            cls(**{**defaults, **option})
+        assert str(info.value) == message
+
+    def test_values_stored_as_annotated(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path, output_dir=str(tmp_path / "run"), methods=["nominal", "clm"],
+            n_seeds=np.int64(2), learning_rate=1, test_fraction=np.float32(0.25),
+            csv_n_classes=None,
+        )
+        assert cfg.output_dir == tmp_path / "run" and isinstance(cfg.output_dir, Path)
+        assert cfg.methods == ("nominal", "clm")
+        assert cfg.n_seeds == 2 and type(cfg.n_seeds) is int
+        assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float
+        assert cfg.test_fraction == 0.25 and type(cfg.test_fraction) is float
+        synth = SynthConfig(view_noise=[1, 1, 1])
+        assert synth.view_noise == (1.0, 1.0, 1.0)
+        assert all(type(s) is float for s in synth.view_noise)
 
 
 class TestStatsReports:
