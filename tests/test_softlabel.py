@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 
 from oracles import beta_cell_masses, triangle_cell_masses
 from ordview.core import argmax_label
+from ordview.model import FAMILY_GRIDS, _target_rows, method_config
 from ordview.softlabel import (
     KINDS,
     SoftLabelConfig,
@@ -185,3 +188,49 @@ class TestTargetMatrix:
             row = triangular_target(k, 5, alpha_adjacent=0.05)
             lam_row = 0.0 * np.eye(5)[k] + 1.0 * row
             assert np.allclose(mat[k], lam_row)
+
+
+class TestTargetBits:
+    """sha256 of every (J, J) target table at J = 2..10, in a fixed order:
+    the tables training reads for each family's tuning-grid configs (every
+    SORD transform x SMOOTHING_GRID among them), and soft-label tables at
+    off-grid lam, alpha_adjacent, concentration, tau and p_exponent."""
+
+    DIGESTS = {
+        "grid": "2cc983e83b916cd1e2309a766d061e0bc5bbda4b8a3fb09481b13c474e152e04",
+        "off_grid": "a2a0f208fc05000e2983e65f221f05f9eae98072712ff53af773a611c2404bbc",
+    }
+
+    @staticmethod
+    def grid_tables(j):
+        for family, grid in FAMILY_GRIDS.items():
+            for values in itertools.product(*grid.values()):
+                config = method_config(family, j, dict(zip(grid, values)))
+                yield _target_rows(config)
+
+    @staticmethod
+    def off_grid_tables(j):
+        for lam in (0.0, 0.3, 0.8, 1.0):
+            yield target_matrix(j, SoftLabelConfig(kind="uniform", lam=lam))
+            for alpha in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45):
+                cfg = SoftLabelConfig(kind="triangular", lam=lam, alpha_adjacent=alpha)
+                yield target_matrix(j, cfg)
+            for c in (2.5, 10.0, 30.0):
+                cfg = SoftLabelConfig(kind="beta", lam=lam, concentration=c)
+                yield target_matrix(j, cfg)
+            for tau in (0.5, 1.0, 3.0):
+                for p in (1.0, 1.5, 2.0):
+                    cfg = SoftLabelConfig(
+                        kind="exponential", lam=lam, tau=tau, p_exponent=p
+                    )
+                    yield target_matrix(j, cfg)
+
+    @pytest.mark.parametrize("which", ["grid", "off_grid"])
+    def test_tables_pinned(self, which):
+        tables = getattr(self, f"{which}_tables")
+        h = hashlib.sha256()
+        for j in range(2, 11):
+            for table in tables(j):
+                assert table.shape == (j, j) and table.dtype == np.float64
+                h.update(np.ascontiguousarray(table).tobytes())
+        assert h.hexdigest() == self.DIGESTS[which]
