@@ -9,12 +9,14 @@ Subcommands:
 * ``metrics``     score a predictions CSV (true vs predicted labels)
 
 Options may come from a ``--config`` file of ``key = value`` lines
-(# comments allowed); command-line flags override file values.
+(``#`` at the start of a line or after whitespace starts a comment);
+command-line flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -41,13 +43,18 @@ from .pipeline import (
 __all__ = ["main"]
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_file(path) -> dict[str, str]:
     """``key = value`` pairs as text; each value is read later by the
-    annotation of the field its key sets. A key set twice is an error."""
+    annotation of the field its key sets. A ``#`` at the start of a line or
+    after whitespace starts a comment, so ``h#1.csv`` keeps its ``#``. A key
+    set twice is an error."""
     out: dict[str, str] = {}
     lines: dict[str, int] = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

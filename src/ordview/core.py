@@ -23,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "MultiViewDataset",
-    "check_probability_vector",
-    "argmax_label",
     "confusion_matrix",
     "class_counts",
     "apportion_counts",
@@ -117,32 +115,6 @@ def parse_option(hint, text: str):
     except (KeyError, ValueError):
         pass
     raise ValueError(f"expected {_type_name(hint)}, got {text}")
-
-
-def check_probability_vector(p, tol: float = 1e-9) -> np.ndarray:
-    """Validate a 1-D probability vector; returns it as float64.
-
-    Entries must be finite and >= -tol, and the sum must be within tol of 1.
-    """
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("probability vector must be 1-D and non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("probability vector has non-finite entries")
-    if np.any(arr < -tol):
-        raise ValueError(f"negative probability entry: min={arr.min()!r}")
-    s = float(arr.sum())
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {s!r}, not 1")
-    return arr
-
-
-def argmax_label(p) -> int:
-    """Predicted label for one probability vector; ties go to the lowest index."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-D probability vector")
-    return int(np.argmax(arr))
 
 
 def _validate_labels(labels, n_classes: int) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 from .core import _validate_labels, confusion_matrix
 
 __all__ = [
-    "PenaltyMatrix",
     "MetricReport",
     "penalty_matrix",
     "qwk",
@@ -29,20 +28,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PenaltyMatrix:
-    """omega[i, j] = |i - j|**n / (J-1)**n: zero diagonal, entries in [0, 1]."""
-
-    omega: np.ndarray
-    n_exponent: int
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=np.float64)
-        omega.flags.writeable = False
-        object.__setattr__(self, "omega", omega)
-
-
-def penalty_matrix(n_classes: int, n_exponent: int = 2) -> PenaltyMatrix:
+def penalty_matrix(n_classes: int, n_exponent: int = 2) -> np.ndarray:
+    """Read-only omega[i, j] = |i - j|**n / (J-1)**n: zero diagonal, entries
+    in [0, 1]."""
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
     if n_exponent < 1:
@@ -50,7 +38,8 @@ def penalty_matrix(n_classes: int, n_exponent: int = 2) -> PenaltyMatrix:
     idx = np.arange(n_classes)
     omega = np.abs(idx[:, None] - idx[None, :]).astype(np.float64) ** n_exponent
     omega /= float(n_classes - 1) ** n_exponent
-    return PenaltyMatrix(omega=omega, n_exponent=n_exponent)
+    omega.flags.writeable = False
+    return omega
 
 
 def _check_cm(cm) -> np.ndarray:
@@ -76,7 +65,7 @@ def qwk(cm, n_exponent: int = 2, expected_normalization: str = "n") -> float:
     if expected_normalization not in ("n", "j"):
         raise ValueError("expected_normalization must be 'n' or 'j'")
     j = arr.shape[0]
-    omega = penalty_matrix(j, n_exponent).omega
+    omega = penalty_matrix(j, n_exponent)
     row = arr.sum(axis=1)
     col = arr.sum(axis=0)
     denom_scale = arr.sum() if expected_normalization == "n" else float(j)

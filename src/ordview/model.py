@@ -27,7 +27,6 @@ from .softlabel import (
     SORD_TRANSFORMS,
     SoftLabelConfig,
     SordConfig,
-    sord_targets,
     target_matrix,
 )
 
@@ -183,10 +182,9 @@ def _target_rows(config: ModelConfig) -> np.ndarray:
     if config.loss == "cce_soft":
         return target_matrix(j, config.soft)
     if config.loss == "sord":
-        return np.vstack([sord_targets(k, j, config.sord) for k in range(j)])
+        return target_matrix(j, config.sord)
     if config.loss == "slace":
-        cfg = SordConfig(beta=config.slace_beta, transform="max")
-        return np.vstack([sord_targets(k, j, cfg) for k in range(j)])
+        return target_matrix(j, SordConfig(beta=config.slace_beta, transform="max"))
     return np.eye(j)
 
 
@@ -332,22 +330,21 @@ def method_config(
         if key not in known:
             raise ValueError(f"method {method!r} has no parameter {key!r}")
     kwargs = {**base, "n_classes": n_classes, "head": head}
-    if "learning_rate" in params:
-        kwargs["learning_rate"] = float(params["learning_rate"])
-    if "d_min" in params:
-        kwargs["d_min"] = float(params["d_min"])
-    smoothing = float(params.get("beta", 1.0))  # sord and slace
+    for key in ("learning_rate", "d_min"):
+        if key in params:
+            kwargs[key] = params[key]
+    smoothing = params.get("beta", 1.0)  # sord and slace
     if family == "nominal":
         kwargs["loss"] = "cce"
     elif family == "cdwce":
-        kwargs.update(loss="cdwce", cdwce_alpha=float(params.get("alpha", 1.0)))
+        kwargs.update(loss="cdwce", cdwce_alpha=params.get("alpha", 1.0))
     elif family == "sord":
         sord = SordConfig(beta=smoothing, transform=params.get("transform", "max"))
         kwargs.update(loss="sord", sord=sord)
     elif family == "slace":
         kwargs.update(loss="slace", slace_beta=smoothing)
     else:  # a soft-label kind; SoftLabelConfig reads only that kind's fields
-        soft = {k: float(v) for k, v in params.items() if k in _SOFT_FIELDS}
+        soft = {k: v for k, v in params.items() if k in _SOFT_FIELDS}
         kwargs.update(loss="cce_soft", soft=SoftLabelConfig(kind=family, **soft))
     return ModelConfig(**kwargs)
 

@@ -23,7 +23,6 @@ from ordview._kernels import LINKS
 from ordview.cli import main as cli_main
 from ordview.core import (
     MultiViewDataset,
-    argmax_label,
     class_counts,
     stratified_split,
 )
@@ -39,13 +38,9 @@ from ordview.model import (
 from ordview.pipeline import ExperimentConfig, run_experiment
 from ordview.softlabel import (
     SORD_TRANSFORMS,
+    SoftLabelConfig,
     SordConfig,
-    beta_target,
-    exponential_target,
-    ordinal_smooth,
-    sord_targets,
-    triangular_target,
-    uniform_smooth,
+    target_matrix,
 )
 from ordview.stats import (
     ResultsTable,
@@ -69,8 +64,13 @@ def assert_soft_target(dist, k, sum_tol, check_argmax=True):
     assert np.all(dist >= 0.0)
     assert abs(dist.sum() - 1.0) <= sum_tol
     if check_argmax:
-        assert argmax_label(dist) == k
+        assert np.argmax(dist) == k
     assert_unimodal(dist, k)
+
+
+def soft_row(kind, k, j, **fields):
+    """Row k of the (j, j) target table of one soft-label config."""
+    return target_matrix(j, SoftLabelConfig(kind=kind, **fields))[k]
 
 
 def rel_err(analytic, numeric):
@@ -111,38 +111,39 @@ def test_criterion_03_soft_label_grid():
     for j in (3, 4, 5, 10):
         for k in range(j):
             for lam in MIX_GRID:
-                d = uniform_smooth(k, j, lam).dist
+                d = soft_row("uniform", k, j, lam=lam)
                 # lam=1 is exactly flat, so the argmax-at-k check is vacuous
                 assert_soft_target(d, k, 1e-9, check_argmax=lam < 1.0)
                 checked += 1
             for alpha in ADJACENT_GRID:
-                raw = triangular_target(k, j, alpha)
+                raw = soft_row("triangular", k, j, alpha_adjacent=alpha)
                 oracle = triangle_cell_masses(k, j, alpha)
                 worst_quadrature = max(
                     worst_quadrature, float(np.max(np.abs(raw - oracle)))
                 )
                 for lam in MIX_GRID:
-                    d = ordinal_smooth(k, j, lam, raw).dist
+                    d = soft_row("triangular", k, j, lam=lam, alpha_adjacent=alpha)
                     assert_soft_target(d, k, 1e-6)
                     checked += 1
-            raw = beta_target(k, j, 10.0)
+            raw = soft_row("beta", k, j, concentration=10.0)
             oracle = beta_cell_masses(k, j, 10.0)
             worst_quadrature = max(
                 worst_quadrature, float(np.max(np.abs(raw - oracle)))
             )
             for lam in MIX_GRID:
-                d = ordinal_smooth(k, j, lam, raw).dist
+                d = soft_row("beta", k, j, lam=lam, concentration=10.0)
                 assert_soft_target(d, k, 1e-6)
                 checked += 1
             for p_exponent in EXPONENT_GRID:
-                raw = exponential_target(k, j, 1.0, p_exponent)
                 for lam in MIX_GRID:
-                    d = ordinal_smooth(k, j, lam, raw).dist
+                    d = soft_row(
+                        "exponential", k, j, lam=lam, tau=1.0, p_exponent=p_exponent
+                    )
                     assert_soft_target(d, k, 1e-9)
                     checked += 1
             for transform in SORD_TRANSFORMS:
                 for beta in SMOOTHING_GRID:
-                    d = sord_targets(k, j, SordConfig(beta=beta, transform=transform))
+                    d = target_matrix(j, SordConfig(beta=beta, transform=transform))[k]
                     assert_soft_target(d, k, 1e-9)
                     checked += 1
     elapsed = time.perf_counter() - t0
@@ -163,10 +164,10 @@ def loss_row(loss, p, k, config):
         kernel, target, alpha = "cdwce", np.zeros(p.size), config["alpha"]
     elif loss == "sord":
         cfg = SordConfig(beta=config["beta"], transform=config["transform"])
-        kernel, target, alpha = "cce", sord_targets(k, p.size, cfg), 1.0
+        kernel, target, alpha = "cce", target_matrix(p.size, cfg)[k], 1.0
     else:
         cfg = SordConfig(beta=config["beta"], transform="max")
-        kernel, target, alpha = "slace", sord_targets(k, p.size, cfg), 1.0
+        kernel, target, alpha = "slace", target_matrix(p.size, cfg)[k], 1.0
     rows = _k.loss_rows(target.reshape(1, -1), np.array([k]), kernel, alpha)
     value, grad = _k.loss_batch(p.reshape(1, -1), rows, kernel)
     return float(value), grad[0]

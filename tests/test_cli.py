@@ -64,6 +64,20 @@ class TestConfigFile:
         got = getattr(experiment_config(tmp_path, line + "\n"), key)
         assert got == value and type(got) is type(value)
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(
+            "csv.crown = h#1/crown.csv\n"
+            "methods = nominal   # c\n"
+            "label_column = crown\t# tab before the hash\n"
+            "#views = crown\n"
+        )
+        assert parse_config_file(p) == {
+            "csv.crown": "h#1/crown.csv",
+            "methods": "nominal",
+            "label_column": "crown",
+        }
+
     def test_bad_line_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("just some words\n")

@@ -4,8 +4,6 @@ import pytest
 from ordview.core import (
     MultiViewDataset,
     apportion_counts,
-    argmax_label,
-    check_probability_vector,
     class_counts,
     confusion_matrix,
     stratified_resample,
@@ -21,31 +19,6 @@ def make_dataset(counts, n_features=3, seed=0):
         "b": rng.normal(size=(labels.size, n_features)),
     }
     return MultiViewDataset(views=views, labels=labels, n_classes=len(counts))
-
-
-class TestProbabilityVector:
-    def test_valid(self):
-        check_probability_vector(np.array([0.2, 0.3, 0.5]))
-
-    def test_negative_entry(self):
-        with pytest.raises(ValueError):
-            check_probability_vector(np.array([-0.1, 0.6, 0.5]))
-
-    def test_bad_sum(self):
-        with pytest.raises(ValueError):
-            check_probability_vector(np.array([0.2, 0.2, 0.2]))
-
-    def test_nan(self):
-        with pytest.raises(ValueError):
-            check_probability_vector(np.array([np.nan, 0.5, 0.5]))
-
-
-class TestArgmaxLabel:
-    def test_plain(self):
-        assert argmax_label(np.array([0.1, 0.7, 0.2])) == 1
-
-    def test_tie_prefers_lowest_index(self):
-        assert argmax_label(np.array([0.4, 0.4, 0.2])) == 0
 
 
 class TestConfusion:

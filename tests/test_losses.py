@@ -12,7 +12,7 @@ from ordview._kernels import (
     softmax_backward_batch,
     softmax_batch,
 )
-from ordview.softlabel import SORD_TRANSFORMS, SordConfig, sord_targets
+from ordview.softlabel import SORD_TRANSFORMS, SordConfig, target_matrix
 
 
 def one_row(loss, p, target=None, k=0, alpha=1.0):
@@ -25,7 +25,7 @@ def one_row(loss, p, target=None, k=0, alpha=1.0):
 
 
 def slace_row(p, k, beta):
-    targets = sord_targets(k, len(p), SordConfig(beta=beta, transform="max"))
+    targets = target_matrix(len(p), SordConfig(beta=beta, transform="max"))[k]
     return one_row("slace", p, targets, k)
 
 
@@ -64,7 +64,7 @@ class TestCdwce:
 
 class TestSordTargets:
     def test_max_transform_reference(self):
-        t = sord_targets(1, 3, SordConfig(beta=1.0, transform="max"))
+        t = target_matrix(3, SordConfig(beta=1.0, transform="max"))[1]
         e = np.exp(-np.array([1.0, 0.0, 1.0]))
         assert np.allclose(t, e / e.sum())
         assert abs(t[1] - 0.57611688) < 1e-7
@@ -74,9 +74,8 @@ class TestSordTargets:
             for j in (3, 4, 5, 10):
                 for k in range(j):
                     for beta in (0.3, 1.0, 4.0, 25.0):
-                        t = sord_targets(
-                            k, j, SordConfig(beta=beta, transform=transform)
-                        )
+                        cfg = SordConfig(beta=beta, transform=transform)
+                        t = target_matrix(j, cfg)[k]
                         assert abs(t.sum() - 1.0) < 1e-9
                         assert np.argmax(t) == k
                         peak = int(np.argmax(t))
@@ -85,7 +84,7 @@ class TestSordTargets:
 
     def test_transforms_differ(self):
         rows = {
-            tr: tuple(sord_targets(1, 5, SordConfig(beta=2.0, transform=tr)))
+            tr: tuple(target_matrix(5, SordConfig(beta=2.0, transform=tr))[1])
             for tr in SORD_TRANSFORMS
         }
         # division-family scores differ from distance-family scores
@@ -94,8 +93,8 @@ class TestSordTargets:
         assert rows["log"] != rows["norm_log"]
 
     def test_beta_sharpens(self):
-        soft = sord_targets(2, 5, SordConfig(beta=0.3, transform="max"))
-        sharp = sord_targets(2, 5, SordConfig(beta=25.0, transform="max"))
+        soft = target_matrix(5, SordConfig(beta=0.3, transform="max"))[2]
+        sharp = target_matrix(5, SordConfig(beta=25.0, transform="max"))[2]
         assert sharp[2] > soft[2]
 
 
@@ -104,7 +103,7 @@ class TestSlace:
         p = np.array([0.1, 0.2, 0.3, 0.4])
         k = 2
         beta = 1.5
-        t = sord_targets(k, 4, SordConfig(beta=beta, transform="max"))
+        t = target_matrix(4, SordConfig(beta=beta, transform="max"))[k]
         expected = 0.0
         tc = 0.0
         pc = 0.0
@@ -178,7 +177,7 @@ class TestGradCheck:
             k = int(rng.integers(0, n))
             tr = str(rng.choice(SORD_TRANSFORMS))
             p = random_simplex(rng, n)
-            t = sord_targets(k, n, SordConfig(beta=2.0, transform=tr))
+            t = target_matrix(n, SordConfig(beta=2.0, transform=tr))[k]
             assert grad_error(lambda v: one_row("cce", v, t, k), p) < 1e-4
 
     def test_slace(self):

@@ -19,16 +19,17 @@ from ordview.metrics import (
 
 class TestPenaltyMatrix:
     def test_structure(self):
-        pm = penalty_matrix(4, 2)
-        assert pm.omega.shape == (4, 4)
-        assert np.allclose(np.diag(pm.omega), 0.0)
-        assert np.allclose(pm.omega, pm.omega.T)
-        assert pm.omega.max() == 1.0
-        assert pm.omega[0, 1] == (1 / 3) ** 2
+        omega = penalty_matrix(4, 2)
+        assert omega.shape == (4, 4)
+        assert np.allclose(np.diag(omega), 0.0)
+        assert np.allclose(omega, omega.T)
+        assert omega.max() == 1.0
+        assert omega[0, 1] == (1 / 3) ** 2
+        assert not omega.flags.writeable
 
     def test_linear_exponent(self):
-        pm = penalty_matrix(3, 1)
-        assert np.allclose(pm.omega, [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
+        omega = penalty_matrix(3, 1)
+        assert np.allclose(omega, [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
 
 
 class TestQwk:

@@ -129,6 +129,17 @@ class TestConfig:
         cfg = method_config("exponential", 4, {"tau": 2.0, "learning_rate": 0.1})
         assert cfg.soft.tau == 2.0 and cfg.learning_rate == 0.1
 
+    @pytest.mark.parametrize(
+        "method, key",
+        [("nominal", "learning_rate"), ("clm", "d_min"), ("cdwce", "alpha"),
+         ("sord", "beta"), ("slace", "beta"), ("beta", "lam")],
+    )
+    def test_method_config_params_typed_by_field(self, method, key):
+        # the config fields coerce an integer and reject text
+        assert method_config(method, 4, {key: 1}) == method_config(method, 4, {key: 1.0})
+        with pytest.raises(ValueError, match="expected float, got '1'"):
+            method_config(method, 4, {key: "1"})
+
 
 class TestSearchSpace:
     def test_grids_pinned_in_order(self):

@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 
 from oracles import beta_cell_masses, triangle_cell_masses
-from ordview.core import argmax_label
 from ordview.model import FAMILY_GRIDS, _target_rows, method_config
 from ordview.softlabel import (
     KINDS,
     SoftLabelConfig,
-    beta_target,
-    exponential_target,
-    ordinal_smooth,
+    SordConfig,
     target_matrix,
-    triangular_target,
-    uniform_smooth,
 )
+
+
+def soft_row(kind, k, j, **fields):
+    """Row k of the (j, j) target table of one soft-label config."""
+    return target_matrix(j, SoftLabelConfig(kind=kind, **fields))[k]
 
 
 def assert_unimodal_at(dist, k, tol=1e-6):
     assert np.all(dist >= 0)
     assert abs(dist.sum() - 1.0) <= tol
-    assert argmax_label(dist) == k
+    assert np.argmax(dist) == k
     peak = int(np.argmax(dist))
     assert np.all(np.diff(dist[: peak + 1]) >= -1e-12)
     assert np.all(np.diff(dist[peak:]) <= 1e-12)
@@ -32,38 +32,33 @@ def assert_unimodal_at(dist, k, tol=1e-6):
 
 class TestUniform:
     def test_reference_values(self):
-        t = uniform_smooth(2, 4, lam=0.4)
-        assert np.allclose(t.dist, [0.1, 0.1, 0.7, 0.1])
+        dist = soft_row("uniform", 2, 4, lam=0.4)
+        assert np.allclose(dist, [0.1, 0.1, 0.7, 0.1])
 
     def test_lam_zero_is_one_hot(self):
-        t = uniform_smooth(3, 5, lam=0.0)
-        assert t.dist.tolist() == [0, 0, 0, 1, 0]
+        dist = soft_row("uniform", 3, 5, lam=0.0)
+        assert dist.tolist() == [0, 0, 0, 1, 0]
 
     def test_lam_one_is_uniform(self):
-        t = uniform_smooth(1, 4, lam=1.0)
-        assert np.allclose(t.dist, 0.25)
+        dist = soft_row("uniform", 1, 4, lam=1.0)
+        assert np.allclose(dist, 0.25)
 
 
 class TestOrdinalSmooth:
     def test_mixture_formula(self):
-        base = triangular_target(2, 4, alpha_adjacent=0.05)
-        t = ordinal_smooth(2, 4, 0.8, base)
+        base = soft_row("triangular", 2, 4, alpha_adjacent=0.05)
+        dist = soft_row("triangular", 2, 4, lam=0.8, alpha_adjacent=0.05)
         expected = 0.2 * np.eye(4)[2] + 0.8 * base
-        assert np.allclose(t.dist, expected)
-
-    def test_base_must_peak_at_true_class(self):
-        base = triangular_target(1, 4, alpha_adjacent=0.05)
-        with pytest.raises(ValueError):
-            ordinal_smooth(2, 4, 0.5, base)
+        assert np.allclose(dist, expected)
 
 
 class TestTriangular:
     def test_boundary_reference(self):
-        dist = triangular_target(0, 4, alpha_adjacent=0.05)
+        dist = soft_row("triangular", 0, 4, alpha_adjacent=0.05)
         assert np.allclose(dist, [0.95, 0.05, 0.0, 0.0], atol=1e-9)
 
     def test_interior_adjacent_mass(self):
-        dist = triangular_target(2, 4, alpha_adjacent=0.05)
+        dist = soft_row("triangular", 2, 4, alpha_adjacent=0.05)
         assert abs(dist[1] - 0.05) <= 1e-6
         assert abs(dist[3] - 0.05) <= 1e-6
 
@@ -71,7 +66,7 @@ class TestTriangular:
         for j in (3, 4, 5):
             for k in range(j):
                 for alpha in (0.01, 0.05, 0.10):
-                    dist = triangular_target(k, j, alpha_adjacent=alpha)
+                    dist = soft_row("triangular", k, j, alpha_adjacent=alpha)
                     oracle = triangle_cell_masses(k, j, alpha)
                     assert np.max(np.abs(dist - oracle)) < 1e-6
 
@@ -84,13 +79,13 @@ class TestBeta:
     def test_matches_oracle(self):
         for j in (3, 4, 5):
             for k in range(j):
-                dist = beta_target(k, j, concentration=10.0)
+                dist = soft_row("beta", k, j, concentration=10.0)
                 oracle = beta_cell_masses(k, j, 10.0)
                 assert np.max(np.abs(dist - oracle)) < 1e-6
 
     def test_concentration_must_exceed_two(self):
         with pytest.raises(ValueError):
-            beta_target(0, 4, concentration=2.0)
+            SoftLabelConfig(kind="beta", concentration=2.0)
 
 
 class TestExactMasses:
@@ -107,7 +102,7 @@ class TestExactMasses:
                     expected = np.zeros(j)
                     expected[[q for q in (k - 1, k + 1) if 0 <= q < j]] = alpha
                     expected[k] = 1.0 - expected.sum()
-                    dist = triangular_target(k, j, alpha_adjacent=alpha)
+                    dist = soft_row("triangular", k, j, alpha_adjacent=alpha)
                     assert np.max(np.abs(dist - expected)) <= self.TOL
 
     def test_beta_integer_shapes(self):
@@ -129,19 +124,19 @@ class TestExactMasses:
                     expected = np.array(
                         [float(hi - lo) for lo, hi in zip(edges, edges[1:])]
                     )
-                    dist = beta_target(k, j, concentration=2.0 + 2.0 * j * t)
+                    dist = soft_row("beta", k, j, concentration=2.0 + 2.0 * j * t)
                     assert np.max(np.abs(dist - expected)) <= self.TOL
 
 
 class TestExponential:
     def test_closed_form(self):
-        dist = exponential_target(2, 4, tau=1.0, p_exponent=1.0)
+        dist = soft_row("exponential", 2, 4, tau=1.0, p_exponent=1.0)
         w = np.exp(-np.abs(np.arange(4) - 2.0))
         assert np.allclose(dist, w / w.sum())
 
     def test_tau_sharpens(self):
-        soft = exponential_target(2, 5, tau=0.5, p_exponent=1.0)
-        sharp = exponential_target(2, 5, tau=4.0, p_exponent=1.0)
+        soft = soft_row("exponential", 2, 5, tau=0.5, p_exponent=1.0)
+        sharp = soft_row("exponential", 2, 5, tau=4.0, p_exponent=1.0)
         assert sharp[2] > soft[2]
 
 
@@ -174,20 +169,47 @@ class TestPropertySuite:
 
 class TestTargetMatrix:
     def test_cached_and_read_only(self):
-        cfg = SoftLabelConfig(kind="beta")
-        a = target_matrix(4, cfg)
-        b = target_matrix(4, cfg)
-        assert a is b
-        with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+        for cfg in (SoftLabelConfig(kind="beta"), SordConfig(beta=2.0)):
+            a = target_matrix(4, cfg)
+            b = target_matrix(4, cfg)
+            assert a is b
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
     def test_rows_are_targets(self):
-        cfg = SoftLabelConfig(kind="triangular", alpha_adjacent=0.05)
-        mat = target_matrix(5, cfg)
+        # each row against its own closed form, one class at a time
+        exp_cfg = SoftLabelConfig(kind="exponential", lam=0.8, tau=0.7, p_exponent=1.5)
+        sord_cfg = SordConfig(beta=3.0, transform="max")
         for k in range(5):
-            row = triangular_target(k, 5, alpha_adjacent=0.05)
-            lam_row = 0.0 * np.eye(5)[k] + 1.0 * row
-            assert np.allclose(mat[k], lam_row)
+            phi = np.abs(np.arange(5) - k).astype(float)
+            w = np.exp(-0.7 * phi**1.5)
+            expected = 0.2 * np.eye(5)[k] + 0.8 * w / w.sum()
+            assert np.allclose(target_matrix(5, exp_cfg)[k], expected)
+            e = np.exp(-3.0 * phi / phi.max())
+            assert np.allclose(target_matrix(5, sord_cfg)[k], e / e.sum())
+
+    @pytest.mark.parametrize("cfg", [SoftLabelConfig(kind="uniform"), SordConfig()])
+    def test_needs_two_classes(self, cfg):
+        with pytest.raises(ValueError, match="n_classes"):
+            target_matrix(1, cfg)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: SordConfig(beta="2"), "beta"),
+            (lambda: SoftLabelConfig(kind="beta", lam="0.5"), "lam"),
+            (lambda: SoftLabelConfig(kind=3), "kind"),
+        ],
+    )
+    def test_bad_type_names_field(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected"):
+            build()
+
+    def test_int_stored_as_float(self):
+        assert type(SordConfig(beta=2).beta) is float
+        assert SoftLabelConfig(kind="beta", lam=1) == SoftLabelConfig(kind="beta")
 
 
 class TestTargetBits:
