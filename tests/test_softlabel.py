@@ -25,9 +25,8 @@ def assert_unimodal_at(dist, k, tol=1e-6):
     assert np.all(dist >= 0)
     assert abs(dist.sum() - 1.0) <= tol
     assert np.argmax(dist) == k
-    peak = int(np.argmax(dist))
-    assert np.all(np.diff(dist[: peak + 1]) >= -1e-12)
-    assert np.all(np.diff(dist[peak:]) <= 1e-12)
+    assert np.all(np.diff(dist[: k + 1]) >= -1e-12)
+    assert np.all(np.diff(dist[k:]) <= 1e-12)
 
 
 class TestUniform:
