@@ -253,15 +253,16 @@ KERNEL_LOSSES = {
 }
 
 
-def train_digest(loss, head, link, backbone, n_classes=4):
+def train_digest(loss, head, link, backbone, n_classes=4, batch_size=8):
     """sha256 of the epoch losses and every parameter array of one small
-    fit: 45 rows in batches of 8, so the short final batch runs too."""
+    fit: 45 rows in batches of 8, so the short final batch runs too (in
+    batches of 11, the final batch is a single row)."""
     x, y = blob_dataset(45 // n_classes + 1, n_classes, scale=1.5, seed=3)
     x, y = x[:45], y[:45]
     cfg = ModelConfig(n_classes=n_classes, head=head, link=link,
                       backbone=backbone, hidden_width=5,
                       d_min=0.5 if n_classes > 2 else 0.0, learning_rate=0.05,
-                      epochs=6, batch_size=8, seed=17, **KERNEL_LOSSES[loss])
+                      epochs=6, batch_size=batch_size, seed=17, **KERNEL_LOSSES[loss])
     model = train(cfg, x, y)
     h = hashlib.sha256(model.epoch_losses.tobytes())
     for p in (model.w1, model.c1, model.w2, model.c2, model.clm_b1,
@@ -270,7 +271,8 @@ def train_digest(loss, head, link, backbone, n_classes=4):
     return h.hexdigest()
 
 
-# Recorded from the kernels before their per-fit/per-epoch hoisting: a kernel
+# Recorded from the kernels before they kept a per-fit workspace (the J = 4
+# and J = 2 cases before their per-fit/per-epoch hoisting, too): a kernel
 # rewrite must keep every float of every path bitwise.
 TRAIN_DIGESTS = {
     "cce-softmax-logit-linear-4":
@@ -325,13 +327,31 @@ TRAIN_DIGESTS = {
         "b6c908fe4048d8e5a63a4695078e71129a55a7e4f7641216a5d620de015c8050",
     "cdwce-clm-cloglog-one_hidden-2":
         "873498e30f87e8b50208beeaffaf0bc38ad69eee562a0d1a3771fb3a5c8db021",
+    # J - 1 >= 8 classes: numpy's pairwise sum changes form at 8 terms
+    "slace-clm-logit-linear-10":
+        "0dd0933d751a4fbbcbf9ba93951de08fececc2a025368f2a207af878df0b28de",
+    "slace-softmax-logit-linear-10":
+        "485f6dfb5f108279718271e4cda21cdfa9987c6ac33ef5633f1813e9f0d0290b",
+    "cce-softmax-logit-one_hidden-10":
+        "f192faa8a4504e9e2f82ef269862d6783f8baeaa40636d2350dc3208aa92a44e",
+    "cdwce-clm-probit-one_hidden-10":
+        "7dfae93f63f5bca13c162e5d78a38378adebfbcdd3f5ccd2c61fdd341c0dfe87",
+    # batches of 11: the final batch of each epoch is one row
+    "cce-softmax-logit-one_hidden-4-b11":
+        "4e576c95af829b007cd732d7900dd20b2e9e2d51f1b890e100ac77d3814adcac",
+    "slace-clm-probit-linear-4-b11":
+        "253bc2ab13247b1fbb6099ccec072a16783092c5b3d86ff7d1a51241e30af501",
+    "cdwce-clm-cloglog-one_hidden-10-b11":
+        "672e1772c312c48b0a347c0a369c025be1075dcde4f94f4267be1c8ccc81ff92",
 }
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN_DIGESTS))
 def test_train_bits_pinned(case):
-    loss, head, link, backbone, j = case.split("-")
-    assert train_digest(loss, head, link, backbone, int(j)) == TRAIN_DIGESTS[case]
+    loss, head, link, backbone, j, *batch = case.split("-")
+    batch_size = int(batch[0][1:]) if batch else 8
+    digest = train_digest(loss, head, link, backbone, int(j), batch_size)
+    assert digest == TRAIN_DIGESTS[case]
 
 
 @pytest.mark.parametrize("loss", sorted(KERNEL_LOSSES))
