@@ -9,17 +9,36 @@ of the link, threshold and loss math; there is no per-sample API, so a single
 sample is a one-row batch.
 
 At minibatch size (32 x 10) a step costs numpy call overhead, not
-arithmetic, so ``run_sgd`` does each piece of work as rarely as it can:
+arithmetic, so ``run_sgd`` does each piece of work as rarely as it can, and
+every step reuses one per-fit workspace:
 
-* per fit: the loss's per-row constants (``loss_rows``);
+* per fit: the loss's per-row constants (``loss_rows``) and the workspace.
+  w1, c1, w2, c2 and the threshold block [b1, deltas] become views into one
+  packed float64 buffer, and their gradients views into a second buffer of
+  the same layout; a ``ClmPad`` per batch size holds the CLM class math.
+  The caller's arrays get the trained values back at the end;
 * per epoch: the shuffled copies of ``x`` and of those constants, so that
   a step takes basic slices (views) of them instead of gathering rows;
-* per step: the forward pass, the loss and the backward pass. The CLM
-  head computes b - f and the link response once and reuses both in its
-  backward pass. Sums, prefix sums and clamps call the ufuncs
+* per step: the forward pass, the loss and the backward pass, each
+  gradient written into its view, then one fused update of every
+  parameter: ``grad *= lr; grad /= nb; theta -= grad``, the same
+  (lr * g) / nb per element as one update per array. The CLM head computes
+  b - f and the link response once and reuses both in its backward pass.
+  It works out the J - 1 thresholds and the deltas' gradient chain in
+  Python floats, with the same additions in the same order; the b1
+  gradient stays one ``np.add.reduce``, since from 8 terms on its pairwise
+  sum adds in another order than a Python loop. A mask that skips no entry
+  is not applied. Sums, prefix sums and clamps call the ufuncs
   (``np.add.reduce``, ``np.add.accumulate``, ``np.minimum``/``np.maximum``)
   directly rather than through the slower ``np.sum``/``np.cumsum``/
   ``np.clip`` wrappers, with the same arithmetic in the same order.
+
+Every block of the packed buffers starts on a 64-byte boundary. BLAS
+kernels may pick their code path, and with it the order of a dot product's
+additions, by the alignment of their operands; numpy allocates every array
+at least 16-byte aligned, so aligned blocks hand BLAS operands no worse
+aligned than one array per parameter did, and the fits stay bitwise what
+they were.
 
 Numerical conventions shared with the public modules:
 
@@ -28,7 +47,9 @@ Numerical conventions shared with the public modules:
 * exponentials only ever see non-positive (or NaN) arguments, so a fit that
   diverges surfaces as NaN epoch losses or non-finite parameters; ``run_sgd``
   silences the overflow and invalid-value warnings on the way there, and
-  ``model.train`` turns either into its one signal, ``TrainingDiverged``.
+  ``model.train`` turns either into its one signal, ``TrainingDiverged``
+  (which ``model.predict_proba_batch`` raises too, for a fit whose finite
+  weights overflow the forward pass).
 """
 
 from __future__ import annotations
@@ -50,9 +71,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def link_inverse(x, link):
     """Inverse link g^{-1}(x), the cumulative-probability response."""
     if link == "logit":
-        e = np.exp(-np.abs(x))
-        one_e = 1.0 + e
-        return np.where(x >= 0.0, 1.0 / one_e, e / one_e)
+        e = np.abs(x)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        one_e = np.add(1.0, e)
+        c = np.divide(e, one_e, out=e)
+        np.divide(1.0, one_e, out=c, where=x >= 0.0)
+        return c
     if link == "probit":
         return 0.5 * (1.0 + erf(x / _SQRT2))
     inner = np.minimum(np.maximum(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
@@ -75,15 +100,18 @@ def link_inverse_deriv(x, c, link):
 def materialize_thresholds_raw(b1, deltas, d_min):
     """Strictly increasing thresholds from the unconstrained parameters.
 
-    b[0] = b1, b[j] = b[j-1] + d_min + deltas[j-1]**2 (+ 1e-6 iff d_min == 0).
-    deltas has J-2 entries; the result has J-1.
+    b[0] = b1, b[j] = b1 + sum_{m < j} (d_min + deltas[m]**2), with d_min
+    read as 1e-6 when it is 0. deltas has J-2 entries; the result has J-1.
+    The J - 1 floats are summed in Python, one step after the other.
     """
-    eps = 1e-6 if d_min == 0.0 else 0.0
-    steps = d_min + deltas * deltas + eps
-    b = np.empty(deltas.shape[0] + 1)
-    b[0] = b1
-    np.add(b1, np.add.accumulate(steps), out=b[1:])
-    return b
+    floor = d_min if d_min != 0.0 else 1e-6
+    b = [b1]
+    acc = None
+    for d in deltas:
+        step = floor + d * d
+        acc = step if acc is None else acc + step
+        b.append(b1 + acc)
+    return np.array(b)
 
 
 def softmax_batch(scores):
@@ -96,25 +124,52 @@ def softmax_batch(scores):
 
 def softmax_backward_batch(probs, grad_probs):
     """Chain dL/dp through the softmax: dL/ds_j = p_j (g_j - sum_m p_m g_m)."""
-    dot = np.add.reduce(probs * grad_probs, axis=1, keepdims=True)
-    return probs * (grad_probs - dot)
+    t = np.multiply(probs, grad_probs)
+    dot = np.add.reduce(t, axis=1, keepdims=True)
+    np.subtract(grad_probs, dot, out=t)
+    return np.multiply(probs, t, out=t)
 
 
-def clm_probs(c):
+class ClmPad:
+    """The buffers ``clm_probs`` works in for nb rows of J classes.
+
+    ``padded`` holds the rows [0, cum[i], 1] back to back plus one trailing
+    0, and ``diff`` its first differences, so that row i of ``rows`` is
+    [probs[i], 0 - 1]. ``run_sgd`` keeps one per batch size.
+    """
+
+    def __init__(self, nb, n_classes):
+        self.padded = np.zeros(nb * (n_classes + 1) + 1)
+        wide = self.padded[:-1].reshape(nb, n_classes + 1)
+        wide[:, -1] = 1.0
+        self.cum = wide[:, 1:-1]
+        self.hi = self.padded[1:]
+        self.lo = self.padded[:-1]
+        self.diff = np.empty(nb * (n_classes + 1))
+        self.rows = self.diff.reshape(nb, n_classes + 1)
+        self.probs = self.rows[:, :-1]
+
+
+def clm_probs(c, pad=None):
     """(cum, probs) from the link responses c[i, j] = g^{-1}(b_j - f_i).
 
     cum is c forced non-decreasing against round-off; probs[i] holds its
     first differences and the tail class, renormalized (a round-off guard;
     the sum is already 1 up to machine precision).
+
+    Both are views into ``pad`` (a ``ClmPad`` for c's rows, or None for a
+    new one). One flat subtract over its padded rows gives every first
+    difference, the tail 1 - cum[i, -1] among them, and one clamp at 0
+    both floors the tail and zeroes the 0 - 1 between two rows.
     """
-    cum = np.maximum.accumulate(c, axis=1)
-    probs = np.empty((cum.shape[0], cum.shape[1] + 1))
-    probs[:, 0] = cum[:, 0]
-    np.subtract(cum[:, 1:], cum[:, :-1], out=probs[:, 1:-1])
-    np.maximum(1.0 - cum[:, -1], 0.0, out=probs[:, -1])
-    tot = np.add.reduce(probs, axis=1, keepdims=True)
-    np.divide(probs, tot, out=probs, where=tot > 0.0)
-    return cum, probs
+    if pad is None:
+        pad = ClmPad(c.shape[0], c.shape[1] + 1)
+    cum = np.maximum.accumulate(c, axis=1, out=pad.cum)
+    np.subtract(pad.hi, pad.lo, out=pad.diff)
+    np.maximum(pad.diff, 0.0, out=pad.diff)
+    tot = np.add.reduce(pad.probs, axis=1, keepdims=True)
+    np.divide(pad.rows, tot, out=pad.rows, where=tot > 0.0)
+    return cum, pad.probs
 
 
 def clm_forward_batch(latent, thresholds, link):
@@ -140,28 +195,37 @@ def threshold_param_grads(deltas, grad_thresholds):
     """Chain threshold gradients to (b1, deltas).
 
     b_j depends on delta_m for m < j via delta_m**2, so
-    d/d(delta_m) = 2 delta_m * sum_{j > m} grad_thresholds[j].
+    d/d(delta_m) = 2 delta_m * sum_{j > m} grad_thresholds[j], summed from
+    the top threshold down. Returns the b1 gradient and a list of the
+    delta gradients, worked out in Python floats.
     """
-    later = np.add.accumulate(grad_thresholds[:0:-1])[::-1]
-    return float(np.add.reduce(grad_thresholds)), 2.0 * deltas * later
+    later = grad_thresholds[:0:-1].tolist()
+    for m in range(1, len(later)):
+        later[m] = later[m - 1] + later[m]
+    later.reverse()
+    gd = [2.0 * d * g for d, g in zip(deltas, later)]
+    return float(np.add.reduce(grad_thresholds)), gd
 
 
 def loss_rows(targets, labels, loss, loss_alpha):
     """The per-row constants ``loss_batch`` takes, built once per fit.
 
-    * ``"cce"``: the mask ``targets != 0`` and ``-targets``;
-    * ``"cdwce"``: the mask ``j != y`` and the weights ``|j - y|**alpha``;
+    * ``"cce"``: the mask of the entries it skips, ``targets == 0``, or None
+      when it skips none (SORD's dense rows), and ``-targets``;
+    * ``"cdwce"``: the mask of the entries it skips, ``j == y``, and the
+      weights ``|j - y|**alpha``;
     * ``"slace"``: the prefix sums ``tc`` of ``targets`` over the first J-1
       classes and ``1 - tc``.
 
-    Each is an array with one row per sample, so a minibatch takes the rows
-    of its samples.
+    Each array has one row per sample, so a minibatch takes the rows of its
+    samples.
     """
     if loss == "cce":
-        return targets != 0.0, -targets
+        skip = targets == 0.0
+        return (skip if skip.any() else None), -targets
     if loss == "cdwce":
         dist = np.abs(np.arange(targets.shape[1])[None, :] - labels[:, None])
-        return dist != 0, dist.astype(np.float64) ** loss_alpha
+        return dist == 0, dist.astype(np.float64) ** loss_alpha
     tc = np.add.accumulate(targets[:, :-1], axis=1)
     return tc, 1.0 - tc
 
@@ -179,26 +243,58 @@ def loss_batch(probs, rows, loss):
     the gradient. Entries a loss skips (t_j == 0, j == y) contribute exactly
     zero to both, whatever the probability there.
     """
+    if loss == "slace":
+        tc, one_tc = rows
+        q = np.add.accumulate(probs[:, :-1], axis=1)
+        np.maximum(q, P_CLAMP, out=q)
+        np.minimum(q, 1.0 - P_CLAMP, out=q)
+        one_q = np.subtract(1.0, q)
+        terms = np.log(q)
+        np.multiply(tc, terms, out=terms)
+        terms_1 = np.log(one_q)
+        np.multiply(one_tc, terms_1, out=terms_1)
+        np.add(terms, terms_1, out=terms)
+        g = np.divide(tc, q, out=q)
+        np.subtract(g, np.divide(one_tc, one_q, out=one_q), out=g)
+        np.negative(g, out=g)
+        # dL/dp_m collects the prefix terms j >= m
+        grad = np.zeros(probs.shape)
+        np.add.accumulate(g[:, ::-1], axis=1, out=grad[:, -2::-1])
+        return -np.add.reduce(terms, axis=None), grad
+    skip, w = rows
     if loss == "cce":
-        used, neg_t = rows
-        p = np.minimum(np.maximum(probs, P_CLAMP), 1.0 - P_CLAMP)
-        total = np.add.reduce(np.where(used, neg_t * np.log(p), 0.0), axis=None)
-        return total, np.where(used, neg_t / p, 0.0)
-    if loss == "cdwce":
-        used, w = rows
-        q = np.minimum(np.maximum(1.0 - probs, P_CLAMP), 1.0 - P_CLAMP)
-        total = -np.add.reduce(np.where(used, w * np.log(q), 0.0), axis=None)
-        return total, np.where(used, w / q, 0.0)
-    tc, one_tc = rows
-    q = np.add.accumulate(probs[:, :-1], axis=1)
-    q = np.minimum(np.maximum(q, P_CLAMP), 1.0 - P_CLAMP)
-    one_q = 1.0 - q
-    total = -np.add.reduce(tc * np.log(q) + one_tc * np.log(one_q), axis=None)
-    g = -(tc / q - one_tc / one_q)
-    # dL/dp_m collects the prefix terms j >= m
-    grad = np.zeros(probs.shape)
-    np.add.accumulate(g[:, ::-1], axis=1, out=grad[:, -2::-1])
-    return total, grad
+        # w = -t
+        p = np.maximum(probs, P_CLAMP)
+    else:
+        p = np.subtract(1.0, probs)
+        np.maximum(p, P_CLAMP, out=p)
+    np.minimum(p, 1.0 - P_CLAMP, out=p)
+    terms = np.log(p)
+    np.multiply(w, terms, out=terms)
+    grad = np.divide(w, p, out=p)
+    if skip is not None:
+        np.copyto(terms, 0.0, where=skip)
+        np.copyto(grad, 0.0, where=skip)
+    total = np.add.reduce(terms, axis=None)
+    return (total if loss == "cce" else -total), grad
+
+
+def _aligned_zeros(size):
+    """``size`` float64 zeros starting on a 64-byte boundary."""
+    raw = np.zeros(size + 7)
+    first = -raw.ctypes.data % 64 // 8
+    return raw[first:first + size]
+
+
+def _pack(arrays):
+    """One zeroed buffer and a view of it shaped like each of ``arrays``,
+    every view starting on a 64-byte boundary."""
+    starts, size = [], 0
+    for a in arrays:
+        starts.append(size)
+        size += -(-a.size // 8) * 8
+    buf = _aligned_zeros(size)
+    return buf, [buf[i:i + a.size].reshape(a.shape) for i, a in zip(starts, arrays)]
 
 
 def _scores(x, backbone, w1, c1, w2, c2):
@@ -229,8 +325,8 @@ def forward_batch(
     s, _, _ = _scores(x, backbone, w1, c1, w2, c2)
     if head == "softmax":
         return softmax_batch(s)
-    b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-    return clm_forward_batch(s[:, 0], b, link)[1]
+    b = materialize_thresholds_raw(float(clm_b1[0]), clm_deltas.tolist(), d_min)
+    return np.ascontiguousarray(clm_forward_batch(s[:, 0], b, link)[1])
 
 
 def run_sgd(
@@ -253,7 +349,8 @@ def run_sgd(
     lr,
     batch_size,
 ):
-    """Plain minibatch SGD, mutating the parameter arrays in place.
+    """Plain minibatch SGD; the parameter arrays hold the trained values on
+    return.
 
     shuffles is an (epochs, n) int64 matrix of precomputed epoch orderings,
     so the exact visit sequence is fixed by the caller. Gradients use the
@@ -263,44 +360,60 @@ def run_sgd(
     n = x.shape[0]
     losses = np.empty(shuffles.shape[0])
     rows = loss_rows(targets, labels, loss, loss_alpha)
+    # theta packs the parameters and grad their gradients in one layout, so
+    # that one fused update steps them all; the thresholds are one block
+    blocks = [w1, c1, w2, c2, np.concatenate((clm_b1, clm_deltas))]
+    theta, (t_w1, t_c1, t_w2, t_c2, t_thr) = _pack(blocks)
+    for view, a in zip((t_w1, t_c1, t_w2, t_c2, t_thr), blocks):
+        view[...] = a
+    grad, (g_w1, g_c1, g_w2, g_c2, g_thr) = _pack(blocks)
+    hidden = backbone == "one_hidden"
+    if head == "clm":
+        sizes = {min(n, batch_size), n % batch_size} - {0}
+        pads = {nb: ClmPad(nb, t_thr.size + 1) for nb in sizes}
     with np.errstate(over="ignore", invalid="ignore"):
         for e, order in enumerate(shuffles):
             xe = x[order]
-            rows_e = [r[order] for r in rows]
+            rows_e = [None if r is None else r[order] for r in rows]
             running = 0.0
             for start in range(0, n, batch_size):
                 stop = start + batch_size
                 xb = xe[start:stop]
                 nb = xb.shape[0]
-                s, z, pre = _scores(xb, backbone, w1, c1, w2, c2)
-                rows_b = [r[start:stop] for r in rows_e]
+                rows_b = [None if r is None else r[start:stop] for r in rows_e]
+                s, z, pre = _scores(xb, backbone, t_w1, t_c1, t_w2, t_c2)
 
                 if head == "softmax":
                     probs = softmax_batch(s)
                     batch_loss, grad_p = loss_batch(probs, rows_b, loss)
                     grad_s = softmax_backward_batch(probs, grad_p)
                 else:
-                    b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-                    gap = b - s
+                    thr = t_thr.tolist()
+                    gap = materialize_thresholds_raw(thr[0], thr[1:], d_min) - s
                     c = link_inverse(gap, link)
-                    _, probs = clm_probs(c)
+                    _, probs = clm_probs(c, pads[nb])
                     batch_loss, grad_p = loss_batch(probs, rows_b, loss)
                     grad_f, grad_b = clm_backward_batch(gap, c, link, grad_p)
-                    gb1, gd = threshold_param_grads(clm_deltas, grad_b)
+                    gb1, gd = threshold_param_grads(thr[1:], grad_b)
+                    g_thr[:] = [gb1, *gd]
                     grad_s = grad_f[:, None]
                 running += batch_loss
 
-                # All gradients are taken at the current parameters; updates
-                # are applied only after every gradient below is materialized.
-                grad_w2 = z.T @ grad_s
-                if backbone == "one_hidden":
-                    grad_act = np.where(pre <= 0.0, 0.0, grad_s @ w2.T)
-                    w1 -= lr * (xb.T @ grad_act) / nb
-                    c1 -= lr * np.add.reduce(grad_act, axis=0) / nb
-                w2 -= lr * grad_w2 / nb
-                c2 -= lr * np.add.reduce(grad_s, axis=0) / nb
-                if head == "clm":
-                    clm_b1[0] -= lr * gb1 / nb
-                    clm_deltas -= lr * gd / nb
+                # All gradients are taken at the current parameters; the
+                # update is applied only after every gradient is written.
+                np.matmul(z.T, grad_s, out=g_w2)
+                np.add.reduce(grad_s, axis=0, out=g_c2)
+                if hidden:
+                    grad_act = grad_s @ t_w2.T
+                    np.copyto(grad_act, 0.0, where=pre <= 0.0)
+                    np.matmul(xb.T, grad_act, out=g_w1)
+                    np.add.reduce(grad_act, axis=0, out=g_c1)
+                np.multiply(lr, grad, out=grad)
+                np.divide(grad, nb, out=grad)
+                np.subtract(theta, grad, out=theta)
             losses[e] = running / n
+    for a, view in zip((w1, c1, w2, c2), (t_w1, t_c1, t_w2, t_c2)):
+        a[...] = view
+    clm_b1[...] = t_thr[:1]
+    clm_deltas[...] = t_thr[1:]
     return losses

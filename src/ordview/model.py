@@ -80,13 +80,26 @@ MAX_TUNE_EVALS = 15
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss or a parameter becomes non-finite;
     carries the epoch index (the last one when only its final update
-    overflowed)."""
+    overflowed).
 
-    def __init__(self, epoch: int):
-        super().__init__(
-            f"training diverged: a loss or parameter became NaN or infinite "
-            f"at epoch {epoch}"
-        )
+    ``predict_proba_batch`` raises it with epoch None when the trained
+    parameters overflow the forward pass into NaN probabilities: a softmax
+    fit can saturate to exact one-hot rows, whose clamped gradient is
+    exactly zero, and stop with finite weights near the float limit.
+    """
+
+    def __init__(self, epoch: int | None, nan_rows: int = 0, rows: int = 0):
+        if epoch is None:
+            message = (
+                f"training diverged: the trained parameters overflow the "
+                f"forward pass, NaN probabilities in {nan_rows} of {rows} rows"
+            )
+        else:
+            message = (
+                f"training diverged: a loss or parameter became NaN or "
+                f"infinite at epoch {epoch}"
+            )
+        super().__init__(message)
         self.epoch = epoch
 
 
@@ -273,7 +286,10 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
 
 
 def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
-    """(n, d) features -> (n, J) class probabilities."""
+    """(n, d) features -> (n, J) class probabilities.
+
+    Raises ``TrainingDiverged`` when a row's probabilities are not finite.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be 2-D")
@@ -283,19 +299,26 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
         )
     _check_finite(x)
     cfg = model.config
-    return _k.forward_batch(
-        x,
-        cfg.backbone,
-        cfg.head,
-        cfg.link,
-        cfg.d_min,
-        model.w1,
-        model.c1,
-        model.w2,
-        model.c2,
-        model.clm_b1,
-        model.clm_deltas,
-    )
+    # a saturated fit overflows here instead of in training; the NaN rows
+    # it makes are its one signal, not the RuntimeWarnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _k.forward_batch(
+            x,
+            cfg.backbone,
+            cfg.head,
+            cfg.link,
+            cfg.d_min,
+            model.w1,
+            model.c1,
+            model.w2,
+            model.c2,
+            model.clm_b1,
+            model.clm_deltas,
+        )
+    if not np.isfinite(probs).all():
+        nan_rows = int(np.count_nonzero(~np.isfinite(probs).all(axis=1)))
+        raise TrainingDiverged(None, nan_rows, probs.shape[0])
+    return probs
 
 
 # ------------------------------------------------------------ method registry
@@ -418,7 +441,8 @@ def tune(
 
     Exhaustive when the grid fits within 15 evaluations, otherwise 15
     distinct configurations sampled uniformly without replacement. A fold
-    whose training diverges scores the worst possible AMAE (J - 1). Ties go
+    whose training diverges, or whose model overflows on the held-out rows,
+    scores the worst possible AMAE (J - 1). Ties go
     to the earlier candidate in sampling order. ``base`` fixes the
     non-searched ModelConfig fields (backbone, epochs, batch size, ...) of
     the fold fits; pass the returned params on to ``method_config``.

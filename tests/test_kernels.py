@@ -325,6 +325,30 @@ def test_train_matches_oracle_sgd(method, backbone, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("head", ("softmax", "clm"))
+def test_run_sgd_leaves_trained_values_in_callers_arrays(head):
+    """run_sgd steps a packed copy of the parameters; on return the arrays
+    the caller passed hold the trained values, as the oracle's in-place SGD
+    leaves them."""
+    x, y = _ordinal_data()
+    rng = np.random.default_rng(3)
+    k_out = 1 if head == "clm" else 4
+    params = [rng.normal(size=(5, 6)), rng.normal(size=6),
+              rng.normal(size=(6, k_out)), rng.normal(size=k_out),
+              np.array([-1.0]), np.array([0.9, 1.1])]
+    before = [p.copy() for p in params]
+    ref = [p.copy() for p in params]
+    shuffles = np.stack([rng.permutation(60) for _ in range(5)])
+    head_args = ("slace", 1.0, "one_hidden", head, "probit", 0.5)
+    targets = np.eye(4)[y]
+    _k.run_sgd(x, y, targets, shuffles, *head_args, *params, 0.05, 16)
+    oracles.run_sgd(x, y, targets, shuffles, *head_args, *ref, 0.05, 16)
+    trained = params if head == "clm" else params[:4]
+    for got, want, old in zip(trained, ref, before):
+        assert_close(got, want, TRAIN_TOL)
+        assert not np.array_equal(got, old)
+
+
 def test_run_sgd_signature_keeps_step_count_readable():
     """perfbench/tracing.py::_run_sgd_counts reads the step count of a
     traced call from args[3] (shuffles) and args[-1] (batch_size); a

@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
+from ordview import _kernels as _k
 from ordview.model import (
     METHODS,
     MAX_TUNE_EVALS,
     ModelConfig,
+    SearchSpace,
     TrainingDiverged,
     method_config,
     predict_proba_batch,
@@ -370,6 +373,68 @@ def test_divergence_has_one_signal(loss, head, link):
         with pytest.raises(TrainingDiverged):
             train(cfg, x, np.arange(40) % 3)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def saturated_fit():
+    """A softmax fit that saturates to exact one-hot rows: the clamped
+    gradient is exactly zero, so its epoch losses stay finite while its
+    weights stop near the float limit."""
+    x, y = blob_dataset(12, 3, scale=2.0)
+    cfg = ModelConfig(n_classes=3, loss="slace", slace_beta=2.0,
+                      learning_rate=1e308, epochs=3, batch_size=8)
+    return train(cfg, x, y), x, y
+
+
+def test_saturated_fit_fails_prediction_loudly():
+    model, x, _ = saturated_fit()
+    assert np.abs(model.w2).max() > 1e307
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.isfinite(predict_proba_batch(model, x)).all()
+        with pytest.raises(TrainingDiverged, match="NaN probabilities in 33 of 36 rows"):
+            predict_proba_batch(model, 100 * x)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tune_scores_an_overflowing_fold_as_diverged():
+    """Fold 1 holds rows 100x wider. The fit on fold 0 saturates with finite
+    weights and overflows on fold 1, the fit on fold 1 diverges in training:
+    both folds score J - 1. (Scored from the NaN rows instead, the candidate
+    read 1.56.)"""
+    x, y = blob_dataset(12, 3, scale=2.0)
+    x[stratified_folds(y, 2, seed=6) == 1] *= 100
+    space = SearchSpace(method="slace", grid={"learning_rate": (1e308,), "beta": (2.0,)})
+    trace = []
+    tune(space, x, y, n_classes=3, seed=6, folds=2, trace=trace, epochs=3,
+         batch_size=8)
+    assert trace[0]["amae"] == 2.0
+
+
+@pytest.mark.parametrize("head", ("softmax", "clm"))
+def test_trained_arrays_are_read_only_and_own_their_memory(head, monkeypatch):
+    """run_sgd steps views of one packed buffer (and writes gradients into
+    views of another); a TrainedModel must keep none of them."""
+    workspaces = []
+    pack = _k._pack
+
+    def recording_pack(arrays):
+        buf, views = pack(arrays)
+        workspaces.append(buf)
+        return buf, views
+
+    monkeypatch.setattr(_k, "_pack", recording_pack)
+    x, y = blob_dataset(10, 4)
+    cfg = ModelConfig(n_classes=4, head=head, backbone="one_hidden",
+                      hidden_width=5, epochs=3, batch_size=8)
+    model = train(cfg, x, y)
+    assert len(workspaces) == 2
+    params = [model.w1, model.c1, model.w2, model.c2, model.clm_b1,
+              model.clm_deltas]
+    for p in params:
+        assert not p.flags.writeable
+        assert not any(np.shares_memory(p, w) for w in workspaces)
+    for a, b in itertools.combinations(params, 2):
+        assert not np.shares_memory(a, b)
 
 
 class TestPredict:
