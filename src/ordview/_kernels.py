@@ -105,11 +105,9 @@ def materialize_thresholds_raw(b1, deltas, d_min):
     The J - 1 floats are summed in Python, one step after the other.
     """
     floor = d_min if d_min != 0.0 else 1e-6
-    b = [b1]
-    acc = None
+    b, acc = [b1], 0.0
     for d in deltas:
-        step = floor + d * d
-        acc = step if acc is None else acc + step
+        acc += floor + d * d
         b.append(b1 + acc)
     return np.array(b)
 
@@ -124,10 +122,8 @@ def softmax_batch(scores):
 
 def softmax_backward_batch(probs, grad_probs):
     """Chain dL/dp through the softmax: dL/ds_j = p_j (g_j - sum_m p_m g_m)."""
-    t = np.multiply(probs, grad_probs)
-    dot = np.add.reduce(t, axis=1, keepdims=True)
-    np.subtract(grad_probs, dot, out=t)
-    return np.multiply(probs, t, out=t)
+    dot = np.add.reduce(probs * grad_probs, axis=1, keepdims=True)
+    return probs * (grad_probs - dot)
 
 
 class ClmPad:
@@ -263,7 +259,6 @@ def loss_batch(probs, rows, loss):
         return -np.add.reduce(terms, axis=None), grad
     skip, w = rows
     if loss == "cce":
-        # w = -t
         p = np.maximum(probs, P_CLAMP)
     else:
         p = np.subtract(1.0, probs)
@@ -276,6 +271,7 @@ def loss_batch(probs, rows, loss):
         np.copyto(terms, 0.0, where=skip)
         np.copyto(grad, 0.0, where=skip)
     total = np.add.reduce(terms, axis=None)
+    # cce sums -t log p (w = -t), cdwce negates its sum of w log(1 - p)
     return (total if loss == "cce" else -total), grad
 
 

@@ -88,18 +88,10 @@ class TrainingDiverged(RuntimeError):
     exactly zero, and stop with finite weights near the float limit.
     """
 
-    def __init__(self, epoch: int | None, nan_rows: int = 0, rows: int = 0):
-        if epoch is None:
-            message = (
-                f"training diverged: the trained parameters overflow the "
-                f"forward pass, NaN probabilities in {nan_rows} of {rows} rows"
-            )
-        else:
-            message = (
-                f"training diverged: a loss or parameter became NaN or "
-                f"infinite at epoch {epoch}"
-            )
-        super().__init__(message)
+    def __init__(self, epoch: int | None, detail: str | None = None):
+        if detail is None:
+            detail = f"a loss or parameter became NaN or infinite at epoch {epoch}"
+        super().__init__(f"training diverged: {detail}")
         self.epoch = epoch
 
 
@@ -316,8 +308,12 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
             model.clm_deltas,
         )
     if not np.isfinite(probs).all():
-        nan_rows = int(np.count_nonzero(~np.isfinite(probs).all(axis=1)))
-        raise TrainingDiverged(None, nan_rows, probs.shape[0])
+        bad = int(np.count_nonzero(~np.isfinite(probs).all(axis=1)))
+        raise TrainingDiverged(
+            None,
+            f"the trained parameters overflow the forward pass: NaN "
+            f"probabilities in {bad} of {probs.shape[0]} rows",
+        )
     return probs
 
 
