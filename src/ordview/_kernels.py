@@ -71,13 +71,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def link_inverse(x, link):
     """Inverse link g^{-1}(x), the cumulative-probability response."""
     if link == "logit":
-        e = np.abs(x)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        one_e = np.add(1.0, e)
-        c = np.divide(e, one_e, out=e)
-        np.divide(1.0, one_e, out=c, where=x >= 0.0)
-        return c
+        e = np.exp(-np.abs(x))
+        one_e = 1.0 + e
+        return np.where(x >= 0.0, 1.0 / one_e, e / one_e)
     if link == "probit":
         return 0.5 * (1.0 + erf(x / _SQRT2))
     inner = np.minimum(np.maximum(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
@@ -242,36 +238,24 @@ def loss_batch(probs, rows, loss):
     if loss == "slace":
         tc, one_tc = rows
         q = np.add.accumulate(probs[:, :-1], axis=1)
-        np.maximum(q, P_CLAMP, out=q)
-        np.minimum(q, 1.0 - P_CLAMP, out=q)
-        one_q = np.subtract(1.0, q)
-        terms = np.log(q)
-        np.multiply(tc, terms, out=terms)
-        terms_1 = np.log(one_q)
-        np.multiply(one_tc, terms_1, out=terms_1)
-        np.add(terms, terms_1, out=terms)
-        g = np.divide(tc, q, out=q)
-        np.subtract(g, np.divide(one_tc, one_q, out=one_q), out=g)
-        np.negative(g, out=g)
+        q = np.minimum(np.maximum(q, P_CLAMP), 1.0 - P_CLAMP)
+        one_q = 1.0 - q
+        total = -np.add.reduce(tc * np.log(q) + one_tc * np.log(one_q), axis=None)
+        g = -(tc / q - one_tc / one_q)
         # dL/dp_m collects the prefix terms j >= m
         grad = np.zeros(probs.shape)
         np.add.accumulate(g[:, ::-1], axis=1, out=grad[:, -2::-1])
-        return -np.add.reduce(terms, axis=None), grad
+        return total, grad
     skip, w = rows
-    if loss == "cce":
-        p = np.maximum(probs, P_CLAMP)
-    else:
-        p = np.subtract(1.0, probs)
-        np.maximum(p, P_CLAMP, out=p)
-    np.minimum(p, 1.0 - P_CLAMP, out=p)
-    terms = np.log(p)
-    np.multiply(w, terms, out=terms)
-    grad = np.divide(w, p, out=p)
+    # cce: -sum t log p with w = -t; cdwce: -sum w log(1 - p)
+    p = probs if loss == "cce" else 1.0 - probs
+    p = np.minimum(np.maximum(p, P_CLAMP), 1.0 - P_CLAMP)
+    terms = w * np.log(p)
+    grad = w / p
     if skip is not None:
         np.copyto(terms, 0.0, where=skip)
         np.copyto(grad, 0.0, where=skip)
     total = np.add.reduce(terms, axis=None)
-    # cce sums -t log p (w = -t), cdwce negates its sum of w log(1 - p)
     return (total if loss == "cce" else -total), grad
 
 
@@ -364,8 +348,11 @@ def run_sgd(
         view[...] = a
     grad, (g_w1, g_c1, g_w2, g_c2, g_thr) = _pack(blocks)
     hidden = backbone == "one_hidden"
+    sizes = {min(n, batch_size), n % batch_size} - {0}
+    # 0-d operands: a ufunc converts a Python number on every call
+    lr = np.array(lr, dtype=np.float64)
+    divisors = {nb: np.array(float(nb)) for nb in sizes}
     if head == "clm":
-        sizes = {min(n, batch_size), n % batch_size} - {0}
         pads = {nb: ClmPad(nb, t_thr.size + 1) for nb in sizes}
     with np.errstate(over="ignore", invalid="ignore"):
         for e, order in enumerate(shuffles):
@@ -404,9 +391,9 @@ def run_sgd(
                     np.copyto(grad_act, 0.0, where=pre <= 0.0)
                     np.matmul(xb.T, grad_act, out=g_w1)
                     np.add.reduce(grad_act, axis=0, out=g_c1)
-                np.multiply(lr, grad, out=grad)
-                np.divide(grad, nb, out=grad)
-                np.subtract(theta, grad, out=theta)
+                grad *= lr
+                grad /= divisors[nb]
+                theta -= grad
             losses[e] = running / n
     for a, view in zip((w1, c1, w2, c2), (t_w1, t_c1, t_w2, t_c2)):
         a[...] = view
