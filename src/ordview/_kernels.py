@@ -64,20 +64,38 @@ LINKS = ("logit", "probit", "cloglog")
 P_CLAMP = 1e-12
 CLOGLOG_CLAMP = 30.0
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+def _operand(value):
+    """A read-only 0-d float64 array. A ufunc converts a Python float operand
+    anew on every call, which at minibatch size costs about a third of a
+    small op, so the per-step kernels take their constants in this form."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO = _operand(0.0)
+_HALF = _operand(0.5)
+_NEG_HALF = _operand(-0.5)
+_ONE = _operand(1.0)
+_P_LO = _operand(P_CLAMP)
+_P_HI = _operand(1.0 - P_CLAMP)
+_CLOGLOG_LO = _operand(-CLOGLOG_CLAMP)
+_CLOGLOG_HI = _operand(CLOGLOG_CLAMP)
+_SQRT2 = _operand(math.sqrt(2.0))
+_INV_SQRT_2PI = _operand(1.0 / math.sqrt(2.0 * math.pi))
 
 
 def link_inverse(x, link):
     """Inverse link g^{-1}(x), the cumulative-probability response."""
     if link == "logit":
         e = np.exp(-np.abs(x))
-        one_e = 1.0 + e
-        return np.where(x >= 0.0, 1.0 / one_e, e / one_e)
+        one_e = _ONE + e
+        return np.where(x >= _ZERO, _ONE / one_e, e / one_e)
     if link == "probit":
-        return 0.5 * (1.0 + erf(x / _SQRT2))
-    inner = np.minimum(np.maximum(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
-    return 1.0 - np.exp(-np.exp(inner))
+        return _HALF * (_ONE + erf(x / _SQRT2))
+    inner = np.minimum(np.maximum(x, _CLOGLOG_LO), _CLOGLOG_HI)
+    return _ONE - np.exp(-np.exp(inner))
 
 
 def link_inverse_deriv(x, c, link):
@@ -85,12 +103,12 @@ def link_inverse_deriv(x, c, link):
     derivative is c (1 - c). Zero in the cloglog clamp region, where the
     forward value is constant."""
     if link == "logit":
-        return c * (1.0 - c)
+        return c * (_ONE - c)
     if link == "probit":
-        return np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    inner = np.minimum(np.maximum(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
-    clamped = np.abs(x) > CLOGLOG_CLAMP
-    return np.where(clamped, 0.0, np.exp(inner - np.exp(inner)))
+        return np.exp(_NEG_HALF * x * x) * _INV_SQRT_2PI
+    inner = np.minimum(np.maximum(x, _CLOGLOG_LO), _CLOGLOG_HI)
+    clamped = np.abs(x) > _CLOGLOG_HI
+    return np.where(clamped, _ZERO, np.exp(inner - np.exp(inner)))
 
 
 def materialize_thresholds_raw(b1, deltas, d_min):
@@ -158,9 +176,9 @@ def clm_probs(c, pad=None):
         pad = ClmPad(c.shape[0], c.shape[1] + 1)
     cum = np.maximum.accumulate(c, axis=1, out=pad.cum)
     np.subtract(pad.hi, pad.lo, out=pad.diff)
-    np.maximum(pad.diff, 0.0, out=pad.diff)
+    np.maximum(pad.diff, _ZERO, out=pad.diff)
     tot = np.add.reduce(pad.probs, axis=1, keepdims=True)
-    np.divide(pad.rows, tot, out=pad.rows, where=tot > 0.0)
+    np.divide(pad.rows, tot, out=pad.rows, where=tot > _ZERO)
     return cum, pad.probs
 
 
@@ -238,8 +256,8 @@ def loss_batch(probs, rows, loss):
     if loss == "slace":
         tc, one_tc = rows
         q = np.add.accumulate(probs[:, :-1], axis=1)
-        q = np.minimum(np.maximum(q, P_CLAMP), 1.0 - P_CLAMP)
-        one_q = 1.0 - q
+        q = np.minimum(np.maximum(q, _P_LO), _P_HI)
+        one_q = _ONE - q
         total = -np.add.reduce(tc * np.log(q) + one_tc * np.log(one_q), axis=None)
         g = -(tc / q - one_tc / one_q)
         # dL/dp_m collects the prefix terms j >= m
@@ -248,13 +266,13 @@ def loss_batch(probs, rows, loss):
         return total, grad
     skip, w = rows
     # cce: -sum t log p with w = -t; cdwce: -sum w log(1 - p)
-    p = probs if loss == "cce" else 1.0 - probs
-    p = np.minimum(np.maximum(p, P_CLAMP), 1.0 - P_CLAMP)
+    p = probs if loss == "cce" else _ONE - probs
+    p = np.minimum(np.maximum(p, _P_LO), _P_HI)
     terms = w * np.log(p)
     grad = w / p
     if skip is not None:
-        np.copyto(terms, 0.0, where=skip)
-        np.copyto(grad, 0.0, where=skip)
+        np.copyto(terms, _ZERO, where=skip)
+        np.copyto(grad, _ZERO, where=skip)
     total = np.add.reduce(terms, axis=None)
     return (total if loss == "cce" else -total), grad
 
@@ -281,7 +299,7 @@ def _scores(x, backbone, w1, c1, w2, c2):
     """Output-layer scores plus the hidden pre-activation (None if linear)."""
     if backbone == "one_hidden":
         pre = x @ w1 + c1
-        z = np.maximum(pre, 0.0)
+        z = np.maximum(pre, _ZERO)
     else:
         pre = None
         z = x
@@ -356,8 +374,8 @@ def run_sgd(
         pads = {nb: ClmPad(nb, t_thr.size + 1) for nb in sizes}
     with np.errstate(over="ignore", invalid="ignore"):
         for e, order in enumerate(shuffles):
-            xe = x[order]
-            rows_e = [None if r is None else r[order] for r in rows]
+            xe = np.take(x, order, axis=0)
+            rows_e = [None if r is None else np.take(r, order, axis=0) for r in rows]
             running = 0.0
             for start in range(0, n, batch_size):
                 stop = start + batch_size
@@ -388,7 +406,7 @@ def run_sgd(
                 np.add.reduce(grad_s, axis=0, out=g_c2)
                 if hidden:
                     grad_act = grad_s @ t_w2.T
-                    np.copyto(grad_act, 0.0, where=pre <= 0.0)
+                    np.copyto(grad_act, _ZERO, where=pre <= _ZERO)
                     np.matmul(xb.T, grad_act, out=g_w1)
                     np.add.reduce(grad_act, axis=0, out=g_c1)
                 grad *= lr
