@@ -17,8 +17,9 @@ every step reuses one per-fit workspace:
   packed float64 buffer, and their gradients views into a second buffer of
   the same layout; a ``ClmPad`` per batch size holds the CLM class math.
   The caller's arrays get the trained values back at the end;
-* per epoch: the shuffled copies of ``x`` and of those constants, so that
-  a step takes basic slices (views) of them instead of gathering rows;
+* per epoch: the shuffled copies (``np.take``) of ``x`` and of those
+  constants, so that a step takes basic slices (views) of them instead of
+  gathering rows;
 * per step: the forward pass, the loss and the backward pass, each
   gradient written into its view, then one fused update of every
   parameter: ``grad *= lr; grad /= nb; theta -= grad``, the same
@@ -28,7 +29,8 @@ every step reuses one per-fit workspace:
   Python floats, with the same additions in the same order; the b1
   gradient stays one ``np.add.reduce``, since from 8 terms on its pairwise
   sum adds in another order than a Python loop. A mask that skips no entry
-  is not applied. Sums, prefix sums and clamps call the ufuncs
+  is not applied, and constants reach the ufuncs as 0-d arrays
+  (``_operand``). Sums, prefix sums and clamps call the ufuncs
   (``np.add.reduce``, ``np.add.accumulate``, ``np.minimum``/``np.maximum``)
   directly rather than through the slower ``np.sum``/``np.cumsum``/
   ``np.clip`` wrappers, with the same arithmetic in the same order.
@@ -323,7 +325,7 @@ def forward_batch(
     s, _, _ = _scores(x, backbone, w1, c1, w2, c2)
     if head == "softmax":
         return softmax_batch(s)
-    b = materialize_thresholds_raw(float(clm_b1[0]), clm_deltas.tolist(), d_min)
+    b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
     return np.ascontiguousarray(clm_forward_batch(s[:, 0], b, link)[1])
 
 

@@ -438,10 +438,10 @@ def tune(
     Exhaustive when the grid fits within 15 evaluations, otherwise 15
     distinct configurations sampled uniformly without replacement. A fold
     whose training diverges, or whose model overflows on the held-out rows,
-    scores the worst possible AMAE (J - 1). Ties go
-    to the earlier candidate in sampling order. ``base`` fixes the
-    non-searched ModelConfig fields (backbone, epochs, batch size, ...) of
-    the fold fits; pass the returned params on to ``method_config``.
+    scores the worst possible AMAE (J - 1). Ties go to the earlier
+    candidate in sampling order. ``base`` fixes the non-searched
+    ModelConfig fields (backbone, epochs, batch size, ...) of the fold
+    fits; pass the returned params on to ``method_config``.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
