@@ -275,8 +275,10 @@ def train_digest(loss, head, link, backbone, n_classes=4, batch_size=8):
 
 
 # Recorded from the kernels before they kept a per-fit workspace (the J = 4
-# and J = 2 cases before their per-fit/per-epoch hoisting, too): a kernel
-# rewrite must keep every float of every path bitwise.
+# and J = 2 cases before their per-fit/per-epoch hoisting, too; the logit
+# twins of the probit and cloglog J = 2, J = 10 and batch-of-11 shapes from
+# the per-fit workspace kernels): a kernel rewrite must keep every float of
+# every path bitwise.
 TRAIN_DIGESTS = {
     "cce-softmax-logit-linear-4":
         "c84304e1747f7d7374404b5ed93f687aa97d4edf72591ba551697e64bb52656c",
@@ -330,6 +332,8 @@ TRAIN_DIGESTS = {
         "b6c908fe4048d8e5a63a4695078e71129a55a7e4f7641216a5d620de015c8050",
     "cdwce-clm-cloglog-one_hidden-2":
         "873498e30f87e8b50208beeaffaf0bc38ad69eee562a0d1a3771fb3a5c8db021",
+    "cdwce-clm-logit-one_hidden-2":
+        "7a5c1aa5eb5dae13d18d8713c63fb949adfaa8dfd14c71876d98a536a8303df7",
     # J - 1 >= 8 classes: numpy's pairwise sum changes form at 8 terms
     "slace-clm-logit-linear-10":
         "0dd0933d751a4fbbcbf9ba93951de08fececc2a025368f2a207af878df0b28de",
@@ -339,13 +343,19 @@ TRAIN_DIGESTS = {
         "f192faa8a4504e9e2f82ef269862d6783f8baeaa40636d2350dc3208aa92a44e",
     "cdwce-clm-probit-one_hidden-10":
         "7dfae93f63f5bca13c162e5d78a38378adebfbcdd3f5ccd2c61fdd341c0dfe87",
+    "cdwce-clm-logit-one_hidden-10":
+        "379a31c0c23603238ac4fa80ed3730f9565560152a283c18a4f515aef4109f8e",
     # batches of 11: the final batch of each epoch is one row
     "cce-softmax-logit-one_hidden-4-b11":
         "4e576c95af829b007cd732d7900dd20b2e9e2d51f1b890e100ac77d3814adcac",
     "slace-clm-probit-linear-4-b11":
         "253bc2ab13247b1fbb6099ccec072a16783092c5b3d86ff7d1a51241e30af501",
+    "slace-clm-logit-linear-4-b11":
+        "2998dc7e45db89998b9224be28da15004202fe119e89fe3d0713f982299b565c",
     "cdwce-clm-cloglog-one_hidden-10-b11":
         "672e1772c312c48b0a347c0a369c025be1075dcde4f94f4267be1c8ccc81ff92",
+    "cdwce-clm-logit-one_hidden-10-b11":
+        "b9992291b3d6c00411f92534fdbb57ccb6932cb16e07fb7002f76f3a03f53505",
 }
 
 

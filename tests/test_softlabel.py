@@ -214,12 +214,22 @@ class TestConfigFields:
 class TestTargetBits:
     """sha256 of every (J, J) target table at J = 2..10, in a fixed order:
     the tables training reads for each family's tuning-grid configs (every
-    SORD transform x SMOOTHING_GRID among them), and soft-label tables at
-    off-grid lam, alpha_adjacent, concentration, tau and p_exponent."""
+    SORD transform x SMOOTHING_GRID among them), and per soft-label kind the
+    tables at off-grid lam, alpha_adjacent, concentration, tau and
+    p_exponent."""
 
     DIGESTS = {
         "grid": "2cc983e83b916cd1e2309a766d061e0bc5bbda4b8a3fb09481b13c474e152e04",
-        "off_grid": "a2a0f208fc05000e2983e65f221f05f9eae98072712ff53af773a611c2404bbc",
+        "uniform": "388cad2e1f4029ec8f31d4ab3057749e34373e67b23bbc58ecf2a49c7bb1f5e9",
+        "triangular": "02e628e9cecc03f010a04f09c7006d990cc345319b24fa8c01e245759b78075f",
+        "beta": "25dc922ec4a71e6da880b32c9d1cd10f9a7f91d4f028af78a2896b1997d1a9e7",
+        "exponential": "ef3f788d4ee448a344cfd8c5cc657b870dffecf89e7889a72538d5190088c258",
+    }
+    OFF_GRID = {
+        "uniform": {},
+        "triangular": {"alpha_adjacent": (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)},
+        "beta": {"concentration": (2.5, 10.0, 30.0)},
+        "exponential": {"tau": (0.5, 1.0, 3.0), "p_exponent": (1.0, 1.5, 2.0)},
     }
 
     @staticmethod
@@ -229,29 +239,23 @@ class TestTargetBits:
                 config = method_config(family, j, dict(zip(grid, values)))
                 yield _target_rows(config)
 
-    @staticmethod
-    def off_grid_tables(j):
+    @classmethod
+    def off_grid_tables(cls, j, kind):
+        fields = cls.OFF_GRID[kind]
         for lam in (0.0, 0.3, 0.8, 1.0):
-            yield target_matrix(j, SoftLabelConfig(kind="uniform", lam=lam))
-            for alpha in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45):
-                cfg = SoftLabelConfig(kind="triangular", lam=lam, alpha_adjacent=alpha)
+            for values in itertools.product(*fields.values()):
+                cfg = SoftLabelConfig(kind=kind, lam=lam, **dict(zip(fields, values)))
                 yield target_matrix(j, cfg)
-            for c in (2.5, 10.0, 30.0):
-                cfg = SoftLabelConfig(kind="beta", lam=lam, concentration=c)
-                yield target_matrix(j, cfg)
-            for tau in (0.5, 1.0, 3.0):
-                for p in (1.0, 1.5, 2.0):
-                    cfg = SoftLabelConfig(
-                        kind="exponential", lam=lam, tau=tau, p_exponent=p
-                    )
-                    yield target_matrix(j, cfg)
 
-    @pytest.mark.parametrize("which", ["grid", "off_grid"])
+    @pytest.mark.parametrize("which", sorted(DIGESTS))
     def test_tables_pinned(self, which):
-        tables = getattr(self, f"{which}_tables")
         h = hashlib.sha256()
         for j in range(2, 11):
-            for table in tables(j):
+            if which == "grid":
+                tables = self.grid_tables(j)
+            else:
+                tables = self.off_grid_tables(j, which)
+            for table in tables:
                 assert table.shape == (j, j) and table.dtype == np.float64
                 h.update(np.ascontiguousarray(table).tobytes())
         assert h.hexdigest() == self.DIGESTS[which]
