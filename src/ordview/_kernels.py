@@ -2,11 +2,11 @@
 
 Every kernel works on a whole batch with numpy array operations. The string
 options of the public API (backbone ``"linear"``/``"one_hidden"``, head
-``"softmax"``/``"clm"``, link one of ``LINKS``, loss family
-``"cce"``/``"cdwce"``/``"slace"``) are dispatched in Python. Python loops run
-only over epochs and minibatches. These kernels are the only implementation
-of the link, threshold and loss math; there is no per-sample API, so a single
-sample is a one-row batch.
+``"softmax"``/``"clm"``, loss family ``"cce"``/``"cdwce"``/``"slace"``) are
+dispatched in Python; the cumulative-link head uses the logit link. Python
+loops run only over epochs and minibatches. These kernels are the only
+implementation of the link, threshold and loss math; there is no per-sample
+API, so a single sample is a one-row batch.
 
 At minibatch size (32 x 10) a step costs numpy call overhead, not
 arithmetic, so ``run_sgd`` does each piece of work as rarely as it can, and
@@ -24,7 +24,8 @@ every step reuses one per-fit workspace:
   gradient written into its view, then one fused update of every
   parameter: ``grad *= lr; grad /= nb; theta -= grad``, the same
   (lr * g) / nb per element as one update per array. The CLM head computes
-  b - f and the link response once and reuses both in its backward pass.
+  the link response once and reuses it in its backward pass, whose
+  derivative c (1 - c) needs nothing else.
   It works out the J - 1 thresholds and the deltas' gradient chain in
   Python floats, with the same additions in the same order; the b1
   gradient stays one ``np.add.reduce``, since from 8 terms on its pairwise
@@ -45,7 +46,6 @@ they were.
 Numerical conventions shared with the public modules:
 
 * probabilities are clamped to [1e-12, 1 - 1e-12] inside log terms;
-* the complementary log-log inner exponent is clamped to [-30, 30];
 * exponentials only ever see non-positive (or NaN) arguments, so a fit that
   diverges surfaces as NaN epoch losses or non-finite parameters; ``run_sgd``
   silences the overflow and invalid-value warnings on the way there, and
@@ -56,15 +56,9 @@ Numerical conventions shared with the public modules:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.special import erf
-
-LINKS = ("logit", "probit", "cloglog")
 
 P_CLAMP = 1e-12
-CLOGLOG_CLAMP = 30.0
 
 
 def _operand(value):
@@ -77,40 +71,21 @@ def _operand(value):
 
 
 _ZERO = _operand(0.0)
-_HALF = _operand(0.5)
-_NEG_HALF = _operand(-0.5)
 _ONE = _operand(1.0)
 _P_LO = _operand(P_CLAMP)
 _P_HI = _operand(1.0 - P_CLAMP)
-_CLOGLOG_LO = _operand(-CLOGLOG_CLAMP)
-_CLOGLOG_HI = _operand(CLOGLOG_CLAMP)
-_SQRT2 = _operand(math.sqrt(2.0))
-_INV_SQRT_2PI = _operand(1.0 / math.sqrt(2.0 * math.pi))
 
 
-def link_inverse(x, link):
-    """Inverse link g^{-1}(x), the cumulative-probability response."""
-    if link == "logit":
-        e = np.exp(-np.abs(x))
-        one_e = _ONE + e
-        return np.where(x >= _ZERO, _ONE / one_e, e / one_e)
-    if link == "probit":
-        return _HALF * (_ONE + erf(x / _SQRT2))
-    inner = np.minimum(np.maximum(x, _CLOGLOG_LO), _CLOGLOG_HI)
-    return _ONE - np.exp(-np.exp(inner))
+def link_inverse(x):
+    """Inverse logit link g^{-1}(x), the cumulative-probability response."""
+    e = np.exp(-np.abs(x))
+    one_e = _ONE + e
+    return np.where(x >= _ZERO, _ONE / one_e, e / one_e)
 
 
-def link_inverse_deriv(x, c, link):
-    """d/dx of link_inverse, given c = link_inverse(x, link): the logit
-    derivative is c (1 - c). Zero in the cloglog clamp region, where the
-    forward value is constant."""
-    if link == "logit":
-        return c * (_ONE - c)
-    if link == "probit":
-        return np.exp(_NEG_HALF * x * x) * _INV_SQRT_2PI
-    inner = np.minimum(np.maximum(x, _CLOGLOG_LO), _CLOGLOG_HI)
-    clamped = np.abs(x) > _CLOGLOG_HI
-    return np.where(clamped, _ZERO, np.exp(inner - np.exp(inner)))
+def link_inverse_deriv(c):
+    """d/dx of link_inverse at x, given c = link_inverse(x): c (1 - c)."""
+    return c * (_ONE - c)
 
 
 def materialize_thresholds_raw(b1, deltas, d_min):
@@ -184,22 +159,21 @@ def clm_probs(c, pad=None):
     return cum, pad.probs
 
 
-def clm_forward_batch(latent, thresholds, link):
+def clm_forward_batch(latent, thresholds):
     """Cumulative-link head for a batch of latent scores: the (cum, probs)
     of ``clm_probs`` at c[i, j] = g^{-1}(b_j - f_i)."""
-    return clm_probs(link_inverse(thresholds - latent[:, None], link))
+    return clm_probs(link_inverse(thresholds - latent[:, None]))
 
 
-def clm_backward_batch(gap, c, link, grad_probs):
+def clm_backward_batch(c, grad_probs):
     """Backprop dL/dp through the cumulative-link head.
 
-    gap[i, j] = b_j - f_i and c = link_inverse(gap, link), as in the forward
-    pass. With dL/dcum_j = g_j - g_{j+1} (g = grad_probs row), returns
-    per-sample latent gradients and threshold gradients summed over the
-    batch.
+    c[i, j] = link_inverse(b_j - f_i), as in the forward pass. With
+    dL/dcum_j = g_j - g_{j+1} (g = grad_probs row), returns per-sample
+    latent gradients and threshold gradients summed over the batch.
     """
     dc = grad_probs[:, :-1] - grad_probs[:, 1:]
-    term = link_inverse_deriv(gap, c, link) * dc
+    term = link_inverse_deriv(c) * dc
     return -np.add.reduce(term, axis=1), np.add.reduce(term, axis=0)
 
 
@@ -312,7 +286,6 @@ def forward_batch(
     x,
     backbone,
     head,
-    link,
     d_min,
     w1,
     c1,
@@ -326,7 +299,7 @@ def forward_batch(
     if head == "softmax":
         return softmax_batch(s)
     b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-    return np.ascontiguousarray(clm_forward_batch(s[:, 0], b, link)[1])
+    return np.ascontiguousarray(clm_forward_batch(s[:, 0], b)[1])
 
 
 def run_sgd(
@@ -338,7 +311,6 @@ def run_sgd(
     loss_alpha,
     backbone,
     head,
-    link,
     d_min,
     w1,
     c1,
@@ -392,11 +364,11 @@ def run_sgd(
                     grad_s = softmax_backward_batch(probs, grad_p)
                 else:
                     thr = t_thr.tolist()
-                    gap = materialize_thresholds_raw(thr[0], thr[1:], d_min) - s
-                    c = link_inverse(gap, link)
+                    b = materialize_thresholds_raw(thr[0], thr[1:], d_min)
+                    c = link_inverse(b - s)
                     _, probs = clm_probs(c, pads[nb])
                     batch_loss, grad_p = loss_batch(probs, rows_b, loss)
-                    grad_f, grad_b = clm_backward_batch(gap, c, link, grad_p)
+                    grad_f, grad_b = clm_backward_batch(c, grad_p)
                     gb1, gd = threshold_param_grads(thr[1:], grad_b)
                     g_thr[:] = [gb1, *gd]
                     grad_s = grad_f[:, None]

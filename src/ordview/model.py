@@ -102,7 +102,6 @@ class ModelConfig:
     head: str = "softmax"
     backbone: str = "linear"
     hidden_width: int = 16
-    link: str = "logit"
     d_min: float = 0.0
     soft: SoftLabelConfig | None = None
     cdwce_alpha: float = 1.0
@@ -123,8 +122,6 @@ class ModelConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}")
-        if self.head == "clm" and self.link not in _k.LINKS:
-            raise ValueError(f"unknown link {self.link!r}")
         if self.loss == "cce_soft" and self.soft is None:
             raise ValueError("loss 'cce_soft' needs a SoftLabelConfig")
         if self.loss == "sord" and self.sord is None:
@@ -255,7 +252,6 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         loss_alpha,
         config.backbone,
         config.head,
-        config.link,
         config.d_min,
         w1,
         c1,
@@ -298,7 +294,6 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
             x,
             cfg.backbone,
             cfg.head,
-            cfg.link,
             cfg.d_min,
             model.w1,
             model.c1,

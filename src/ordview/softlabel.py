@@ -7,7 +7,6 @@ from the rank distances |j - k|.
 A ``SoftLabelConfig`` mixes the one-hot target with a base distribution,
 (1 - lam) * one-hot(k) + lam * base, whose base is one of:
 
-* ``uniform``: 1 / J for every class.
 * ``triangular`` / ``beta``: a continuous density on [0, 1] centred on the
   true class's interval; the mass of each of the J equal segments
   [j/J, (j+1)/J] is a difference of the closed-form CDF (elementary for the
@@ -40,7 +39,7 @@ __all__ = [
     "target_matrix",
 ]
 
-KINDS = ("uniform", "triangular", "beta", "exponential")
+KINDS = ("triangular", "beta", "exponential")
 SORD_TRANSFORMS = (
     "max",
     "norm_max",
@@ -170,9 +169,6 @@ def _beta(j: int, concentration: float) -> np.ndarray:
 
 def _soft_label(j: int, config: SoftLabelConfig) -> np.ndarray:
     lam = config.lam
-    if config.kind == "uniform":
-        # lam / j rounds once, where lam * (1 / j) would round twice
-        return np.full((j, j), lam / j) + (1.0 - lam) * np.eye(j)
     if config.kind == "triangular":
         base = _triangular(j, config.alpha_adjacent)
     elif config.kind == "beta":

@@ -121,7 +121,6 @@ def bisect_quantile_bracket(cdf, p, tol=1e-6):
 # from these only in the last bits.
 
 P_CLAMP = 1e-12
-CLOGLOG_CLAMP = 30.0
 
 
 def _clamp(p):
@@ -132,27 +131,16 @@ def _clamp(p):
     return p
 
 
-def link_inverse(x, link):
-    if link == "logit":
-        if x >= 0.0:
-            return 1.0 / (1.0 + math.exp(-x))
-        e = math.exp(x)
-        return e / (1.0 + e)
-    if link == "probit":
-        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    inner = min(max(x, -CLOGLOG_CLAMP), CLOGLOG_CLAMP)
-    return 1.0 - math.exp(-math.exp(inner))
+def link_inverse(x):
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
-def link_inverse_deriv(x, link):
-    if link == "logit":
-        s = link_inverse(x, "logit")
-        return s * (1.0 - s)
-    if link == "probit":
-        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if x > CLOGLOG_CLAMP or x < -CLOGLOG_CLAMP:
-        return 0.0
-    return math.exp(x - math.exp(x))
+def link_inverse_deriv(x):
+    s = link_inverse(x)
+    return s * (1.0 - s)
 
 
 def materialize_thresholds_raw(b1, deltas, d_min):
@@ -191,7 +179,7 @@ def softmax_backward_batch(probs, grad_probs):
     return out
 
 
-def clm_forward_batch(latent, thresholds, link):
+def clm_forward_batch(latent, thresholds):
     n = latent.shape[0]
     m = thresholds.shape[0]
     cum = np.empty((n, m))
@@ -199,7 +187,7 @@ def clm_forward_batch(latent, thresholds, link):
     for i in range(n):
         prev = 0.0
         for j in range(m):
-            c = max(link_inverse(thresholds[j] - latent[i], link), prev)
+            c = max(link_inverse(thresholds[j] - latent[i]), prev)
             cum[i, j] = c
             probs[i, j] = c - prev
             prev = c
@@ -213,7 +201,7 @@ def clm_forward_batch(latent, thresholds, link):
     return cum, probs
 
 
-def clm_backward_batch(latent, thresholds, link, grad_probs):
+def clm_backward_batch(latent, thresholds, grad_probs):
     n = latent.shape[0]
     m = thresholds.shape[0]
     grad_latent = np.zeros(n)
@@ -221,7 +209,7 @@ def clm_backward_batch(latent, thresholds, link, grad_probs):
     for i in range(n):
         for j in range(m):
             dc = grad_probs[i, j] - grad_probs[i, j + 1]
-            gp = link_inverse_deriv(thresholds[j] - latent[i], link)
+            gp = link_inverse_deriv(thresholds[j] - latent[i])
             grad_latent[i] -= gp * dc
             grad_thresholds[j] += gp * dc
     return grad_latent, grad_thresholds
@@ -285,18 +273,17 @@ def _affine(z, w, c, relu):
     return out
 
 
-def forward_batch(x, backbone, head, link, d_min, w1, c1, w2, c2, clm_b1,
-                  clm_deltas):
+def forward_batch(x, backbone, head, d_min, w1, c1, w2, c2, clm_b1, clm_deltas):
     z = _affine(x, w1, c1, True) if backbone == "one_hidden" else x
     s = _affine(z, w2, c2, False)
     if head == "softmax":
         return softmax_batch(s)
     b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-    return clm_forward_batch(s[:, 0].copy(), b, link)[1]
+    return clm_forward_batch(s[:, 0].copy(), b)[1]
 
 
 def run_sgd(x, labels, targets, shuffles, loss, loss_alpha, backbone, head,
-            link, d_min, w1, c1, w2, c2, clm_b1, clm_deltas, lr, batch_size):
+            d_min, w1, c1, w2, c2, clm_b1, clm_deltas, lr, batch_size):
     """Minibatch SGD mutating the parameter arrays; per-epoch mean loss."""
     n = x.shape[0]
     losses = np.empty(shuffles.shape[0])
@@ -320,10 +307,10 @@ def run_sgd(x, labels, targets, shuffles, loss, loss_alpha, backbone, head,
             else:
                 f = s[:, 0].copy()
                 b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
-                _, probs = clm_forward_batch(f, b, link)
+                _, probs = clm_forward_batch(f, b)
                 batch_loss, grad_p = loss_batch(probs, targets[idx],
                                                 labels[idx], loss, loss_alpha)
-                grad_f, grad_b = clm_backward_batch(f, b, link, grad_p)
+                grad_f, grad_b = clm_backward_batch(f, b, grad_p)
                 gb1, gd = threshold_param_grads(clm_deltas, grad_b)
                 grad_s = grad_f.reshape(-1, 1)
             running += batch_loss

@@ -7,33 +7,31 @@ import numpy as np
 import pytest
 
 from ordview import _kernels as _k
-from ordview._kernels import LINKS
 from ordview.model import ModelConfig
+from ordview.softlabel import SoftLabelConfig
 
 
-def clm_row(f, b1, deltas, link="logit", d_min=0.0):
+def clm_row(f, b1, deltas, d_min=0.0):
     """Thresholds, cumulative and class probabilities at latent score f."""
     b = _k.materialize_thresholds_raw(b1, np.asarray(deltas, dtype=np.float64), d_min)
-    cum, probs = _k.clm_forward_batch(np.array([f]), b, link)
+    cum, probs = _k.clm_forward_batch(np.array([f]), b)
     return b, cum[0], probs[0]
 
 
-def clm_row_grads(f, b1, deltas, link, d_min, upstream):
+def clm_row_grads(f, b1, deltas, d_min, upstream):
     """Gradients of upstream . probs in (f, b1, deltas) from the kernels."""
     b = _k.materialize_thresholds_raw(b1, deltas, d_min)
-    gap = b - np.array([[f]])
-    grad_f, grad_b = _k.clm_backward_batch(
-        gap, _k.link_inverse(gap, link), link, upstream.reshape(1, -1)
-    )
+    c = _k.link_inverse(b - np.array([[f]]))
+    grad_f, grad_b = _k.clm_backward_batch(c, upstream.reshape(1, -1))
     d_b1, d_deltas = _k.threshold_param_grads(deltas, grad_b)
     return float(grad_f[0]), d_b1, d_deltas
 
 
-def finite_diff_probs(f, b1, deltas, link, d_min, step=1e-6):
+def finite_diff_probs(f, b1, deltas, d_min, step=1e-6):
     """Central differences of every class probability in (f, b1, deltas)."""
 
     def probs_at(f_, b1_, deltas_):
-        return clm_row(f_, b1_, deltas_, link, d_min)[2]
+        return clm_row(f_, b1_, deltas_, d_min)[2]
 
     d_f = (probs_at(f + step, b1, deltas) - probs_at(f - step, b1, deltas)) / (2 * step)
     d_b1 = (probs_at(f, b1 + step, deltas) - probs_at(f, b1 - step, deltas)) / (2 * step)
@@ -69,7 +67,6 @@ class TestForward:
             head = (
                 float(rng.normal()),
                 rng.normal(size=j - 2),
-                str(rng.choice(list(LINKS))),
                 float(rng.choice([0.0, 0.5, 1.0])),
             )
             _, cum, probs = clm_row(float(rng.normal(scale=3)), *head)
@@ -84,28 +81,31 @@ class TestForward:
         b = clm_row(1.3, 1.1, deltas)[2]
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_link_validation(self):
-        with pytest.raises(ValueError, match="unknown link"):
-            ModelConfig(n_classes=4, head="clm", link="cauchit")
+    def test_removed_options_rejected(self):
+        # the head has only the logit link, and the soft labels have no
+        # uniform kind
+        with pytest.raises(TypeError, match="link"):
+            ModelConfig(n_classes=4, head="clm", link="probit")
+        with pytest.raises(ValueError, match="unknown soft label kind 'uniform'"):
+            SoftLabelConfig(kind="uniform")
 
 
 class TestBackward:
-    def test_matches_finite_differences_all_links(self):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        for link in LINKS:
-            for _ in range(30):
-                j = int(rng.integers(3, 7))
-                b1 = float(rng.normal())
-                deltas = rng.normal(size=j - 2) + 0.3
-                d_min = float(rng.choice([0.0, 0.5]))
-                f = float(rng.normal())
-                g = rng.normal(size=j)
-                g_f, g_b1, g_deltas = clm_row_grads(f, b1, deltas, link, d_min, g)
-                d_f, d_b1, d_deltas = finite_diff_probs(f, b1, deltas, link, d_min)
-                assert abs(g_f - g @ d_f) < 1e-5
-                assert abs(g_b1 - g @ d_b1) < 1e-5
-                for m in range(deltas.size):
-                    assert abs(g_deltas[m] - g @ d_deltas[m]) < 1e-5
+        for _ in range(90):
+            j = int(rng.integers(3, 7))
+            b1 = float(rng.normal())
+            deltas = rng.normal(size=j - 2) + 0.3
+            d_min = float(rng.choice([0.0, 0.5]))
+            f = float(rng.normal())
+            g = rng.normal(size=j)
+            g_f, g_b1, g_deltas = clm_row_grads(f, b1, deltas, d_min, g)
+            d_f, d_b1, d_deltas = finite_diff_probs(f, b1, deltas, d_min)
+            assert abs(g_f - g @ d_f) < 1e-5
+            assert abs(g_b1 - g @ d_b1) < 1e-5
+            for m in range(deltas.size):
+                assert abs(g_deltas[m] - g @ d_deltas[m]) < 1e-5
 
 
 class TestInvariants:
@@ -117,7 +117,6 @@ class TestInvariants:
             head = (
                 float(rng.normal(scale=2)),
                 rng.normal(size=j - 2, scale=2),
-                str(rng.choice(list(LINKS))),
                 d_min,
             )
             b, cum, probs = clm_row(float(rng.normal(scale=4)), *head)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import oracles
 from ordview import _kernels as _k
 from ordview import ensemble
-from ordview._kernels import LINKS
 from ordview.ensemble import optimize_weights
 from ordview.model import METHODS, method_config, predict_proba_batch, train
 
@@ -54,19 +53,16 @@ def clm_thresholds(rng, j):
     return b1, deltas, d_min
 
 
-@pytest.mark.parametrize("link", LINKS)
 @kernel_settings
 @given(seed=seeds, n=batch_sizes)
-def test_link_inverse_and_derivative(link, seed, n):
+def test_link_inverse_and_derivative(seed, n):
     x = np.random.default_rng(seed).uniform(-40.0, 40.0, size=n)
     assert_close(
-        _k.link_inverse(x, link),
-        [oracles.link_inverse(v, link) for v in x],
-        KERNEL_TOL,
+        _k.link_inverse(x), [oracles.link_inverse(v) for v in x], KERNEL_TOL
     )
     assert_close(
-        _k.link_inverse_deriv(x, _k.link_inverse(x, link), link),
-        [oracles.link_inverse_deriv(v, link) for v in x],
+        _k.link_inverse_deriv(_k.link_inverse(x)),
+        [oracles.link_inverse_deriv(v) for v in x],
         KERNEL_TOL,
     )
 
@@ -86,26 +82,23 @@ def test_softmax_forward_and_backward(seed, n, j):
     )
 
 
-@pytest.mark.parametrize("link", LINKS)
 @kernel_settings
 @given(seed=seeds, n=batch_sizes, j=class_counts)
-def test_clm_forward_and_backward(link, seed, n, j):
+def test_clm_forward_and_backward(seed, n, j):
     rng = np.random.default_rng(seed)
     b1, deltas, d_min = clm_thresholds(rng, j)
     b = _k.materialize_thresholds_raw(b1, deltas, d_min)
     assert_close(b, oracles.materialize_thresholds_raw(b1, deltas, d_min), KERNEL_TOL)
     latent = rng.normal(scale=3.0, size=n)
     for got, ref in zip(
-        _k.clm_forward_batch(latent, b, link),
-        oracles.clm_forward_batch(latent, b, link),
+        _k.clm_forward_batch(latent, b),
+        oracles.clm_forward_batch(latent, b),
     ):
         assert_close(got, ref, KERNEL_TOL)
     upstream = rng.normal(size=(n, j))
-    gap = b - latent[:, None]
-    grad_f, grad_b = _k.clm_backward_batch(
-        gap, _k.link_inverse(gap, link), link, upstream
-    )
-    ref_f, ref_b = oracles.clm_backward_batch(latent, b, link, upstream)
+    c = _k.link_inverse(b - latent[:, None])
+    grad_f, grad_b = _k.clm_backward_batch(c, upstream)
+    ref_f, ref_b = oracles.clm_backward_batch(latent, b, upstream)
     assert_close(grad_f, ref_f, KERNEL_TOL)
     assert_close(grad_b, ref_b, KERNEL_TOL)
     gb1, gd = _k.threshold_param_grads(deltas, grad_b)
@@ -133,8 +126,8 @@ def test_loss_value_and_gradient(loss, seed, n, j):
 @pytest.mark.parametrize("head", ("softmax", "clm"))
 @pytest.mark.parametrize("backbone", ("linear", "one_hidden"))
 @kernel_settings
-@given(seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS))
-def test_forward_batch(head, backbone, seed, n, j, link):
+@given(seed=seeds, n=batch_sizes, j=class_counts)
+def test_forward_batch(head, backbone, seed, n, j):
     rng = np.random.default_rng(seed)
     d, h = 5, 6
     k_out = 1 if head == "clm" else j
@@ -142,7 +135,7 @@ def test_forward_batch(head, backbone, seed, n, j, link):
     w1, c1 = rng.normal(size=(d, h)), rng.normal(size=h)
     w2, c2 = rng.normal(size=(width, k_out)), rng.normal(size=k_out)
     b1, deltas, d_min = clm_thresholds(rng, j)
-    args = (backbone, head, link, d_min, w1, c1, w2, c2, np.array([b1]), deltas)
+    args = (backbone, head, d_min, w1, c1, w2, c2, np.array([b1]), deltas)
     x = rng.normal(size=(n, d))
     assert_close(
         _k.forward_batch(x, *args), oracles.forward_batch(x, *args), KERNEL_TOL
@@ -159,11 +152,11 @@ FD_STEP = 1e-5
 FD_TOL = 1e-6
 
 
-def well_conditioned_point(rng, head, backbone, link, d_min, n, j):
+def well_conditioned_point(rng, head, backbone, d_min, n, j):
     """Inputs, labels, soft targets and parameters (w1, c1, w2, c2, b1,
     deltas) at which every class probability stays above ~1e-3: no log clamp
-    or cloglog clamp is active and 1 - cum loses few digits, so the mean
-    loss is smooth and accurate enough for central differences."""
+    is active and 1 - cum loses few digits, so the mean loss is smooth and
+    accurate enough for central differences."""
     d, h = 3, 4
     k_out = 1 if head == "clm" else j
     width = h if backbone == "one_hidden" else d
@@ -171,11 +164,10 @@ def well_conditioned_point(rng, head, backbone, link, d_min, n, j):
         rng.normal(scale=0.2, size=shape)
         for shape in ((d, h), (h,), (width, k_out), (k_out,))
     ]
-    # thresholds 0.09-0.5 apart, centred where the link's CDF is 1/2
+    # thresholds 0.09-0.5 apart, centred on 0, where the logistic CDF is 1/2
     deltas = rng.choice([-1.0, 1.0], size=j - 2) * rng.uniform(0.3, 0.6, size=j - 2)
     span = float(np.sum(d_min + deltas**2))
-    median = {"logit": 0.0, "probit": 0.0, "cloglog": np.log(np.log(2.0))}[link]
-    b1 = np.array([median - 0.5 * span])
+    b1 = np.array([-0.5 * span])
     x = rng.normal(size=(n, d))
     # the ReLU has a kink at 0, where a central difference is no gradient:
     # redraw until every hidden pre-activation is well clear of it
@@ -186,14 +178,14 @@ def well_conditioned_point(rng, head, backbone, link, d_min, n, j):
     return x, labels, targets, params + [b1, deltas]
 
 
-def sgd_step(impl, params, x, labels, targets, loss, head, backbone, link, d_min, lr):
+def sgd_step(impl, params, x, labels, targets, loss, head, backbone, d_min, lr):
     """One full-batch SGD step on copies of params: the mean loss at params
     and the stepped copies (params - lr * mean gradient)."""
     stepped = [p.copy() for p in params]
     n = x.shape[0]
     [mean_loss] = impl.run_sgd(
         x, labels, targets, np.arange(n)[None, :], loss, 0.7, backbone, head,
-        link, d_min, *stepped, lr, n,
+        d_min, *stepped, lr, n,
     )
     return mean_loss, stepped
 
@@ -203,22 +195,22 @@ def sgd_step(impl, params, x, labels, targets, loss, head, backbone, link, d_min
 @pytest.mark.parametrize("head", ("softmax", "clm"))
 @settings(max_examples=15, deadline=None)
 @given(
-    seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS),
+    seed=seeds, n=batch_sizes, j=class_counts,
     backbone=st.sampled_from(("linear", "one_hidden")), d_min=st.sampled_from((0.0, 0.1)),
 )
 # a draw that puts a hidden pre-activation 2.7e-6 from the kink unless
 # well_conditioned_point redraws x
-@example(seed=372105, n=4, j=2, link="logit", backbone="one_hidden", d_min=0.0)
+@example(seed=372105, n=4, j=2, backbone="one_hidden", d_min=0.0)
 def test_sgd_gradient_matches_central_differences(
-    impl, loss, head, seed, n, j, link, backbone, d_min
+    impl, loss, head, seed, n, j, backbone, d_min
 ):
     """The gradient one SGD step applies (lr = 1) against central finite
     differences of the mean batch loss, for every parameter entry."""
     rng = np.random.default_rng(seed)
     x, labels, targets, params = well_conditioned_point(
-        rng, head, backbone, link, d_min, n, j
+        rng, head, backbone, d_min, n, j
     )
-    args = (x, labels, targets, loss, head, backbone, link, d_min)
+    args = (x, labels, targets, loss, head, backbone, d_min)
     _, stepped = sgd_step(impl, params, *args, lr=1.0)
     for i, (p, after) in enumerate(zip(params, stepped)):
         for m in range(p.size):
@@ -234,31 +226,31 @@ def test_sgd_gradient_matches_central_differences(
 
 @IMPLS
 @kernel_settings
-@given(seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS))
-def test_probability_rows_sum_to_one(impl, seed, n, j, link):
+@given(seed=seeds, n=batch_sizes, j=class_counts)
+def test_probability_rows_sum_to_one(impl, seed, n, j):
     rng = np.random.default_rng(seed)
     probs = impl.softmax_batch(rng.normal(scale=5.0, size=(n, j)))
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=KERNEL_TOL)
     b = impl.materialize_thresholds_raw(*clm_thresholds(rng, j))
-    _, probs = impl.clm_forward_batch(rng.normal(scale=3.0, size=n), b, link)
+    _, probs = impl.clm_forward_batch(rng.normal(scale=3.0, size=n), b)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=KERNEL_TOL)
 
 
 @IMPLS
 @kernel_settings
-@given(seed=seeds, n=batch_sizes, j=class_counts, link=st.sampled_from(LINKS))
-def test_clm_cumulative_monotone_and_shift_invariant(impl, seed, n, j, link):
+@given(seed=seeds, n=batch_sizes, j=class_counts)
+def test_clm_cumulative_monotone_and_shift_invariant(impl, seed, n, j):
     rng = np.random.default_rng(seed)
     b = impl.materialize_thresholds_raw(*clm_thresholds(rng, j))
     latent = rng.normal(scale=3.0, size=n)
-    cum, probs = impl.clm_forward_batch(latent, b, link)
+    cum, probs = impl.clm_forward_batch(latent, b)
     assert np.all(np.diff(cum, axis=1) >= 0.0)
     assert np.all((cum >= 0.0) & (cum <= 1.0))
     # only b_j - f enters: a common shift changes it by rounding alone
     shift = float(rng.uniform(-5.0, 5.0))
-    cum_s, probs_s = impl.clm_forward_batch(latent + shift, b + shift, link)
+    cum_s, probs_s = impl.clm_forward_batch(latent + shift, b + shift)
     assert_close(cum_s, cum, KERNEL_TOL)
     assert_close(probs_s, probs, KERNEL_TOL)
 
@@ -268,7 +260,7 @@ def test_clm_cumulative_monotone_and_shift_invariant(impl, seed, n, j, link):
 
 def test_clm_logit_reference():
     b = _k.materialize_thresholds_raw(0.0, np.array([1.0]), 0.0)
-    cum, probs = _k.clm_forward_batch(np.array([1.0]), b, "logit")
+    cum, probs = _k.clm_forward_batch(np.array([1.0]), b)
     ref_cum = np.array([1.0 / (1.0 + math.exp(1.0 - t)) for t in b])
     assert np.allclose(cum[0], ref_cum, atol=1e-9)
     ref_probs = np.diff(np.concatenate([[0.0], ref_cum, [1.0]]))
@@ -278,7 +270,7 @@ def test_clm_logit_reference():
 def test_clm_stochastic_ordering_in_f():
     # a larger latent score pushes cumulative mass down at every threshold
     b = _k.materialize_thresholds_raw(-1.0, np.array([0.8, 0.3]), 0.0)
-    cum, _ = _k.clm_forward_batch(np.array([-2.0, 2.0]), b, "probit")
+    cum, _ = _k.clm_forward_batch(np.array([-2.0, 2.0]), b)
     assert np.all(cum[1] < cum[0])
 
 
@@ -310,8 +302,8 @@ def test_train_matches_oracle_sgd(method, backbone, monkeypatch):
     model = train(cfg, x, y)
 
     [(ref_args, ref_losses)] = replays
-    head_args = ref_args[6:10]
-    w1, c1, w2, c2, b1, deltas = ref_args[10:16]
+    head_args = ref_args[6:9]
+    w1, c1, w2, c2, b1, deltas = ref_args[9:15]
     assert_close(model.epoch_losses, ref_losses, TRAIN_TOL)
     for got, ref in zip((model.w1, model.c1, model.w2, model.c2), (w1, c1, w2, c2)):
         assert_close(got, ref, TRAIN_TOL)
@@ -339,7 +331,7 @@ def test_run_sgd_leaves_trained_values_in_callers_arrays(head):
     before = [p.copy() for p in params]
     ref = [p.copy() for p in params]
     shuffles = np.stack([rng.permutation(60) for _ in range(5)])
-    head_args = ("slace", 1.0, "one_hidden", head, "probit", 0.5)
+    head_args = ("slace", 1.0, "one_hidden", head, 0.5)
     targets = np.eye(4)[y]
     _k.run_sgd(x, y, targets, shuffles, *head_args, *params, 0.05, 16)
     oracles.run_sgd(x, y, targets, shuffles, *head_args, *ref, 0.05, 16)

@@ -29,20 +29,6 @@ def assert_unimodal_at(dist, k, tol=1e-6):
     assert np.all(np.diff(dist[k:]) <= 1e-12)
 
 
-class TestUniform:
-    def test_reference_values(self):
-        dist = soft_row("uniform", 2, 4, lam=0.4)
-        assert np.allclose(dist, [0.1, 0.1, 0.7, 0.1])
-
-    def test_lam_zero_is_one_hot(self):
-        dist = soft_row("uniform", 3, 5, lam=0.0)
-        assert dist.tolist() == [0, 0, 0, 1, 0]
-
-    def test_lam_one_is_uniform(self):
-        dist = soft_row("uniform", 1, 4, lam=1.0)
-        assert np.allclose(dist, 0.25)
-
-
 class TestOrdinalSmooth:
     def test_mixture_formula(self):
         base = soft_row("triangular", 2, 4, alpha_adjacent=0.05)
@@ -143,8 +129,6 @@ class TestPropertySuite:
     # every encoder/hyperparameter combination used by the tuning grids
     def test_all_kinds_all_classes(self):
         cases = []
-        # uniform smoothing is flat at lam=1, so only lam<1 keeps the argmax
-        cases.append(SoftLabelConfig(kind="uniform", lam=0.8))
         for lam in (0.8, 1.0):
             for alpha in (0.01, 0.05, 0.10):
                 cases.append(
@@ -163,7 +147,7 @@ class TestPropertySuite:
                     assert_unimodal_at(mat[k], k)
 
     def test_kind_registry(self):
-        assert set(KINDS) == {"uniform", "triangular", "beta", "exponential"}
+        assert KINDS == ("triangular", "beta", "exponential")
 
 
 class TestTargetMatrix:
@@ -187,7 +171,7 @@ class TestTargetMatrix:
             e = np.exp(-3.0 * phi / phi.max())
             assert np.allclose(target_matrix(5, sord_cfg)[k], e / e.sum())
 
-    @pytest.mark.parametrize("cfg", [SoftLabelConfig(kind="uniform"), SordConfig()])
+    @pytest.mark.parametrize("cfg", [SoftLabelConfig(kind="triangular"), SordConfig()])
     def test_needs_two_classes(self, cfg):
         with pytest.raises(ValueError, match="n_classes"):
             target_matrix(1, cfg)
@@ -220,13 +204,11 @@ class TestTargetBits:
 
     DIGESTS = {
         "grid": "2cc983e83b916cd1e2309a766d061e0bc5bbda4b8a3fb09481b13c474e152e04",
-        "uniform": "388cad2e1f4029ec8f31d4ab3057749e34373e67b23bbc58ecf2a49c7bb1f5e9",
         "triangular": "02e628e9cecc03f010a04f09c7006d990cc345319b24fa8c01e245759b78075f",
         "beta": "25dc922ec4a71e6da880b32c9d1cd10f9a7f91d4f028af78a2896b1997d1a9e7",
         "exponential": "ef3f788d4ee448a344cfd8c5cc657b870dffecf89e7889a72538d5190088c258",
     }
     OFF_GRID = {
-        "uniform": {},
         "triangular": {"alpha_adjacent": (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)},
         "beta": {"concentration": (2.5, 10.0, 30.0)},
         "exponential": {"tau": (0.5, 1.0, 3.0), "p_exponent": (1.0, 1.5, 2.0)},
