@@ -237,9 +237,8 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
     else:
         clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
 
-    shuffles = np.empty((config.epochs, n), dtype=np.int64)
-    for e in range(config.epochs):
-        shuffles[e] = rng.permutation(n)
+    # row e permuted in place draws what rng.permutation(n) would at epoch e
+    shuffles = rng.permuted(np.tile(np.arange(n), (config.epochs, 1)), axis=1)
 
     targets = np.ascontiguousarray(_target_rows(config)[y])
     loss, loss_alpha = _kernel_loss(config)
