@@ -207,16 +207,17 @@ def _read_table(
     An empty file, a missing required column and a duplicate column are
     rejected before any row is read.
 
-    The body is parsed by one ``np.loadtxt`` call; integer cells then go
-    through ``int``. Its float parse gives the bits of Python's ``float``
-    and accepts no spelling that ``float`` rejects. Its result is used only
-    when it raised nothing and has one row per physical data line
-    (``loadtxt`` skips blank lines and reads a quoted newline as part of a
-    cell, where ``csv.reader`` reports a short row or joins two lines). Else
-    ``_read_csv`` and ``_parse_cells`` read the file cell by cell: they
-    raise the ValueError naming the file and the line, or return the cells
-    that only ``float`` or ``int`` parse, such as ``1_0.5``. A row's line is
-    the physical line it ends on, so a quoted newline before it counts.
+    The body is parsed by one ``np.loadtxt`` call, which reads the file once
+    and counts its lines as it goes. Its int64 and float64 parses give the
+    values of Python's ``int`` and ``float`` and accept no spelling that
+    those reject. Its result is used only when it raised nothing and has
+    one row per physical data line (``loadtxt`` skips blank lines and reads
+    a quoted newline as part of a cell, where ``csv.reader`` reports a short
+    row or joins two lines). Else ``_read_csv`` and ``_parse_cells`` read
+    the file cell by cell: they raise the ValueError naming the file and the
+    line, or return the cells that only ``float`` or ``int`` parse, such as
+    ``1_0.5`` or ``1_0``. A row's line is the physical line it ends on, so a
+    quoted newline before it counts.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -232,9 +233,9 @@ def _read_table(
             raise ValueError(f"file {path}: duplicate column {dup!r}")
         types = column_types(header)
         skip = reader.line_num
-        n_rows = sum(1 for _ in fh)
-        columns = _loadtxt_columns(fh, types, skip, n_rows) if n_rows else None
-        if columns is not None:
+        parsed = _loadtxt_columns(fh, types)
+        if parsed is not None:
+            columns, n_rows = parsed
             return header, columns, range(skip + 1, skip + 1 + n_rows)
         records, lines = _read_csv(path, fh, len(header))
     columns = [
@@ -251,28 +252,35 @@ def _read_table(
     return header, columns, lines
 
 
-def _loadtxt_columns(fh, types, skip: int, n_rows: int) -> list[np.ndarray] | None:
-    """The typed columns of the lines after the first ``skip`` of ``fh``,
-    parsed by one ``np.loadtxt`` call; None when a cell does not parse or
-    the call reads other than ``n_rows`` rows."""
-    fh.seek(0)
-    dtype = [(f"c{i}", np.float64 if t is float else object)
-             for i, t in enumerate(types)]
+_LOADTXT_TYPES = {str: object, int: np.int64, float: np.float64}
+
+
+def _loadtxt_columns(fh, types) -> tuple[list[np.ndarray], int] | None:
+    """The typed columns of the rest of ``fh`` and its number of lines, from
+    one ``np.loadtxt`` call that pulls each line once and counts it; None
+    when a cell does not parse, there is no line, or the call reads other
+    than one row per line."""
+    n_lines = 0
+
+    def lines():
+        nonlocal n_lines
+        for n_lines, line in enumerate(fh, 1):
+            yield line
+
+    dtype = [(f"c{i}", _LOADTXT_TYPES[t]) for i, t in enumerate(types)]
     try:
         with warnings.catch_warnings():
             # an all-blank body reads as zero rows, which the count rejects
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                               comments=None, skiprows=skip, ndmin=1)
-        if len(table) != n_rows:
-            return None
-        return [
-            np.fromiter(map(int, table[name]), np.int64, n_rows)
-            if t is int else table[name]
-            for (name, _), t in zip(dtype, types)
-        ]
-    except (ValueError, OverflowError):
+            # numpy < 2 reads an integer cell such as 1.0 with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines(), dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
         return None
+    if n_lines == 0 or len(table) != n_lines:
+        return None
+    return [table[name] for name, _ in dtype], n_lines
 
 
 def _read_csv(path, fh, width: int) -> tuple[list[list[str]], list[int]]:
@@ -337,8 +345,15 @@ def _check_labels(
         raise ValueError(f"{where} lies outside [0, {n_classes - 1}]")
 
 
-def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=None):
-    """Sample ids, the (n, d) feature block and the labels of one view CSV."""
+def _parse_view_csv(
+    path: Path, label_column: str, id_column: str, n_classes=None, first_ids=None
+):
+    """Sample ids, the (n, d) feature block and the labels of one view CSV.
+
+    When the ids equal ``first_ids`` (the same ids in the same order), that
+    list itself is returned and the duplicate check, which ``first_ids``
+    has passed, is skipped.
+    """
 
     def types(header):
         return [
@@ -353,7 +368,9 @@ def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=Non
     id_pos = header.index(id_column)
     label_pos = header.index(label_column)
     ids = columns[id_pos].tolist()
-    if len(set(ids)) < len(ids):
+    if ids == first_ids:
+        ids = first_ids
+    elif len(set(ids)) < len(ids):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
     labels = columns[label_pos]
@@ -361,6 +378,23 @@ def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=Non
     features = [col for i, col in enumerate(columns) if i not in (id_pos, label_pos)]
     block = np.array(features, dtype=np.float64).reshape(len(features), len(ids)).T
     return ids, block, labels
+
+
+def _id_order(ids: list[str]) -> np.ndarray:
+    """The permutation that sorts distinct ids by (int(id), id), or by id
+    alone when one id does not parse as an integer."""
+    try:
+        keys = np.fromiter(map(int, ids), np.int64, len(ids))
+    except ValueError:  # a non-integer id
+        rows = sorted(range(len(ids)), key=ids.__getitem__)
+    except OverflowError:  # an id past int64
+        rows = sorted(range(len(ids)), key=lambda r: (int(ids[r]), ids[r]))
+    else:
+        order = np.argsort(keys, kind="stable")
+        if (np.diff(keys[order]) == 0).any():  # spellings of one integer: 1, 01
+            order = np.lexsort((np.array(ids), keys))
+        return order
+    return np.array(rows, dtype=np.intp)
 
 
 def load_views_csv(
@@ -373,33 +407,39 @@ def load_views_csv(
 
     Views must agree on the sample-id set and on every sample's label; rows
     are ordered by ascending sample id (numeric when all ids parse as
-    integers). When ``n_classes`` is omitted it is inferred as max label + 1.
+    integers, ties such as ``1`` and ``01`` broken by the string). When
+    ``n_classes`` is omitted it is inferred as max label + 1.
     """
     if not paths:
         raise ValueError("need at least one view path")
     parsed = {}
+    first_ids = None
     for view, path in paths.items():
-        parsed[view] = _parse_view_csv(Path(path), label_column, id_column, n_classes)
+        parsed[view] = _parse_view_csv(
+            Path(path), label_column, id_column, n_classes, first_ids
+        )
+        if first_ids is None:
+            first_ids = parsed[view][0]
 
     names = list(parsed)
     first = names[0]
-    base_ids = set(parsed[first][0])
-    try:
-        ordered = sorted(base_ids, key=lambda sid: (int(sid), sid))
-    except ValueError:
-        ordered = sorted(base_ids)
-
+    order = _id_order(first_ids)
     views = {}
     view_labels = []
     for view, (ids, block, labels) in parsed.items():
-        if set(ids) != base_ids:
-            off = sorted(set(ids).symmetric_difference(base_ids))[0]
-            raise ValueError(
-                f"view {first!r} and view {view!r}: sample ids differ "
-                f"(first offending id: {off!r})"
-            )
-        row_of = {sid: r for r, sid in enumerate(ids)}
-        idx = np.fromiter(map(row_of.__getitem__, ordered), np.intp, len(ids))
+        idx = order
+        if ids is not first_ids:  # another order or other ids: match id by id
+            base_ids = set(first_ids)
+            if set(ids) != base_ids:
+                off = sorted(set(ids).symmetric_difference(base_ids))[0]
+                raise ValueError(
+                    f"view {first!r} and view {view!r}: sample ids differ "
+                    f"(first offending id: {off!r})"
+                )
+            row_of = {sid: r for r, sid in enumerate(ids)}
+            # row of each first-view id in this view, then in sorted order
+            idx = np.fromiter(map(row_of.__getitem__, first_ids), np.intp, len(ids))
+            idx = idx[order]
         views[view] = block[idx]
         view_labels.append(labels[idx])
     view_labels = np.stack(view_labels)
@@ -407,9 +447,8 @@ def load_views_csv(
     if conflicts.size:
         k = conflicts[0]
         vals = dict(zip(names, view_labels[:, k].tolist()))
-        raise ValueError(
-            f"sample id {ordered[k]!r}: conflicting labels across views: {vals}"
-        )
+        sid = first_ids[order[k]]
+        raise ValueError(f"sample id {sid!r}: conflicting labels across views: {vals}")
     labels = view_labels[0]
     j = int(labels.max()) + 1 if n_classes is None else int(n_classes)
     return MultiViewDataset(views=views, labels=labels, n_classes=j)

@@ -251,6 +251,12 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
         raise ValueError("p must lie strictly inside (0, 1)")
     lo, hi = 0.0, math.inf
     x = 3.5  # a grid point near the usual 5 % critical values
+    if df >= 3:
+        # the Bonferroni bound over the k (k - 1) / 2 pairwise t tests, exact
+        # for k = 2; at df <= 2 it overshoots the root up to ~10x
+        t = float(_sp.stdtrit(df, 1.0 - (1.0 - p) / (k * (k - 1))))
+        if math.isfinite(t):
+            x = max(round(math.sqrt(2.0) * t / _CELL), 1) * _CELL
     for _ in range(100):
         cdf, density = _range_quadrature(x, k, df, density=True)
         power_of_two = x >= 1.0 and math.frexp(x)[0] == 0.5

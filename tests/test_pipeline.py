@@ -376,6 +376,156 @@ class TestCsvLoader:
         assert data.views["x"][:, 0].tolist() == [0.3, 0.2, 0.1]
 
 
+def spy_cell_reader(monkeypatch):
+    """Record each run of the cell-by-cell reader, which still does its work."""
+    calls = []
+    read_csv = pipeline._read_csv
+
+    def spy(*args):
+        calls.append(args[0])
+        return read_csv(*args)
+
+    monkeypatch.setattr(pipeline, "_read_csv", spy)
+    return calls
+
+
+@st.composite
+def integer_strings(draw):
+    """Integer spellings: signs, spaces, leading zeros, underscores, up to 21
+    digits (past int64) and a few that ``int`` rejects."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=21))
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits)))
+        digits = digits[:cut] + draw(st.sampled_from(["_", "__", ""])) + digits[cut:]
+    number = draw(st.sampled_from(["", "+", "-"])) + digits
+    number = draw(st.one_of(st.just(number), st.sampled_from([
+        "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+        "1.0", "1e3", "0x10", "+-3", "٣", "1 2", "_1",
+    ])))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + number + draw(pad)
+
+
+class TestStreamedLoader:
+    """The one-pass ``loadtxt`` read and the single row-order sort."""
+
+    HEADER = ["sample_id", "f0", "f1", "label"]
+    ROWS = [[3, 0.5, -2e-310, 1], [1, 0.25, -0.0, 0], [10, 1e300, 7.0, 2], [2, 0.1, 0.2, 1]]
+
+    def test_views_in_other_row_orders_load_aligned(self, tmp_path):
+        rows_b = [[i, x + 1, y + 1, k] for i, x, y, k in self.ROWS]
+        write_csv(tmp_path / "a.csv", self.HEADER, self.ROWS)
+        write_csv(tmp_path / "b.csv", self.HEADER, rows_b)
+        write_csv(tmp_path / "b_shuffled.csv", self.HEADER, rows_b[::-1])
+        write_csv(tmp_path / "c.csv", self.HEADER, self.ROWS[1:] + self.ROWS[:1])
+        same = load_views_csv({"a": tmp_path / "a.csv", "b": tmp_path / "b.csv",
+                               "c": tmp_path / "a.csv"})
+        mixed = load_views_csv({"a": tmp_path / "a.csv",
+                                "b": tmp_path / "b_shuffled.csv",
+                                "c": tmp_path / "c.csv"})
+        assert same.labels.tolist() == mixed.labels.tolist() == [0, 1, 1, 2]
+        for v in ("a", "b", "c"):
+            assert bitwise_equal(same.views[v], mixed.views[v])
+        assert same.views["a"][:, 0].tolist() == [0.25, 0.1, 0.5, 1e300]
+        assert same.views["b"][:, 0].tolist() == [1.25, 1.1, 1.5, 1e300]
+
+    def test_line_endings_load_equal(self, tmp_path, monkeypatch):
+        text = "sample_id,f0,f1,label\n0,0.1,-2e-310,0\n1,1e300,-0.0,1\n2,5e-324,3,2\n"
+        spellings = {
+            "lf": text,
+            "crlf": text.replace("\n", "\r\n"),
+            "cr": text.replace("\n", "\r"),
+            "lf_no_final": text[:-1],
+            "crlf_no_final": text.replace("\n", "\r\n")[:-2],
+            "cr_no_final": text.replace("\n", "\r")[:-1],
+        }
+        calls = spy_cell_reader(monkeypatch)
+        loaded = {}
+        for name, body in spellings.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(body.encode())
+            loaded[name] = load_views_csv({"x": path})
+        assert calls == []
+        for name, data in loaded.items():
+            assert data.labels.tolist() == [0, 1, 2], name
+            assert bitwise_equal(data.views["x"], loaded["lf"].views["x"]), name
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("0,0.5,0\r\n\r\n1,0.6,1\r\n", 3), ("0,0.5,0\r\r1,0.6,1\r", 3),
+         ("0,0.5,0\n1,0.6,1\n\n", 4)],
+        ids=("crlf", "cr", "trailing"),
+    )
+    def test_blank_line_found_in_every_line_ending(self, tmp_path, body, line):
+        p = tmp_path / "x.csv"
+        p.write_bytes(("sample_id,f0,label\n" + body).encode())
+        with pytest.raises(ValueError, match=f"line {line} has 0 fields, expected 3"):
+            load_views_csv({"x": p})
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("sample_id,f0,label")
+        with pytest.raises(ValueError, match=r"file .*x\.csv: no data rows"):
+            load_views_csv({"x": p})
+
+    def test_spellings_of_one_integer_id_kept_in_int_then_string_order(self, tmp_path):
+        p = tmp_path / "x.csv"
+        rows = [["1", 0.1, 0], ["01", 0.2, 1], ["2", 0.3, 0], [" 1", 0.4, 1], ["0", 0.5, 0]]
+        write_csv(p, ["sample_id", "f0", "label"], rows)
+        data = load_views_csv({"x": p, "y": p})
+        # (int, str) order: 0, then " 1" < "01" < "1", then 2
+        assert data.views["x"][:, 0].tolist() == [0.5, 0.4, 0.2, 0.1, 0.3]
+        assert data.labels.tolist() == [0, 1, 1, 0, 0]
+
+    def test_ids_past_int64_sort_numerically(self, tmp_path):
+        p = tmp_path / "x.csv"
+        ids = ["100000000000000000000", "9", "-100000000000000000000", "9223372036854775808"]
+        write_csv(p, ["sample_id", "f0", "label"], [[i, float(k), 0] for k, i in enumerate(ids)])
+        data = load_views_csv({"x": p}, n_classes=2)
+        assert data.views["x"][:, 0].tolist() == [2.0, 1.0, 3.0, 0.0]
+
+    def test_spellings_only_int_parses_use_the_cell_reader(self, tmp_path, monkeypatch):
+        p = tmp_path / "x.csv"
+        p.write_text("sample_id,f0,label\n0,0.5,1_0\n1,0.5, +3\n2,0.5,٣\n")
+        calls = spy_cell_reader(monkeypatch)
+        data = load_views_csv({"x": p})
+        assert calls == [p]
+        assert data.labels.tolist() == [10, 3, 3]
+
+    def test_label_past_int64_cannot_parse(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("sample_id,f0,label\n0,0.5,0\n1,0.5,12345678901234567890\n")
+        with pytest.raises(
+            ValueError,
+            match=r"file .*x\.csv: line 3: cannot parse label value "
+                  r"'12345678901234567890' in column 'label': not an integer",
+        ):
+            load_views_csv({"x": p})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(integer_strings(), min_size=1, max_size=20))
+    def test_integer_strings_parse_as_python_int(self, cells):
+        expected = []
+        for cell in cells:
+            try:
+                value = int(cell)
+            except ValueError:
+                value = None
+            expected.append(value if value is None or -2**63 <= value < 2**63 else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            body = "".join(f"m,c,{cell},0.5\n" for cell in cells)
+            path.write_text("method,view_config,seed,qwk\n" + body)
+            if None in expected:
+                bad = cells[expected.index(None)]
+                with pytest.raises(ValueError, match="cannot parse seed value") as err:
+                    read_grid_csv(path)
+                assert repr(bad) in str(err.value)
+            else:
+                _, rows = read_grid_csv(path)
+                assert [row[2] for row in rows] == expected
+
+
 class TestViewConfigs:
     def test_order_and_names(self):
         configs = view_config_names(("crown", "north", "south"))
