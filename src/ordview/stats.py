@@ -11,10 +11,13 @@ Only a pair whose statistic falls within a rounding band of that bracket
 integrates its p-value. The pairwise p-values themselves are integrated only
 when ``TukeyGrouping.pvalues`` is read.
 
-scipy.special supplies the normal CDF, the inverse incomplete gamma and the
-F upper tail; the studentized range CDF and its inversion, the ANOVA
-decomposition (from one (method, view, replicate) array), and the letter
-display are implemented here.
+Everything is implemented here on numpy and ``math``: a vectorised normal
+CDF (W. J. Cody's rational Chebyshev approximations of erf and erfc, Math.
+Comp. 23, 1969), the regularized incomplete beta (the F upper tail and the
+t quantile) and gamma (the chi quantiles) functions, the studentized range
+CDF and its inversion, the ANOVA decomposition (from one (method, view,
+replicate) array), and the letter display. No module of scipy is imported:
+loading scipy.special costs a process ~0.25 s and ~24 MB.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "ResultsTable",
@@ -121,18 +123,204 @@ class AnovaTable:
 # ------------------------------------------------------------- distributions
 
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = 2.0**-52
+# the guard of the modified Lentz recurrences against a zero denominator
+_TINY = 1e-300
+
+
+def _nonzero(v: float) -> float:
+    return v if abs(v) > _TINY else _TINY
+
+
+def _stirling_error(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), from its asymptotic
+    series for z >= 15 (truncation error < 3e-16)."""
+    if z < 15.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LOG_SQRT_2PI
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
+def _a_log(a: float, m: float, e: float) -> float:
+    """a log(m / a) for m = a + e, by log1p(e / a) when m is near a."""
+    return a * (math.log1p(e / a) if abs(e) < 0.5 * a else math.log(m / a))
+
+
+def _log_beta_front(a: float, b: float, x: float, y: float) -> float:
+    """log(x**a y**b / B(a, b)) for y = 1 - x.
+
+    Written as a log(n x / a) + b log(n y / b) + log sqrt(ab / (2 pi n)) minus
+    the Stirling errors of a and b plus that of n = a + b, so that lgamma's
+    large values (~5000 at df 1862) never cancel. The two logs cancel around
+    the mode x = a / n, so both take e = n x - a = b - n y from the smaller
+    of x and y.
+    """
+    n = a + b
+    e = n * x - a if x <= y else b - n * y
+    return (
+        _a_log(a, n * x, e)
+        + _a_log(b, n * y, -e)
+        + 0.5 * math.log(a * b / n)
+        - _LOG_SQRT_2PI
+        - _stirling_error(a)
+        - _stirling_error(b)
+        + _stirling_error(n)
+    )
+
+
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """The continued fraction of I_x(a, b) = x**a y**b / (a B(a, b)) * cf,
+    by the modified Lentz method, for x < (a + 1) / (a + b + 2). Its first
+    term 1 - (a + b) x / (a + 1) is taken from y when x is near 1."""
+    n = a + b
+    d = 1.0 / _nonzero(((a + 1.0) - n * x if x <= y else (1.0 - b) + n * y) / (a + 1.0))
+    c, h = 1.0, d
+    for m in range(1, 10_000):
+        m2 = 2.0 * m
+        for coef in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (n + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 / _nonzero(1.0 + coef * d)
+            c = _nonzero(1.0 + coef / c)
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return h
+    raise RuntimeError("incomplete beta continued fraction failed to converge")
+
+
+def _log_betainc(a: float, b: float, x: float, y: float):
+    """(log I_x(a, b), log(x**a y**b / B(a, b))) for 0 < x = 1 - y < 1. The
+    continued fraction gives the tail on the side of the mean that x lies
+    on: I_x(a, b) itself below it, 1 - I_x(a, b) = I_y(b, a) above it."""
+    front = _log_beta_front(a, b, x, y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front + math.log(_beta_cf(a, b, x, y) / a), front
+    upper = front + math.log(_beta_cf(b, a, y, x) / b)
+    return math.log1p(-math.exp(upper)), front
+
+
+def _log_gamma_tails(a: float, x: float):
+    """(log P(a, x), log Q(a, x), log(x**a e**-x / Gamma(a))) for x > 0: P by
+    its series below x = a + 1, else Q by its continued fraction (modified
+    Lentz); the other is one minus it."""
+    e = x - a
+    front = _a_log(a, x, e) - e + 0.5 * math.log(a) - _LOG_SQRT_2PI - _stirling_error(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        lower = front + math.log(total)
+        return lower, math.log1p(-math.exp(lower)), front
+    bb = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / bb
+    h = d
+    for i in range(1, 10_000):
+        coef = -i * (i - a)
+        bb += 2.0
+        d = 1.0 / _nonzero(coef * d + bb)
+        c = _nonzero(bb + coef / c)
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            upper = front + math.log(h)
+            return math.log1p(-math.exp(upper)), upper, front
+    raise RuntimeError("incomplete gamma continued fraction failed to converge")
+
+
+def _newton_root(log_tail, target: float, s: float) -> float:
+    """The s with log_tail(s)[0] = target, where log_tail returns the value
+    and slope of a monotone function that is concave, or convex and entered
+    from the side where the value exceeds the target: Newton steps converge
+    after at most one overshoot."""
+    for _ in range(200):
+        value, slope = log_tail(s)
+        step = (value - target) / slope
+        s -= step
+        if abs(step) <= 1e-10 * max(1.0, abs(s)):
+            return s
+    raise RuntimeError("Newton iteration failed to converge")
+
+
+def _gamma_quantile(a: float, tail: float, upper: bool) -> float:
+    """x with P(a, x) = tail, or Q(a, x) = tail when ``upper``, by Newton
+    steps on the log of the tail.
+
+    log P is concave in log x (the log of a gamma variable has a log-concave
+    density), and the start (tail Gamma(a + 1))**(1 / a) lies at or below the
+    root, since P(a, x) <= x**a / Gamma(a + 1). log Q is concave in x for
+    a >= 1 and convex for a < 1, and the start x = a lies below the root for
+    any tail below Q(a, a) (0.32 at a = 1/2).
+    """
+    log_target = math.log(tail)
+    if upper:
+
+        def log_q(x):
+            _, value, front = _log_gamma_tails(a, x)
+            return value, -math.exp(front - value) / x
+
+        return _newton_root(log_q, log_target, a)
+
+    def log_p(s):
+        value, _, front = _log_gamma_tails(a, math.exp(s))
+        return value, math.exp(front - value)
+
+    start = (log_target + math.lgamma(a + 1.0)) / a
+    return math.exp(_newton_root(log_p, log_target, start))
+
+
+def _t_quantile(df: int, tail: float) -> float:
+    """t with P(T > t) = tail for Student's t with df degrees of freedom, for
+    1e-100 <= tail < 1/2, from P(|T| > t) = I_x(df / 2, 1 / 2) at
+    x = df / (df + t^2) (t^2 is F(1, df)), by Newton steps in log t (log |T|
+    has a log-concave density)."""
+    a = 0.5 * df
+    log_target = math.log(2.0 * tail)
+
+    def log_tail(s):
+        t2 = math.exp(2.0 * s)
+        value, front = _log_betainc(a, 0.5, df / (df + t2), t2 / (df + t2))
+        # d I / d log t = -2 x**a y**(1/2) / B(a, 1/2)
+        return value, -2.0 * math.exp(front - value)
+
+    # I_x(a, 1/2) >= x**a / (a B(a, 1/2)): where that bound meets the target,
+    # t is at most the root and, for small tails, close to it; where it meets
+    # it only above x = 1, start from t = 1
+    log_x0 = (
+        log_target + math.lgamma(a + 1.0) + 0.5 * math.log(math.pi) - math.lgamma(a + 0.5)
+    ) / a
+    start = 0.5 * math.log(df * math.expm1(-log_x0)) if log_x0 < 0.0 else 0.0
+    return math.exp(_newton_root(log_tail, log_target, start))
+
+
 def f_sf(f_stat: float, df_num: int, df_den: int) -> float:
-    """Upper tail of the F distribution."""
+    """Upper tail of the F distribution, I_x(df_den / 2, df_num / 2) at
+    x = df_den / (df_den + df_num f_stat)."""
     if df_num < 1 or df_den < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if f_stat <= 0.0:
         return 1.0
-    return float(_sp.fdtrc(df_num, df_den, f_stat))
+    if math.isnan(f_stat):
+        return math.nan
+    v = df_num * f_stat
+    if v == math.inf:
+        return 0.0
+    x, y = df_den / (df_den + v), v / (df_den + v)
+    return math.exp(_log_betainc(0.5 * df_den, 0.5 * df_num, x, y)[0])
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; the rule depends on n
+    alone, so each n is computed once per process."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _gauss_legendre(n: int, a: float, b: float):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * nodes, half * weights
 
@@ -141,8 +329,10 @@ def _gauss_legendre(n: int, a: float, b: float):
 def _scale_quadrature(df: int):
     """Nodes, weights and density values for S = sqrt(chi2_df / df)."""
     half = 0.5 * df
-    s_lo = math.sqrt(2.0 * float(_sp.gammaincinv(half, 1e-14)) / df)
-    s_hi = math.sqrt(2.0 * float(_sp.gammaincinv(half, 1.0 - 1e-14)) / df)
+    # the chi2_df quantiles at 1e-14 and at 1 - 1e-14 as rounded (an upper
+    # tail of 9.992e-15); brackets at df = 1 past p = 0.9999 move with them
+    s_lo = math.sqrt(2.0 * _gamma_quantile(half, 1e-14, upper=False) / df)
+    s_hi = math.sqrt(2.0 * _gamma_quantile(half, 1.0 - (1.0 - 1e-14), upper=True) / df)
     s, w = _gauss_legendre(400, s_lo, s_hi)
     log_pdf = (
         (1.0 - half) * math.log(2.0)
@@ -152,6 +342,102 @@ def _scale_quadrature(df: int):
         - math.lgamma(half)
     )
     return s, w * np.exp(log_pdf)
+
+
+# Cody's coefficients (his CALERF, after Math. Comp. 23, 1969), each a
+# numerator and a denominator in _cody_ratio's order: erf(y) = y R(y^2) for
+# |y| <= 0.46875, erfc(y) = exp(-y^2) R(y) for 0.46875 < y <= 4, and
+# erfc(y) = exp(-y^2) (1 / sqrt(pi) - R(1 / y^2) / y^2) / y beyond
+_ERF_SMALL = (
+    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+     3.20937758913846947e03, 1.85777706184603153e-1),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)  # fmt: skip
+_ERFC_MID = (
+    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)  # fmt: skip
+_ERFC_FAR = (
+    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)  # fmt: skip
+
+
+def _cody_ratio(z: np.ndarray, coefs) -> np.ndarray:
+    # in place, since a temporary of the 400 x 256 grid costs about as much
+    # to allocate as to fill
+    num, den = coefs
+    top, bottom = num[-1] * z, z.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        top += a
+        top *= z
+        bottom += b
+        bottom *= z
+    top += num[-2]
+    bottom += den[-1]
+    top /= bottom
+    return top
+
+
+def _half_exp_neg_square(y: np.ndarray) -> np.ndarray:
+    e = y * y
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e *= 0.5
+    return e
+
+
+def _ndtr(x) -> np.ndarray:
+    """The standard normal CDF, elementwise: (1 + erf(x / sqrt 2)) / 2 near
+    0, else erfc(|x| / sqrt 2) / 2 or one minus it, by Cody's approximations.
+    Within 2.2e-16 of scipy.special.ndtr on [-40, 40]; a NaN stays NaN."""
+    z = np.asarray(x, dtype=np.float64) * math.sqrt(0.5)
+    y = np.abs(z)
+    out = np.empty_like(y)
+    near = y <= 0.46875
+    z_near = z[near]
+    erf = _cody_ratio(z_near * z_near, _ERF_SMALL)
+    erf *= z_near
+    erf *= 0.5
+    erf += 0.5
+    out[near] = erf
+    mid = ~near & (y <= 4.0)
+    y_mid = y[mid]
+    erfc = _half_exp_neg_square(y_mid)
+    erfc *= _cody_ratio(y_mid, _ERFC_MID)
+    out[mid] = erfc
+    # erfc(6) / 2 = 1.1e-17 < 2**-54, so one minus it rounds to 1
+    one = z >= 6.0
+    out[one] = 1.0
+    far = ~(near | mid | one)
+    y_far = y[far]
+    with np.errstate(over="ignore"):  # y**2 of a huge y is inf, its erfc 0
+        r = y_far * y_far
+        np.reciprocal(r, out=r)
+        erfc = _cody_ratio(r, _ERFC_FAR)
+        erfc *= r
+        np.subtract(1.0 / math.sqrt(math.pi), erfc, out=erfc)
+        erfc /= y_far
+        erfc *= _half_exp_neg_square(y_far)
+    out[far] = erfc
+    upper = ~(near | one) & (z > 0.0)
+    out[upper] = 1.0 - out[upper]
+    return out
+
+
+@lru_cache(maxsize=1)
+def _range_nodes():
+    """The 256 Gauss-Legendre nodes u on [-13, 13], their weights times
+    phi(u), and Phi(u)."""
+    u, w = _gauss_legendre(256, -13.0, 13.0)
+    return u, w * (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)), _ndtr(u)
 
 
 def _range_quadrature(
@@ -165,14 +451,13 @@ def _range_quadrature(
     integrated by Gauss-Legendre on [-13, 13] (the integrand is bounded by
     phi(u) outside). The density dP/dq = E_S[S f_range(q S)], with
     f_range(r) = k(k-1) Integral phi(u) phi(u + r) [Phi(u + r) - Phi(u)]**(k-2) du,
-    reuses the same 400 x 256 nodes and ``ndtr`` values.
+    reuses the same 400 x 256 nodes and ``_ndtr`` values.
     """
     s, weighted = _scale_quadrature(df)
-    u, w = _gauss_legendre(256, -13.0, 13.0)
-    w_phi = w * (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    u, w_phi, phi_u = _range_nodes()
     x = u + (q * s)[:, None]
-    inner = _sp.ndtr(x)
-    inner -= _sp.ndtr(u)
+    inner = _ndtr(x)
+    inner -= phi_u
     term = inner ** (k - 1)
     term *= w_phi
     per_node = np.clip(k * np.sum(term, axis=1), 0.0, 1.0)
@@ -229,6 +514,25 @@ _QUANTILE_TOL = 1e-6
 _CELL = 2.0 ** math.floor(math.log2(_QUANTILE_TOL))
 
 
+def _small_df_start(k: int, df: int, p: float) -> float:
+    """The q at which P(Q > q) meets 1 - p to first order in 1 / q, df <= 2.
+
+    P(Q > q) = P(S < R / q) for the range R of k standard normals, and
+    P(S < s) ~ (df s^2 / 2)**(df / 2) / Gamma(df / 2 + 1) as s -> 0, so
+    P(Q > q) ~ E[R**df] (df / (2 q^2))**(df / 2) / Gamma(df / 2 + 1). E[R**df]
+    integrates df r**(df - 1) P(R > r) over [0, 16] on _range_quadrature's
+    inner nodes.
+    """
+    r, w = _gauss_legendre(64, 0.0, 16.0)
+    u, w_phi, phi_u = _range_nodes()
+    inner = _ndtr(u + r[:, None])
+    inner -= phi_u
+    range_sf = 1.0 - k * np.sum(inner ** (k - 1) * w_phi, axis=1)
+    moment = float(np.sum(w * df * r ** (df - 1) * range_sf))
+    tail = (1.0 - p) * math.gamma(0.5 * df + 1.0)
+    return math.sqrt(0.5 * df) * (moment / tail) ** (1.0 / df)
+
+
 # typed, so that k=3.0 or k=True misses the entry of k=3 and is rejected
 @lru_cache(maxsize=64, typed=True)
 def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
@@ -250,13 +554,14 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     lo, hi = 0.0, math.inf
-    x = 3.5  # a grid point near the usual 5 % critical values
     if df >= 3:
         # the Bonferroni bound over the k (k - 1) / 2 pairwise t tests, exact
-        # for k = 2; at df <= 2 it overshoots the root up to ~10x
-        t = float(_sp.stdtrit(df, 1.0 - (1.0 - p) / (k * (k - 1))))
-        if math.isfinite(t):
-            x = max(round(math.sqrt(2.0) * t / _CELL), 1) * _CELL
+        # for k = 2; at df <= 2 it overshoots the root many-fold (16x at k = 10
+        # and df = 1), and the tail's leading term takes its place
+        x = math.sqrt(2.0) * _t_quantile(df, (1.0 - p) / (k * (k - 1)))
+    else:
+        x = _small_df_start(k, df, p)
+    x = max(round(x / _CELL), 1) * _CELL
     for _ in range(100):
         cdf, density = _range_quadrature(x, k, df, density=True)
         power_of_two = x >= 1.0 and math.frexp(x)[0] == 0.5
@@ -301,12 +606,16 @@ def _significant(q: np.ndarray, k: int, df: int, alpha: float) -> np.ndarray:
 
     The critical-value bracket [lo, hi] decides every q outside the band
     [lo - _QUANTILE_TOL, hi + _QUANTILE_TOL]; only a q inside it integrates
-    its p-value. The band absorbs rounding: across _QUANTILE_TOL the CDF
-    moves by density x 1e-6, which is >= 6e-11 for k <= 50, df >= 3 and
-    alpha >= 0.001 (>= 9e-14 even at df = 1), while the rounding noise of
-    the 400 x 256-node quadrature sum is <= 1e-15 and 1 - alpha rounds by at
-    most 1.1e-16. So a q below the band has a computed p of at least alpha,
-    and one above the band a p below it.
+    its p-value. The band absorbs numerical error: across _QUANTILE_TOL the
+    CDF moves by density x 1e-6, which is >= 6e-11 for k <= 50, df >= 3 and
+    alpha >= 0.001 (>= 9e-14 even at df = 1). Against that, the rounding
+    noise of the 400 x 256-node quadrature sum is <= 1e-15, 1 - alpha rounds
+    by at most 1.1e-16, and _ndtr's error of at most 2.2e-16 moves the CDF by
+    at most k x 4.4e-16 <= 2.2e-14 (each difference Phi(u + r) - Phi(u) is
+    off by <= 4.4e-16, and the derivative of F_range in it integrates to at
+    most k), so two computed CDF values are off by less than 4.6e-14 between
+    them. So a q below the band has a computed p of at least alpha, and one
+    above the band a p below it.
     """
     q = np.asarray(q, dtype=np.float64)
     lo, hi = _quantile_bracket(k, df, 1.0 - alpha)

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import ordview
@@ -72,3 +76,48 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert unused == []
+
+
+# run in a fresh interpreter: the test session itself imports scipy
+SCIPY_SPECIAL_PROBE = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    import ordview.cli
+    from ordview import cli, pipeline, softlabel
+
+    work = Path(sys.argv[1])
+    grid = work / "grid.csv"
+    rows = ["method,view_config,seed,qwk"]
+    for m, method in enumerate(("nominal", "clm", "sord")):
+        for v, view in enumerate(("crown", "north")):
+            for seed in range(3):
+                rows.append(f"{method},{view},{seed},{0.1 * m + 0.05 * v + 0.01 * seed}")
+    grid.write_text("\\n".join(rows) + "\\n")
+    args = ["stats", str(grid), "--out", str(work / "reports"), "--metrics", "qwk"]
+    assert cli.main(args) == 0
+    pipeline.run_experiment(
+        pipeline.ExperimentConfig(
+            output_dir=work / "run", methods=("nominal", "sord"), views=("crown",),
+            n_seeds=1, tuning=False, epochs=2,
+            synth=pipeline.SynthConfig(n_samples=60, n_features_per_view=3),
+        )
+    )
+    assert "scipy.special" not in sys.modules, "loaded without a beta soft label"
+    softlabel.target_matrix(4, softlabel.SoftLabelConfig("beta"))
+    assert "scipy.special" in sys.modules
+    """
+)
+
+
+def test_scipy_special_loaded_only_for_beta_labels(tmp_path):
+    # scipy.special costs every process ~0.25 s and ~24 MB at import, and
+    # only the beta soft labels use it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as spx
 from scipy import stats as sps
 
 from oracles import bisect_quantile_bracket
@@ -35,6 +36,65 @@ class TestFDistribution:
             assert f_sf(f, d1, d2) == pytest.approx(
                 sps.f.sf(f, d1, d2), rel=1e-10, abs=1e-14
             )
+
+    # the F upper tails of the ANOVA rows of the grid and report workloads
+    # (df_den 21, 26, 1946, 1953) and of the test suite's grids (1862)
+    DFS = [(d1, d2) for d1 in (1, 2, 3, 6, 13, 41) for d2 in (1, 3, 21, 26, 180, 1862, 1953)]
+
+    @pytest.mark.parametrize("d1, d2", DFS)
+    def test_against_fdtrc(self, d1, d2):
+        # F at the upper tails 1e-250 .. 0.999, plus one F a millionth of the
+        # smallest (a tail near 1) and one twice the largest
+        fs = sps.f.isf(np.geomspace(1e-250, 0.999, 60), d1, d2)
+        fs = np.concatenate([fs, [1e-6 * fs[-1], 2.0 * fs[0]]])
+        got = np.array([f_sf(float(f), d1, d2) for f in fs])
+        want = spx.fdtrc(d1, d2, fs)
+        if d1 == d2 == 1:
+            # fdtrc is off by 9e-12 at F = 2.5e-12 here; F(1, 1) has the
+            # closed form 2 / pi atan(1 / sqrt(F))
+            want = 2.0 / np.pi * np.arctan(1.0 / np.sqrt(fs))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("d2", (180, 1862, 5000))
+    def test_two_numerator_df_closed_form(self, d2):
+        # F(2, d2) has sf (1 + 2 F / d2)**(-d2 / 2); its bulk is where the
+        # continued fraction's first term, 1 - (a + b) x / (a + 1) at x near
+        # 1, must come from y = 1 - x
+        fs = np.linspace(0.01, 8.0, 50)
+        got = np.array([f_sf(float(f), 2, d2) for f in fs])
+        want = np.exp(-0.5 * d2 * np.log1p(2.0 * fs / d2))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_edges(self):
+        for d1, d2 in [(1, 1), (3, 1862)]:
+            assert f_sf(0.0, d1, d2) == 1.0 == spx.fdtrc(d1, d2, 0.0)
+            assert f_sf(math.inf, d1, d2) == 0.0 == spx.fdtrc(d1, d2, math.inf)
+            assert f_sf(1e308, d1, d2) == pytest.approx(spx.fdtrc(d1, d2, 1e308), rel=1e-12)
+            assert math.isnan(f_sf(math.nan, d1, d2))
+
+
+class TestScipyFreeFunctions:
+    """stats' own normal CDF and chi and t quantiles against scipy.special."""
+
+    def test_ndtr_dense_grid(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 800_001), [-np.inf, np.inf]])
+        assert np.max(np.abs(stats._ndtr(x) - spx.ndtr(x))) <= 1e-15
+        assert stats._ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+        assert math.isnan(stats._ndtr(np.array([np.nan]))[0])
+
+    def test_chi_bounds_against_gammaincinv(self):
+        # the bounds of _scale_quadrature, half * S**2, for every df up to 5000
+        half = 0.5 * np.arange(1, 5001)
+        lo = [stats._gamma_quantile(a, 1e-14, upper=False) for a in half.tolist()]
+        hi = [stats._gamma_quantile(a, 1.0 - (1.0 - 1e-14), upper=True) for a in half.tolist()]
+        np.testing.assert_allclose(lo, spx.gammaincinv(half, 1e-14), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(hi, spx.gammaincinv(half, 1.0 - 1e-14), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("df", (1, 2, 3, 5, 21, 26, 1946, 100_000))
+    def test_t_quantile_against_stdtrit(self, df):
+        tails = np.geomspace(1e-100, 0.4, 40)
+        got = [stats._t_quantile(df, tail) for tail in tails.tolist()]
+        np.testing.assert_allclose(got, -spx.stdtrit(df, tails), rtol=1e-12, atol=0)
 
 
 class TestAnova:
@@ -425,6 +485,43 @@ class TestBandDecision:
         monkeypatch.setattr(stats, "_range_quadrature", counting)
         _quantile_bracket.__wrapped__(k, df, 0.95)
         assert len(calls) <= 10
+
+    @pytest.mark.parametrize("k, df", [(2, 1), (7, 2), (20, 1), (14, 2)])
+    def test_small_df_cold_bracket_takes_at_most_5_passes(self, k, df, monkeypatch):
+        # from 3.5, where the Bonferroni bound cannot start them, these take 7-9
+        calls = []
+        quadrature = stats._range_quadrature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "_range_quadrature", counting)
+        for p in (0.9, 0.95, 0.99):
+            calls.clear()
+            _quantile_bracket.__wrapped__(k, df, p)
+            assert len(calls) <= 5
+
+    def test_legendre_rule_computed_once_per_n(self, monkeypatch):
+        # the 400-node rule of every df is the same rule scaled to its interval
+        sizes = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            sizes.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        caches = (stats._legendre, stats._scale_quadrature, stats._range_nodes)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            for df in (21, 26, 1946):
+                studentized_range_cdf(3.0, 5, df)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert sorted(sizes) == [256, 400]
 
     def test_decisions_outside_band_integrate_nothing(self, monkeypatch):
         calls = []
