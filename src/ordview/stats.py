@@ -6,9 +6,11 @@ studentized range distribution, and compact letter display subsets.
 
 Tukey decisions come from the cached bracket of the critical value
 q_{k,df,1-alpha}: the 2**-20-wide cell that doubling and bisection would
-end in, found by Newton steps in about a quarter of their quadrature passes.
-Only a pair whose statistic falls within a rounding band of that bracket
-integrates its p-value. The pairwise p-values themselves are integrated only
+end in, found by Newton steps from the root on a coarse 64-node scale rule:
+two full quadrature passes at df >= 3, where doubling and bisection take
+24-26. The Gauss-Legendre rules ship with the package as a data file. Only a
+pair whose statistic falls within a rounding band of that bracket integrates
+its p-value. The pairwise p-values themselves are integrated only
 when ``TukeyGrouping.pvalues`` is read.
 
 Everything is implemented here on numpy and ``math``: a vectorised normal
@@ -26,6 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -312,28 +315,41 @@ def f_sf(f_stat: float, df_num: int, df_den: int) -> float:
     return math.exp(_log_betainc(0.5 * df_den, 0.5 * df_num, x, y)[0])
 
 
-@lru_cache(maxsize=None)
-def _legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]; the rule depends on n
-    alone, so each n is computed once per process."""
-    return np.polynomial.legendre.leggauss(n)
+# The Gauss-Legendre rules on [-1, 1] that the quadratures use, shipped as
+# one (2, 720) array: nodes in row 0, weights in row 1, the 64-, 256- and
+# 400-node rules one after another, as np.polynomial.legendre.leggauss(n)
+# gives them. Its eigen-solve (Golub & Welsch, Math. Comp. 1969) would cost
+# each process ~35 ms.
+_RULE_FILE = "gauss_legendre.npy"
+_RULE_SIZES = (64, 256, 400)
+# the scale rule of _quantile_bracket's coarse root and of every other pass
+_COARSE_SCALE_NODES, _SCALE_NODES = 64, 400
+
+
+@lru_cache(maxsize=1)
+def _legendre_rules() -> dict[int, np.ndarray]:
+    table = np.load(Path(__file__).with_name(_RULE_FILE))
+    table.flags.writeable = False  # every caller shares these arrays
+    ends = np.cumsum(_RULE_SIZES)
+    return {n: table[:, end - n : end] for n, end in zip(_RULE_SIZES, ends)}
 
 
 def _gauss_legendre(n: int, a: float, b: float):
-    nodes, weights = _legendre(n)
+    nodes, weights = _legendre_rules()[n]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * nodes, half * weights
 
 
 @lru_cache(maxsize=64)
-def _scale_quadrature(df: int):
-    """Nodes, weights and density values for S = sqrt(chi2_df / df)."""
+def _scale_quadrature(df: int, n: int):
+    """Nodes, weights and density values for S = sqrt(chi2_df / df), by the
+    n-node rule."""
     half = 0.5 * df
     # the chi2_df quantiles at 1e-14 and at 1 - 1e-14 as rounded (an upper
     # tail of 9.992e-15); brackets at df = 1 past p = 0.9999 move with them
     s_lo = math.sqrt(2.0 * _gamma_quantile(half, 1e-14, upper=False) / df)
     s_hi = math.sqrt(2.0 * _gamma_quantile(half, 1.0 - (1.0 - 1e-14), upper=True) / df)
-    s, w = _gauss_legendre(400, s_lo, s_hi)
+    s, w = _gauss_legendre(n, s_lo, s_hi)
     log_pdf = (
         (1.0 - half) * math.log(2.0)
         + half * math.log(df)
@@ -441,9 +457,10 @@ def _range_nodes():
 
 
 def _range_quadrature(
-    q: float, k: int, df: int, density: bool = False
+    q: float, k: int, df: int, density: bool = False, n_scale: int = _SCALE_NODES
 ) -> tuple[float, float]:
-    """P(Q <= q) for q > 0 and, when ``density`` is set, dP/dq (else NaN).
+    """P(Q <= q) for q > 0 and, when ``density`` is set, dP/dq (else NaN),
+    over an n_scale-node rule for S.
 
     P(Q <= q) = E_S[F_range(q S)] over the density of the scale factor
     S = sqrt(chi2_df / df), with the normal-range CDF
@@ -451,9 +468,9 @@ def _range_quadrature(
     integrated by Gauss-Legendre on [-13, 13] (the integrand is bounded by
     phi(u) outside). The density dP/dq = E_S[S f_range(q S)], with
     f_range(r) = k(k-1) Integral phi(u) phi(u + r) [Phi(u + r) - Phi(u)]**(k-2) du,
-    reuses the same 400 x 256 nodes and ``_ndtr`` values.
+    reuses the same n_scale x 256 nodes and ``_ndtr`` values.
     """
-    s, weighted = _scale_quadrature(df)
+    s, weighted = _scale_quadrature(df, n_scale)
     u, w_phi, phi_u = _range_nodes()
     x = u + (q * s)[:, None]
     inner = _ndtr(x)
@@ -533,6 +550,39 @@ def _small_df_start(k: int, df: int, p: float) -> float:
     return math.sqrt(0.5 * df) * (moment / tail) ** (1.0 / df)
 
 
+def _log_tail_newton(x: float, cdf: float, density: float, p: float) -> float:
+    """The root of cdf(q) = p by one Newton step from x on log(1 - cdf),
+    which bends less than cdf over the upper tail and so takes fewer steps;
+    NaN where the step cannot be taken."""
+    tail = 1.0 - cdf
+    if density > 0.0 and tail > 0.0:
+        return x + tail * math.log(tail / (1.0 - p)) / density
+    return math.nan
+
+
+def _coarse_root(k: int, df: int, p: float, x: float) -> float:
+    """The root of cdf(q) = p on the coarse scale rule, by Newton steps from
+    x until one moves less than 1e-3 of a cell.
+
+    A coarse pass costs about a tenth of a full one, and its root lies within
+    a cell of the full rule's at every df >= 3 bracket pinned in the tests,
+    so the full search that starts there needs only its two passes. A step
+    that cannot be taken, or that would end at q <= 0, stops at the last x:
+    the full search reaches its cell from any start.
+    """
+    for _ in range(20):
+        cdf, density = _range_quadrature(
+            x, k, df, density=True, n_scale=_COARSE_SCALE_NODES
+        )
+        root = _log_tail_newton(x, cdf, density, p)
+        if not root > 0.0:
+            return x
+        if abs(root - x) < 1e-3 * _CELL:
+            return root
+        x = root
+    return x
+
+
 # typed, so that k=3.0 or k=True misses the entry of k=3 and is rejected
 @lru_cache(maxsize=64, typed=True)
 def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
@@ -545,15 +595,19 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
     whose lo that search leaves below the root and whose hi it does not.
 
     It leaves a doubled power of two below when cdf <= p and a bisection
-    midpoint when cdf < p. Newton steps on grid points find the cell: each
-    goes to an end of the cell holding its root estimate, and one that leaves
-    the known bracket bisects it (or doubles lo) instead. Only the CDF values
-    decide the result; the density only steers.
+    midpoint when cdf < p. Newton steps on grid points find the cell, from
+    the grid point nearest the coarse root: each goes to an end of the cell
+    holding its root estimate, and one that leaves the known bracket bisects
+    it (or doubles lo) instead. Only the full rule's CDF values decide the
+    result; the density and the coarse rule only steer.
     """
     k, df = _shape(k, df)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    lo, hi = 0.0, math.inf
+    if df == 1 and p > 0.999:
+        # the 400 scale nodes do not resolve P(S < R / q) there: at k = 2 the
+        # quantile is off by 3e-3 at p = 0.9999 and by -59 % at 0.99999
+        raise ValueError("p above 0.999 is out of the quadrature's reach at df = 1")
     if df >= 3:
         # the Bonferroni bound over the k (k - 1) / 2 pairwise t tests, exact
         # for k = 2; at df <= 2 it overshoots the root many-fold (16x at k = 10
@@ -561,7 +615,8 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
         x = math.sqrt(2.0) * _t_quantile(df, (1.0 - p) / (k * (k - 1)))
     else:
         x = _small_df_start(k, df, p)
-    x = max(round(x / _CELL), 1) * _CELL
+    x = max(round(_coarse_root(k, df, p, x) / _CELL), 1) * _CELL
+    lo, hi = 0.0, math.inf
     for _ in range(100):
         cdf, density = _range_quadrature(x, k, df, density=True)
         power_of_two = x >= 1.0 and math.frexp(x)[0] == 0.5
@@ -571,13 +626,7 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
             hi = x
         if hi - lo == _CELL:
             return lo, hi
-        # a Newton step on log(1 - cdf), which bends less than cdf over the
-        # upper tail and so takes fewer passes
-        tail = 1.0 - cdf
-        if density > 0.0 and tail > 0.0:
-            root = x + tail * math.log(tail / (1.0 - p)) / density
-        else:
-            root = math.nan
+        root = _log_tail_newton(x, cdf, density, p)
         if lo < root < hi:
             # the end of root's cell nearer to it, unless that end is known
             end = math.floor(root / _CELL) * _CELL
@@ -595,7 +644,8 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
 def studentized_range_quantile(k: int, df: int, p: float) -> float:
     """Inverse CDF: the midpoint of the 2**-20-wide critical-value bracket.
 
-    Cached: every metric's report asks for the same (k, df, 1 - alpha).
+    Cached: every metric's report asks for the same (k, df, 1 - alpha). A
+    ValueError at df = 1 with p > 0.999, where the quadrature is inaccurate.
     """
     lo, hi = _quantile_bracket(k, df, p)
     return 0.5 * (lo + hi)

@@ -111,13 +111,66 @@ SCIPY_SPECIAL_PROBE = textwrap.dedent(
 )
 
 
-def test_scipy_special_loaded_only_for_beta_labels(tmp_path):
-    # scipy.special costs every process ~0.25 s and ~24 MB at import, and
-    # only the beta soft labels use it
+def run_probe(probe: str, *args: str) -> None:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(tmp_path)],
+        [sys.executable, "-c", probe, *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_special_loaded_only_for_beta_labels(tmp_path):
+    # scipy.special costs every process ~0.25 s and ~24 MB at import, and
+    # only the beta soft labels use it
+    run_probe(SCIPY_SPECIAL_PROBE, str(tmp_path))
+
+
+NUMPY_MA_PROBE = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    from ordview import pipeline
+
+    pipeline.run_experiment(
+        pipeline.ExperimentConfig(
+            output_dir=Path(sys.argv[1]) / "run", methods=("sord",), views=("crown",),
+            n_seeds=1, tuning=True, epochs=2,
+            synth=pipeline.SynthConfig(n_samples=60, n_features_per_view=3),
+        )
+    )
+    assert "numpy.ma" not in sys.modules
+    """
+)
+
+
+def test_tuning_leaves_numpy_ma_unloaded(tmp_path):
+    # importing numpy.ma costs a process ~17 ms, and no ordview code uses it
+    run_probe(NUMPY_MA_PROBE, str(tmp_path))
+
+
+RULE_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    opened = []
+    sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+
+    import ordview.cli
+    from ordview import stats
+
+    def rule_reads():
+        return [path for path in opened if path.endswith(stats._RULE_FILE)]
+
+    assert rule_reads() == [], "import ordview.cli read the Gauss-Legendre rules"
+    stats.studentized_range_cdf(3.0, 3, 10)
+    assert len(rule_reads()) == 1
+    """
+)
+
+
+def test_cli_import_reads_no_rule():
+    # the rules are read on the first quadrature, which most commands never run
+    run_probe(RULE_PROBE)

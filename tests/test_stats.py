@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +98,52 @@ class TestScipyFreeFunctions:
         tails = np.geomspace(1e-100, 0.4, 40)
         got = [stats._t_quantile(df, tail) for tail in tails.tolist()]
         np.testing.assert_allclose(got, -spx.stdtrit(df, tails), rtol=1e-12, atol=0)
+
+
+class TestShippedRules:
+    """The Gauss-Legendre rules ship as a file, read on first use."""
+
+    SHA256 = "0e675806dbff3645fe0e6fb2984161f12e324243d3b30bb3cbecd288fa3c5988"
+
+    def test_file_pinned_and_equal_to_leggauss(self):
+        path = Path(stats.__file__).with_name(stats._RULE_FILE)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SHA256
+        rules = stats._legendre_rules()
+        assert sorted(rules) == [64, 256, 400]
+        for n, (nodes, weights) in rules.items():
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-15)
+
+    def test_read_once_never_computed(self, monkeypatch):
+        def fail(n):
+            raise AssertionError(f"the {n}-node rule was computed")
+
+        loads = []
+        load = np.load
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", fail)
+        monkeypatch.setattr(np, "load", counting)
+        caches = (
+            stats._legendre_rules,
+            stats._scale_quadrature,
+            stats._range_nodes,
+            _quantile_bracket,
+        )
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            # df = 2 starts from _small_df_start, which uses the 64-node rule
+            for df in (2, 21, 26, 1946):
+                _quantile_bracket(5, df, 0.95)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert len(loads) == 1
 
 
 class TestAnova:
@@ -247,6 +296,28 @@ class TestStudentizedRange:
             got = studentized_range_quantile(k, df, 0.95)
             ref = sps.studentized_range.ppf(0.95, k, df)
             assert got == pytest.approx(ref, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "df, p", [(1, 0.5), (1, 0.9), (1, 0.95), (1, 0.99), (1, 0.999), (2, 0.9), (2, 0.99999)]
+    )
+    def test_small_df_k2_matches_closed_form(self, df, p):
+        # Q = sqrt(2) |T| at k = 2, with t_1((1 + p) / 2) = tan(pi p / 2) and
+        # t_2((1 + p) / 2) = p / sqrt((1 - p^2) / 2); the midpoint of the
+        # bracket is within half a cell of the computed root
+        if df == 1:
+            t = math.tan(0.5 * math.pi * p)
+        else:
+            t = p / math.sqrt(0.5 * (1.0 - p * p))
+        exact = math.sqrt(2.0) * t
+        got = studentized_range_quantile(2, df, p)
+        assert abs(got - exact) <= 0.5 * stats._CELL + 1e-8 * exact
+
+    @pytest.mark.parametrize("p", [math.nextafter(0.999, 1.0), 0.9995, 0.99999])
+    def test_df1_past_0999_rejected(self, p, monkeypatch):
+        # the quadrature is off by 5e-6 (relative) at 0.9995 and -59 % at 0.99999
+        self.forbid_quadrature(monkeypatch)
+        with pytest.raises(ValueError, match="out of the quadrature's reach"):
+            studentized_range_quantile(2, 1, p)
 
     @staticmethod
     def forbid_quadrature(monkeypatch):
@@ -471,57 +542,41 @@ class TestBandDecision:
         assert _significant(q, k, df, alpha).tolist() == expected
         assert expected[3:] == [False, True]
 
-    @pytest.mark.parametrize("k, df", SHAPES)
-    def test_cold_bracket_takes_at_most_10_passes(self, k, df, monkeypatch):
-        # doubling and bisection take 24-26; a silent fall back to bisection
-        # steps fails this
-        calls = []
+    @staticmethod
+    def count_passes(monkeypatch) -> list[int]:
+        """The scale-rule size of every _range_quadrature pass, as they run."""
+        sizes = []
         quadrature = stats._range_quadrature
+        signature = inspect.signature(quadrature)
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            sizes.append(bound.arguments["n_scale"])
             return quadrature(*args, **kwargs)
 
         monkeypatch.setattr(stats, "_range_quadrature", counting)
+        return sizes
+
+    @pytest.mark.parametrize("k, df", SHAPES)
+    def test_cold_bracket_takes_2_full_passes(self, k, df, monkeypatch):
+        # doubling and bisection take 24-26 full passes, a search from the
+        # Bonferroni bound 4-6; a coarse root more than a cell off fails this
+        sizes = self.count_passes(monkeypatch)
         _quantile_bracket.__wrapped__(k, df, 0.95)
-        assert len(calls) <= 10
+        assert sizes.count(400) == 2
+        assert sizes.count(64) <= 5
 
     @pytest.mark.parametrize("k, df", [(2, 1), (7, 2), (20, 1), (14, 2)])
     def test_small_df_cold_bracket_takes_at_most_5_passes(self, k, df, monkeypatch):
-        # from 3.5, where the Bonferroni bound cannot start them, these take 7-9
-        calls = []
-        quadrature = stats._range_quadrature
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return quadrature(*args, **kwargs)
-
-        monkeypatch.setattr(stats, "_range_quadrature", counting)
+        # from 3.5, where the Bonferroni bound cannot start them, these took
+        # 7-9 full passes
+        sizes = self.count_passes(monkeypatch)
         for p in (0.9, 0.95, 0.99):
-            calls.clear()
+            sizes.clear()
             _quantile_bracket.__wrapped__(k, df, p)
-            assert len(calls) <= 5
-
-    def test_legendre_rule_computed_once_per_n(self, monkeypatch):
-        # the 400-node rule of every df is the same rule scaled to its interval
-        sizes = []
-        leggauss = np.polynomial.legendre.leggauss
-
-        def counting(n):
-            sizes.append(n)
-            return leggauss(n)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        caches = (stats._legendre, stats._scale_quadrature, stats._range_nodes)
-        for cache in caches:
-            cache.cache_clear()
-        try:
-            for df in (21, 26, 1946):
-                studentized_range_cdf(3.0, 5, df)
-        finally:
-            for cache in caches:
-                cache.cache_clear()
-        assert sorted(sizes) == [256, 400]
+            assert sizes.count(400) <= 5
+            assert sizes.count(64) <= 5
 
     def test_decisions_outside_band_integrate_nothing(self, monkeypatch):
         calls = []
