@@ -122,10 +122,9 @@ def _validate_labels(labels, n_classes: int) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("labels must be 1-D")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        flt = np.asarray(labels, dtype=np.float64)
-        if not np.all(flt == np.floor(flt)):
+        arr = np.asarray(labels, dtype=np.float64)
+        if not np.all(arr == np.floor(arr)):
             raise ValueError("labels must be integers")
-        arr = flt.astype(np.int64)
     arr = arr.astype(np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
         raise ValueError(

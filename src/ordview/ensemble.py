@@ -77,12 +77,11 @@ def optimize_weights(
     if stack.ndim != 3:
         raise ValueError("per_view_val_probs must stack to V x n x J")
     n_views, n_val, n_classes = stack.shape
-    y_val = np.asarray(y_val, dtype=np.int64)
     if n_val == 0:
         raise ValueError("empty validation set")
+    y_val = _validate_labels(y_val, n_classes)
     if y_val.shape != (n_val,):
         raise ValueError("y_val length must match validation probabilities")
-    y_val = _validate_labels(y_val, n_classes)
 
     rng = np.random.default_rng(seed)
     candidates = np.vstack(

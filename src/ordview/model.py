@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .core import _subseed, check_fields
+from .core import _subseed, _validate_labels, check_fields
 from .metrics import amae
 from .softlabel import (
     KINDS as SOFT_KINDS,
@@ -212,11 +212,9 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("x must be a nonempty 2-D feature matrix")
     _check_finite(x)
-    y = np.ascontiguousarray(y, dtype=np.int64)
+    y = _validate_labels(y, config.n_classes)
     if y.shape != (x.shape[0],):
         raise ValueError("y length must match x rows")
-    if y.size and (y.min() < 0 or y.max() >= config.n_classes):
-        raise ValueError("labels outside [0, n_classes)")
 
     n, d = x.shape
     j = config.n_classes
@@ -440,7 +438,7 @@ def tune(
     fits; pass the returned params on to ``method_config``.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.int64)
+    y = _validate_labels(y, n_classes)
     size = space.size
     rng = np.random.default_rng(seed)
     if size <= MAX_TUNE_EVALS:

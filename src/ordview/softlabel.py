@@ -10,7 +10,7 @@ A ``SoftLabelConfig`` mixes the one-hot target with a base distribution,
 * ``triangular`` / ``beta``: a continuous density on [0, 1] centred on the
   true class's interval; the mass of each of the J equal segments
   [j/J, (j+1)/J] is a difference of the closed-form CDF (elementary for the
-  triangle, the regularized incomplete beta function for the beta).
+  triangle, the incomplete beta ``stats._betainc`` for the beta).
 * ``exponential``: normalized exp(-tau * |j - k| ** p_exponent).
 
 A ``SordConfig`` gives the SORD targets: a softmax over rank distances
@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import check_fields
+from .stats import _betainc
 
 __all__ = [
     "SoftLabelConfig",
@@ -157,15 +158,14 @@ def _beta(j: int, concentration: float) -> np.ndarray:
 
     Shape parameters a = m(c-2)+1, b = (1-m)(c-2)+1 place the mode at m and
     let the single concentration c control the spread; c must exceed 2 so the
-    mode exists. scipy's betainc is imported here, so that only this family
-    pays for loading scipy.special (~0.25 s and ~24 MB).
+    mode exists. The CDF is ``stats._betainc``, the incomplete beta of ``f_sf``.
     """
-    from scipy.special import betainc
-
-    mode = (2 * np.arange(j)[:, None] + 1) / (2.0 * j)
-    a = mode * (concentration - 2.0) + 1.0
-    b = (1.0 - mode) * (concentration - 2.0) + 1.0
-    masses = np.diff(betainc(a, b, np.arange(j + 1) / j), axis=1)
+    mode = (2 * np.arange(j) + 1) / (2.0 * j)
+    a = (mode * (concentration - 2.0) + 1.0).tolist()
+    b = ((1.0 - mode) * (concentration - 2.0) + 1.0).tolist()
+    edges = [(q / j, (j - q) / j) for q in range(j + 1)]
+    cdf = [[_betainc(ak, bk, x, y) for x, y in edges] for ak, bk in zip(a, b)]
+    masses = np.diff(cdf, axis=1)
     return masses / _row_sum(masses)
 
 

@@ -90,3 +90,8 @@ class TestOptimizeWeights:
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             optimize_weights([np.zeros((0, 3))], np.zeros(0, dtype=np.int64))
+
+    def test_non_integer_labels_rejected(self):
+        probs = np.full((2, 4, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            optimize_weights(probs, [0.5, 1.7, 2.2, 0.0])

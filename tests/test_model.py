@@ -495,3 +495,16 @@ class TestTune:
         a = tune(search_space("cdwce"), x, y, n_classes=3, seed=4)
         b = tune(search_space("cdwce"), x, y, n_classes=3, seed=4)
         assert a == b
+
+
+@pytest.mark.parametrize("call", ("train", "tune"))
+def test_non_integer_labels_rejected(call):
+    # a cast to int64 would truncate 0.5 to class 0 and train on it
+    x, y = blob_dataset(10, 3)
+    y = y.astype(np.float64)
+    y[4] = 0.5
+    with pytest.raises(ValueError, match="labels must be integers"):
+        if call == "train":
+            train(method_config("nominal", 3, None, seed=0), x, y)
+        else:
+            tune(search_space("nominal"), x, y, 3, seed=0, epochs=2)

@@ -78,35 +78,29 @@ def test_no_unused_imports():
     assert unused == []
 
 
-# run in a fresh interpreter: the test session itself imports scipy
-SCIPY_SPECIAL_PROBE = textwrap.dedent(
+# run in a fresh interpreter: the test session itself imports scipy, which
+# the package lists only in its test extra
+SCIPY_FREE_PROBE = textwrap.dedent(
     """
     import sys
     from pathlib import Path
 
-    import ordview.cli
-    from ordview import cli, pipeline, softlabel
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+
+    from ordview import cli, pipeline
 
     work = Path(sys.argv[1])
-    grid = work / "grid.csv"
-    rows = ["method,view_config,seed,qwk"]
-    for m, method in enumerate(("nominal", "clm", "sord")):
-        for v, view in enumerate(("crown", "north")):
-            for seed in range(3):
-                rows.append(f"{method},{view},{seed},{0.1 * m + 0.05 * v + 0.01 * seed}")
-    grid.write_text("\\n".join(rows) + "\\n")
-    args = ["stats", str(grid), "--out", str(work / "reports"), "--metrics", "qwk"]
-    assert cli.main(args) == 0
     pipeline.run_experiment(
         pipeline.ExperimentConfig(
-            output_dir=work / "run", methods=("nominal", "sord"), views=("crown",),
-            n_seeds=1, tuning=False, epochs=2,
+            output_dir=work / "run", methods=("beta", "clm_beta"),
+            views=("crown", "north"), n_seeds=2, tuning=True, epochs=2,
             synth=pipeline.SynthConfig(n_samples=60, n_features_per_view=3),
         )
     )
-    assert "scipy.special" not in sys.modules, "loaded without a beta soft label"
-    softlabel.target_matrix(4, softlabel.SoftLabelConfig("beta"))
-    assert "scipy.special" in sys.modules
+    args = ["stats", str(work / "run" / "grid.csv"), "--out", str(work / "reports")]
+    assert cli.main(args) == 0
+    loaded = [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+    assert loaded == ["scipy"] and sys.modules["scipy"] is None, loaded
     """
 )
 
@@ -121,10 +115,10 @@ def run_probe(probe: str, *args: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_special_loaded_only_for_beta_labels(tmp_path):
-    # scipy.special costs every process ~0.25 s and ~24 MB at import, and
-    # only the beta soft labels use it
-    run_probe(SCIPY_SPECIAL_PROBE, str(tmp_path))
+def test_beta_methods_and_stats_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: the beta soft labels take their
+    # incomplete beta from stats
+    run_probe(SCIPY_FREE_PROBE, str(tmp_path))
 
 
 NUMPY_MA_PROBE = textwrap.dedent(

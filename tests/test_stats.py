@@ -74,6 +74,8 @@ class TestFDistribution:
             assert f_sf(math.inf, d1, d2) == 0.0 == spx.fdtrc(d1, d2, math.inf)
             assert f_sf(1e308, d1, d2) == pytest.approx(spx.fdtrc(d1, d2, 1e308), rel=1e-12)
             assert math.isnan(f_sf(math.nan, d1, d2))
+        # y = 1 - x underflows to 0 at the smallest positive F
+        assert f_sf(5e-324, 1, 2000) == 1.0 == spx.fdtrc(1, 2000, 5e-324)
 
 
 class TestScipyFreeFunctions:
