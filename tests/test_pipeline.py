@@ -214,6 +214,54 @@ class TestCsvRoundtrip:
         assert bitwise_equal(block[:, 0], expected)
 
 
+def permute_rows(path, seed):
+    """Rewrite a CSV file with its data lines in a seeded random order."""
+    header, *body = path.read_bytes().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(body))
+    path.write_bytes(header + b"".join(body[i] for i in order))
+
+
+class TestViewFilesPinned:
+    """The bytes ``write_views_csv`` writes, for row counts below, at and just
+    past a multiple of 4096, and the views that load back from them."""
+
+    DIGESTS = {
+        300: "45ff5f7f8e741b308f35091db4954eb7b8c69e0792382c4be36903edbd5e6b60",
+        4096: "8957b65ae0cf4325a8d19097ad3ed44832d1d6d4b8b7b149904868b73d188893",
+        8193: "accd92841ab7174049039fdc413ac876640993017a5a2b71d0ebf725e82faa92",
+    }
+
+    @pytest.mark.parametrize("n", sorted(DIGESTS))
+    def test_written_bytes_pinned(self, tmp_path, n):
+        data = generate_synthetic(SynthConfig(n_samples=n), seed=n)
+        digest = hashlib.sha256()
+        for path in write_views_csv(data, tmp_path).values():
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGESTS[n]
+
+    def load_permuted(self, tmp_path, permuted):
+        data = generate_synthetic(SynthConfig(n_samples=300), seed=3)
+        paths = write_views_csv(data, tmp_path)
+        for i, view in enumerate(permuted):
+            permute_rows(paths[view], seed=i)
+        loaded = load_views_csv(paths)
+        assert list(loaded.views) == list(data.views)
+        assert np.array_equal(loaded.labels, data.labels)
+        for array in [loaded.labels, *loaded.views.values()]:
+            assert array.flags.c_contiguous and not array.flags.writeable
+        for v in data.views:
+            assert bitwise_equal(loaded.views[v], data.views[v])
+
+    def test_sorted_ids_load_as_written(self, tmp_path):
+        self.load_permuted(tmp_path, [])
+
+    def test_shuffled_first_view_loads_as_written(self, tmp_path):
+        self.load_permuted(tmp_path, ["crown"])
+
+    def test_second_view_in_another_order_loads_as_written(self, tmp_path):
+        self.load_permuted(tmp_path, ["north"])
+
+
 class TestCsvLoader:
     def make_pair(self, tmp_path, rows_a=None, rows_b=None):
         header = ["sample_id", "f0", "f1", "label"]
