@@ -117,7 +117,9 @@ def parse_option(hint, text: str):
     raise ValueError(f"expected {_type_name(hint)}, got {text}")
 
 
-def _validate_labels(labels, n_classes: int) -> np.ndarray:
+def _validate_labels(labels, n_classes: int | None) -> np.ndarray:
+    """The labels as a 1-D int64 array; a ValueError for a non-integer value
+    or, unless n_classes is None, one outside [0, n_classes - 1]."""
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError("labels must be 1-D")
@@ -126,7 +128,7 @@ def _validate_labels(labels, n_classes: int) -> np.ndarray:
         if not np.all(arr == np.floor(arr)):
             raise ValueError("labels must be integers")
     arr = arr.astype(np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
+    if n_classes is not None and arr.size and (arr.min() < 0 or arr.max() >= n_classes):
         raise ValueError(
             f"labels must lie in [0, {n_classes - 1}], "
             f"got range [{arr.min()}, {arr.max()}]"

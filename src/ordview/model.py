@@ -398,7 +398,7 @@ def search_space(method: str) -> SearchSpace:
 
 def stratified_folds(y, n_folds: int, seed: int) -> np.ndarray:
     """Fold index per sample: seeded shuffle within class, then round-robin."""
-    y = np.asarray(y, dtype=np.int64)
+    y = _validate_labels(y, None)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     counts = np.bincount(y)

@@ -150,13 +150,20 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> MultiViewDataset:
     d = cfg.n_features_per_view
     rho = cfg.latent_correlation
     shared = rng.normal(size=(cfg.n_samples, d))
+    shared *= math.sqrt(rho)
     views = {}
+    # each view is z direction + noise_scale (sqrt(rho) shared + sqrt(1 - rho)
+    # own), summed in place in its own noise draw: the same products and
+    # (commuted) sums, so the same bits, with one (n, d) temporary
     for name, noise_scale in zip(cfg.view_names, cfg.view_noise):
         direction = rng.normal(size=d)
         direction /= np.linalg.norm(direction)
-        own = rng.normal(size=(cfg.n_samples, d))
-        noise = math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * own
-        views[name] = z[:, None] * direction[None, :] + noise_scale * noise
+        view = rng.normal(size=(cfg.n_samples, d))
+        view *= math.sqrt(1.0 - rho)
+        view += shared
+        view *= noise_scale
+        view += z[:, None] * direction
+        views[name] = view
     return MultiViewDataset(views=views, labels=labels, n_classes=cfg.n_classes)
 
 
@@ -166,16 +173,37 @@ def write_views_csv(
     label_column: str = "label",
     id_column: str = "sample_id",
 ) -> dict[str, Path]:
-    """One CSV per view: id, features f0.., label. Returns view -> path."""
+    """One CSV per view: id, features f0.., label. Returns view -> path.
+
+    A label or id column named like the other or like a feature column
+    raises a ValueError before any file is written, since the loader
+    rejects a header with a duplicate column.
+    """
+    if label_column == id_column:
+        raise ValueError(f"label column and id column are both {id_column!r}")
+    width = max(block.shape[1] for block in data.views.values())
+    for role, col in (("id", id_column), ("label", label_column)):
+        if col in {f"f{i}" for i in range(width)}:
+            raise ValueError(f"{role} column {col!r} is also the name of a feature column")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = data.labels.tolist()
     paths = {}
     for name, block in data.views.items():
         header = [id_column] + [f"f{i}" for i in range(block.shape[1])] + [label_column]
-        rows = ([i, *x, y] for i, (x, y) in enumerate(zip(block.tolist(), labels)))
-        paths[name] = _write_csv(out_dir / f"{name}.csv", header, rows)
+        paths[name] = _write_csv(out_dir / f"{name}.csv", header, _rows(block, data.labels))
     return paths
+
+
+_WRITE_BLOCK = 4096  # rows converted to Python floats at a time
+
+
+def _rows(block: np.ndarray, labels: np.ndarray):
+    """[id, *features, label] per row, converted ``_WRITE_BLOCK`` rows at a
+    time, so no list of the whole view is held."""
+    for start in range(0, len(labels), _WRITE_BLOCK):
+        stop = start + _WRITE_BLOCK
+        rows = zip(block[start:stop].tolist(), labels[start:stop].tolist())
+        yield from ([i, *x, y] for i, (x, y) in enumerate(rows, start))
 
 
 # ------------------------------------------------------------------ csv i/o
@@ -373,10 +401,13 @@ def _parse_view_csv(
     elif len(set(ids)) < len(ids):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
-    labels = columns[label_pos]
+    # copies, since a view of one field would keep the whole table alive
+    labels = columns[label_pos].copy()
     _check_labels(path, label_column, labels, lines, n_classes)
     features = [col for i, col in enumerate(columns) if i not in (id_pos, label_pos)]
-    block = np.array(features, dtype=np.float64).reshape(len(features), len(ids)).T
+    block = np.empty((len(ids), len(features)))
+    for j, col in enumerate(features):
+        block[:, j] = col
     return ids, block, labels
 
 
@@ -424,9 +455,12 @@ def load_views_csv(
     names = list(parsed)
     first = names[0]
     order = _id_order(first_ids)
+    if np.array_equal(order, np.arange(len(order))):
+        order = None  # the ids are sorted already: no view needs a gather
     views = {}
     view_labels = []
-    for view, (ids, block, labels) in parsed.items():
+    for view in names:
+        ids, block, labels = parsed.pop(view)  # so a gathered block frees its source
         idx = order
         if ids is not first_ids:  # another order or other ids: match id by id
             base_ids = set(first_ids)
@@ -439,15 +473,18 @@ def load_views_csv(
             row_of = {sid: r for r, sid in enumerate(ids)}
             # row of each first-view id in this view, then in sorted order
             idx = np.fromiter(map(row_of.__getitem__, first_ids), np.intp, len(ids))
-            idx = idx[order]
-        views[view] = block[idx]
-        view_labels.append(labels[idx])
+            if order is not None:
+                idx = idx[order]
+        if idx is not None:
+            block, labels = block[idx], labels[idx]
+        views[view] = block
+        view_labels.append(labels)
     view_labels = np.stack(view_labels)
     conflicts = np.flatnonzero((view_labels != view_labels[0]).any(axis=0))
     if conflicts.size:
         k = conflicts[0]
         vals = dict(zip(names, view_labels[:, k].tolist()))
-        sid = first_ids[order[k]]
+        sid = first_ids[k if order is None else order[k]]
         raise ValueError(f"sample id {sid!r}: conflicting labels across views: {vals}")
     labels = view_labels[0]
     j = int(labels.max()) + 1 if n_classes is None else int(n_classes)

@@ -328,6 +328,7 @@ _RULE_FILE = "gauss_legendre.npy"
 _RULE_SIZES = (64, 256, 400)
 # the scale rule of _quantile_bracket's coarse root and of every other pass
 _COARSE_SCALE_NODES, _SCALE_NODES = 64, 400
+_SCALE_BLOCK = 100  # scale nodes per block of _range_quadrature
 
 
 @lru_cache(maxsize=1)
@@ -473,26 +474,39 @@ def _range_quadrature(
     phi(u) outside). The density dP/dq = E_S[S f_range(q S)], with
     f_range(r) = k(k-1) Integral phi(u) phi(u + r) [Phi(u + r) - Phi(u)]**(k-2) du,
     reuses the same n_scale x 256 nodes and ``_ndtr`` values.
+
+    The grid is worked in blocks of ``_SCALE_BLOCK`` scale nodes, so its
+    temporaries stay a quarter of the full grid's; each node's row sum and
+    the final weighted sums add in the same order as over the whole grid.
     """
     s, weighted = _scale_quadrature(df, n_scale)
     u, w_phi, phi_u = _range_nodes()
-    x = u + (q * s)[:, None]
-    inner = _ndtr(x)
-    inner -= phi_u
-    term = inner ** (k - 1)
-    term *= w_phi
-    per_node = np.clip(k * np.sum(term, axis=1), 0.0, 1.0)
+    per_node = np.empty(n_scale)
+    pdf = np.empty(n_scale)
+    for start in range(0, n_scale, _SCALE_BLOCK):
+        rows = slice(start, start + _SCALE_BLOCK)
+        x = u + (q * s[rows])[:, None]
+        inner = _ndtr(x)
+        inner -= phi_u
+        term = inner ** (k - 1)
+        term *= w_phi
+        np.sum(term, axis=1, out=per_node[rows])
+        if not density:
+            continue
+        # term / inner = w phi(u) [Phi(u + r) - Phi(u)]**(k-2), save where
+        # inner is 0 (u far in the upper tail), which the density, a guide,
+        # can skip
+        np.divide(term, inner, out=term, where=inner > 0.0)
+        x *= x
+        x *= -0.5
+        np.exp(x, out=x)
+        x *= term
+        np.sum(x, axis=1, out=pdf[rows])
+    per_node = np.clip(k * per_node, 0.0, 1.0)
     cdf = float(min(1.0, max(0.0, np.sum(weighted * per_node))))
     if not density:
         return cdf, math.nan
-    # term / inner = w phi(u) [Phi(u + r) - Phi(u)]**(k-2), save where inner
-    # is 0 (u far in the upper tail), which the density, a guide, can skip
-    np.divide(term, inner, out=term, where=inner > 0.0)
-    x *= x
-    x *= -0.5
-    np.exp(x, out=x)
-    x *= term
-    pdf = k * (k - 1) / math.sqrt(2.0 * math.pi) * np.sum(x, axis=1)
+    pdf = k * (k - 1) / math.sqrt(2.0 * math.pi) * pdf
     return cdf, float(np.sum(weighted * s * pdf))
 
 

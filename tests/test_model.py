@@ -460,6 +460,16 @@ class TestFolds:
             stratified_folds(y, 3, seed=5), stratified_folds(y, 3, seed=5)
         )
 
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            stratified_folds([0.5, 0.7, 1.2, 1.9, 0.1, 1.0], 2, seed=0)
+
+    def test_integer_valued_floats_fold_as_ints(self):
+        y = np.repeat(np.arange(3), 10)
+        assert np.array_equal(
+            stratified_folds(y.astype(float), 3, seed=5), stratified_folds(y, 3, seed=5)
+        )
+
 
 class TestTune:
     def test_exhaustive_small_space(self):

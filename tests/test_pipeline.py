@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -176,6 +177,23 @@ class TestCsvRoundtrip:
                 loaded.views[v].view(np.int64), data.views[v].view(np.int64)
             )
 
+    @pytest.mark.parametrize("columns, message", [
+        (dict(label_column="f0"), "label column 'f0' is also the name of a feature column"),
+        (dict(id_column="f3"), "id column 'f3' is also the name of a feature column"),
+        (dict(id_column="y", label_column="y"), "label column and id column are both 'y'"),
+    ])
+    def test_clashing_column_names_rejected_before_writing(self, tmp_path, columns, message):
+        data = generate_synthetic(SynthConfig(n_samples=40), seed=1)
+        with pytest.raises(ValueError, match=message):
+            write_views_csv(data, tmp_path / "out", **columns)
+        assert not (tmp_path / "out").exists()
+
+    def test_label_named_past_the_features_round_trips(self, tmp_path):
+        data = generate_synthetic(SynthConfig(n_samples=40), seed=1)
+        paths = write_views_csv(data, tmp_path, label_column="f10", id_column="f11")
+        loaded = load_views_csv(paths, label_column="f10", id_column="f11")
+        assert np.array_equal(loaded.labels, data.labels)
+
     def test_write_matches_csv_writer_bytes(self, tmp_path):
         block = np.array(EDGE_FLOATS + [0.1, 1 / 3, -2.5e-7, 123456789.0])
         data = MultiViewDataset(
@@ -260,6 +278,33 @@ class TestViewFilesPinned:
 
     def test_second_view_in_another_order_loads_as_written(self, tmp_path):
         self.load_permuted(tmp_path, ["north"])
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory it allocated, in MB."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_data_path_memory_is_bounded(tmp_path):
+    """3 views x 20k rows x 10 features (1.5 MB a view): generating, writing
+    and loading them allocate no whole-view temporary beyond the ones each
+    step needs (peaks of 8.2 / 1.6 / 9.1 MB when written, 11.1 / 7.6 / 18.9
+    MB with whole-view temporaries)."""
+    generate_synthetic(SynthConfig(n_samples=50), seed=0)  # first-call set-up
+    cfg = SynthConfig(n_samples=20_000)
+    data, peak = traced_peak(lambda: generate_synthetic(cfg, seed=0))
+    assert peak < 9.5
+    paths, peak = traced_peak(lambda: write_views_csv(data, tmp_path))
+    assert peak < 3.0
+    loaded, peak = traced_peak(lambda: load_views_csv(paths))
+    assert peak < 10.0
+    for v in data.views:
+        assert bitwise_equal(loaded.views[v], data.views[v])
 
 
 class TestCsvLoader:

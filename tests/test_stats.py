@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,25 @@ class TestStudentizedRange:
             got = studentized_range_quantile(k, df, 0.95)
             ref = sps.studentized_range.ppf(0.95, k, df)
             assert got == pytest.approx(ref, abs=1e-3)
+
+    @pytest.mark.parametrize("q, k, df", [(0.3, 2, 1), (3.5, 5, 20), (6.0, 14, 1862)])
+    def test_blocked_quadrature_matches_one_block(self, monkeypatch, q, k, df):
+        blocked = stats._range_quadrature(q, k, df, density=True)
+        monkeypatch.setattr(stats, "_SCALE_BLOCK", stats._SCALE_NODES)
+        whole = stats._range_quadrature(q, k, df, density=True)
+        assert blocked == whole
+
+    def test_quadrature_memory_is_bounded(self):
+        """One 400 x 256 pass with its density: the whole grid's temporaries
+        would peak at 4.9 MB, blocks of 100 scale nodes at 1.7 MB."""
+        stats._range_quadrature(3.5, 5, 20, density=True)  # fill the caches
+        tracemalloc.start()
+        try:
+            stats._range_quadrature(3.5, 5, 20, density=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 2**20
 
     @pytest.mark.parametrize(
         "df, p", [(1, 0.5), (1, 0.9), (1, 0.95), (1, 0.99), (1, 0.999), (2, 0.9), (2, 0.99999)]
