@@ -182,8 +182,9 @@ def write_views_csv(
     if label_column == id_column:
         raise ValueError(f"label column and id column are both {id_column!r}")
     width = max(block.shape[1] for block in data.views.values())
+    features = {f"f{i}" for i in range(width)}
     for role, col in (("id", id_column), ("label", label_column)):
-        if col in {f"f{i}" for i in range(width)}:
+        if col in features:
             raise ValueError(f"{role} column {col!r} is also the name of a feature column")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,7 +402,7 @@ def _parse_view_csv(
     elif len(set(ids)) < len(ids):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"file {path}: duplicate sample id {dup!r}")
-    # copies, since a view of one field would keep the whole table alive
+    # a copy, since a view of one field would keep the whole parsed table alive
     labels = columns[label_pos].copy()
     _check_labels(path, label_column, labels, lines, n_classes)
     features = [col for i, col in enumerate(columns) if i not in (id_pos, label_pos)]
