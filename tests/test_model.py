@@ -351,6 +351,47 @@ def test_divergence_has_one_signal(loss, head):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# The epoch TrainingDiverged names (None: the fit stays finite) for each
+# (learning rate, batch size), in the order of DIVERGENCE_CASES: 4 epochs of
+# 40 wide rows. In batches of 40 an epoch is one step, whose loss is taken
+# before its update, so an overflow reads at epoch 1. A NaN that a loss
+# skips (an entry with a zero target weight) reaches the epoch loss one
+# batch later or not at all, so this pins where each fit fails.
+DIVERGENCE_EPOCHS = {
+    (1e308, 8): (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (1e306, 8): (None, 0, None, 0, None, 0, None, 0, None, 0, 1, 0),
+    (1e3, 8): (None,) * 12,
+    (1e308, 40): (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (1e306, 40): (1, 1, None, 1, 1, 1, None, 1, None, 1, 1, 1),
+}
+DIVERGENCE_CASES = list(itertools.product(
+    sorted(KERNEL_LOSSES), ("softmax", "clm"), ("linear", "one_hidden")
+))
+
+
+@pytest.mark.parametrize(
+    "loss, head, backbone, lr, batch_size, epoch",
+    [pytest.param(*case, lr, b, epochs[i], id="-".join(case) + f"-{lr:g}-b{b}")
+     for (lr, b), epochs in DIVERGENCE_EPOCHS.items()
+     for i, case in enumerate(DIVERGENCE_CASES)],
+)
+def test_divergence_epoch_pinned(loss, head, backbone, lr, batch_size, epoch):
+    rng = np.random.default_rng(0)
+    x = 10 * rng.normal(size=(40, 5))
+    cfg = ModelConfig(n_classes=3, head=head, backbone=backbone, hidden_width=5,
+                      learning_rate=lr, epochs=4, batch_size=batch_size,
+                      **KERNEL_LOSSES[loss])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            train(cfg, x, np.arange(40) % 3)
+            got = None
+        except TrainingDiverged as err:
+            got = err.epoch
+    assert got == epoch
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def saturated_fit():
     """A softmax fit that saturates to exact one-hot rows: the clamped
     gradient is exactly zero, so its epoch losses stay finite while its
