@@ -29,8 +29,10 @@ every step reuses one per-fit workspace:
   It works out the J - 1 thresholds and the deltas' gradient chain in
   Python floats, with the same additions in the same order; the b1
   gradient stays one ``np.add.reduce``, since from 8 terms on its pairwise
-  sum adds in another order than a Python loop. A mask that skips no entry
-  is not applied, and constants reach the ufuncs as 0-d arrays
+  sum adds in another order than a Python loop. No loss masks the entries
+  it skips: their weight of 0 already gives a zero term, and a gradient of
+  zero up to its sign, at any finite probability. Constants reach the
+  ufuncs as 0-d arrays
   (``_operand``). Sums, prefix sums and clamps call the ufuncs
   (``np.add.reduce``, ``np.add.accumulate``, ``np.minimum``/``np.maximum``)
   directly rather than through the slower ``np.sum``/``np.cumsum``/
@@ -77,15 +79,15 @@ _P_HI = _operand(1.0 - P_CLAMP)
 
 
 def link_inverse(x):
-    """Inverse logit link g^{-1}(x), the cumulative-probability response."""
-    e = np.exp(-np.abs(x))
+    """Inverse logit link g^{-1}(x), the cumulative-probability response:
+    1 / (1 + e) at x >= 0 and e / (1 + e) below, with e = exp(-|x|)."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     one_e = _ONE + e
-    return np.where(x >= _ZERO, _ONE / one_e, e / one_e)
-
-
-def link_inverse_deriv(c):
-    """d/dx of link_inverse at x, given c = link_inverse(x): c (1 - c)."""
-    return c * (_ONE - c)
+    np.copyto(e, _ONE, where=x >= _ZERO)
+    e /= one_e
+    return e
 
 
 def materialize_thresholds_raw(b1, deltas, d_min):
@@ -141,8 +143,8 @@ def clm_probs(c, pad=None):
     """(cum, probs) from the link responses c[i, j] = g^{-1}(b_j - f_i).
 
     cum is c forced non-decreasing against round-off; probs[i] holds its
-    first differences and the tail class, renormalized (a round-off guard;
-    the sum is already 1 up to machine precision).
+    first differences and the tail class, divided by their sum (a round-off
+    guard; for finite c the sum is already 1 up to a few ulps).
 
     Both are views into ``pad`` (a ``ClmPad`` for c's rows, or None for a
     new one). One flat subtract over its padded rows gives every first
@@ -154,8 +156,7 @@ def clm_probs(c, pad=None):
     cum = np.maximum.accumulate(c, axis=1, out=pad.cum)
     np.subtract(pad.hi, pad.lo, out=pad.diff)
     np.maximum(pad.diff, _ZERO, out=pad.diff)
-    tot = np.add.reduce(pad.probs, axis=1, keepdims=True)
-    np.divide(pad.rows, tot, out=pad.rows, where=tot > _ZERO)
+    pad.rows /= np.add.reduce(pad.probs, axis=1, keepdims=True)
     return cum, pad.probs
 
 
@@ -170,10 +171,12 @@ def clm_backward_batch(c, grad_probs):
 
     c[i, j] = link_inverse(b_j - f_i), as in the forward pass. With
     dL/dcum_j = g_j - g_{j+1} (g = grad_probs row), returns per-sample
-    latent gradients and threshold gradients summed over the batch.
+    latent gradients and threshold gradients summed over the batch; the
+    link's derivative at b_j - f_i is c (1 - c).
     """
-    dc = grad_probs[:, :-1] - grad_probs[:, 1:]
-    term = link_inverse_deriv(c) * dc
+    term = _ONE - c
+    term *= c
+    term *= grad_probs[:, :-1] - grad_probs[:, 1:]
     return -np.add.reduce(term, axis=1), np.add.reduce(term, axis=0)
 
 
@@ -196,10 +199,8 @@ def threshold_param_grads(deltas, grad_thresholds):
 def loss_rows(targets, labels, loss, loss_alpha):
     """The per-row constants ``loss_batch`` takes, built once per fit.
 
-    * ``"cce"``: the mask of the entries it skips, ``targets == 0``, or None
-      when it skips none (SORD's dense rows), and ``-targets``;
-    * ``"cdwce"``: the mask of the entries it skips, ``j == y``, and the
-      weights ``|j - y|**alpha``;
+    * ``"cce"``: the weights ``-targets``;
+    * ``"cdwce"``: the weights ``|j - y|**alpha``, 0 at ``j == y``;
     * ``"slace"``: the prefix sums ``tc`` of ``targets`` over the first J-1
       classes and ``1 - tc``.
 
@@ -207,11 +208,10 @@ def loss_rows(targets, labels, loss, loss_alpha):
     samples.
     """
     if loss == "cce":
-        skip = targets == 0.0
-        return (skip if skip.any() else None), -targets
+        return (-targets,)
     if loss == "cdwce":
         dist = np.abs(np.arange(targets.shape[1])[None, :] - labels[:, None])
-        return dist == 0, dist.astype(np.float64) ** loss_alpha
+        return (dist.astype(np.float64) ** loss_alpha,)
     tc = np.add.accumulate(targets[:, :-1], axis=1)
     return tc, 1.0 - tc
 
@@ -226,8 +226,8 @@ def loss_batch(probs, rows, loss):
       target rows and of p over the first J-1 prefixes.
 
     Log arguments are clamped to [1e-12, 1 - 1e-12] in both the value and
-    the gradient. Entries a loss skips (t_j == 0, j == y) contribute exactly
-    zero to both, whatever the probability there.
+    the gradient. Entries a loss skips (t_j == 0, j == y) have weight 0 and
+    contribute zero to both, for any finite probability.
     """
     if loss == "slace":
         tc, one_tc = rows
@@ -235,21 +235,18 @@ def loss_batch(probs, rows, loss):
         q = np.minimum(np.maximum(q, _P_LO), _P_HI)
         one_q = _ONE - q
         total = -np.add.reduce(tc * np.log(q) + one_tc * np.log(one_q), axis=None)
-        g = -(tc / q - one_tc / one_q)
+        g = one_tc / one_q
+        g -= tc / q
         # dL/dp_m collects the prefix terms j >= m
         grad = np.zeros(probs.shape)
         np.add.accumulate(g[:, ::-1], axis=1, out=grad[:, -2::-1])
         return total, grad
-    skip, w = rows
+    [w] = rows
     # cce: -sum t log p with w = -t; cdwce: -sum w log(1 - p)
     p = probs if loss == "cce" else _ONE - probs
     p = np.minimum(np.maximum(p, _P_LO), _P_HI)
-    terms = w * np.log(p)
+    total = np.add.reduce(w * np.log(p), axis=None)
     grad = w / p
-    if skip is not None:
-        np.copyto(terms, _ZERO, where=skip)
-        np.copyto(grad, _ZERO, where=skip)
-    total = np.add.reduce(terms, axis=None)
     return (total if loss == "cce" else -total), grad
 
 
@@ -349,13 +346,13 @@ def run_sgd(
     with np.errstate(over="ignore", invalid="ignore"):
         for e, order in enumerate(shuffles):
             xe = np.take(x, order, axis=0)
-            rows_e = [None if r is None else np.take(r, order, axis=0) for r in rows]
+            rows_e = [np.take(r, order, axis=0) for r in rows]
             running = 0.0
             for start in range(0, n, batch_size):
                 stop = start + batch_size
                 xb = xe[start:stop]
                 nb = xb.shape[0]
-                rows_b = [None if r is None else r[start:stop] for r in rows_e]
+                rows_b = [r[start:stop] for r in rows_e]
                 s, z, pre = _scores(xb, backbone, t_w1, t_c1, t_w2, t_c2)
 
                 if head == "softmax":

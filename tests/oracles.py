@@ -263,6 +263,27 @@ def loss_batch(probs, targets, labels, loss, loss_alpha):
     return total, grad
 
 
+def masked_loss_batch(probs, targets, labels, loss, loss_alpha):
+    """cce or cdwce over a batch in numpy, with the entries the loss skips
+    (t_j == 0 for cce, j == y for cdwce) written to exactly +0 in the terms
+    and the gradient: the masked form whose floats the unmasked kernel must
+    give for every finite probability."""
+    if loss == "cce":
+        skip, w = targets == 0.0, -targets
+        p = probs
+    else:
+        dist = np.abs(np.arange(probs.shape[1])[None, :] - labels[:, None])
+        skip, w = dist == 0, dist.astype(np.float64) ** loss_alpha
+        p = 1.0 - probs
+    p = np.minimum(np.maximum(p, P_CLAMP), 1.0 - P_CLAMP)
+    terms = w * np.log(p)
+    grad = w / p
+    terms[skip] = 0.0
+    grad[skip] = 0.0
+    total = np.add.reduce(terms, axis=None)
+    return (total if loss == "cce" else -total), grad
+
+
 def _affine(z, w, c, relu):
     out = np.dot(z, w)
     for i in range(out.shape[0]):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from ordview import _kernels as _k
@@ -57,14 +58,11 @@ def clm_thresholds(rng, j):
 @given(seed=seeds, n=batch_sizes)
 def test_link_inverse_and_derivative(seed, n):
     x = np.random.default_rng(seed).uniform(-40.0, 40.0, size=n)
-    assert_close(
-        _k.link_inverse(x), [oracles.link_inverse(v) for v in x], KERNEL_TOL
-    )
-    assert_close(
-        _k.link_inverse_deriv(_k.link_inverse(x)),
-        [oracles.link_inverse_deriv(v) for v in x],
-        KERNEL_TOL,
-    )
+    c = _k.link_inverse(x)
+    assert_close(c, [oracles.link_inverse(v) for v in x], KERNEL_TOL)
+    # one threshold, upstream (1, 0): the latent gradient is -c (1 - c)
+    grad_f, _ = _k.clm_backward_batch(c[:, None], np.tile([1.0, 0.0], (n, 1)))
+    assert_close(-grad_f, [oracles.link_inverse_deriv(v) for v in x], KERNEL_TOL)
 
 
 @kernel_settings
@@ -121,6 +119,29 @@ def test_loss_value_and_gradient(loss, seed, n, j):
     ref_total, ref_grad = oracles.loss_batch(probs, targets, labels, loss, alpha)
     assert_close(total, ref_total, KERNEL_TOL)
     assert_close(grad, ref_grad, KERNEL_TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=batch_sizes, j=class_counts, alpha=st.floats(0.25, 2.0))
+def test_unmasked_loss_bits_match_masked_form(data, n, j, alpha):
+    """cce on one-hot rows and on soft rows with exact zeros, and cdwce:
+    the kernel, which masks no entry, gives the masked form's total bit for
+    bit and its gradient entry for entry (a skipped entry may be -0.0)."""
+    probs = data.draw(arrays(np.float64, (n, j), elements=st.floats(0.0, 1.0)))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, j - 1)))
+    soft = data.draw(arrays(
+        np.float64, (n, j), elements=st.just(0.0) | st.floats(0.0, 1.0)
+    ))
+    one_hot = np.eye(j)[labels]
+    for loss, targets in (("cce", one_hot), ("cce", soft), ("cdwce", one_hot)):
+        total, grad = _k.loss_batch(
+            probs, _k.loss_rows(targets, labels, loss, alpha), loss
+        )
+        ref_total, ref_grad = oracles.masked_loss_batch(
+            probs, targets, labels, loss, alpha
+        )
+        assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+        assert (grad == ref_grad).all()
 
 
 @pytest.mark.parametrize("head", ("softmax", "clm"))
