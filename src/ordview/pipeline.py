@@ -456,27 +456,25 @@ def load_views_csv(
     names = list(parsed)
     first = names[0]
     order = _id_order(first_ids)
-    if np.array_equal(order, np.arange(len(order))):
-        order = None  # the ids are sorted already: no view needs a gather
+    in_order = np.arange(len(order))
     views = {}
     view_labels = []
     for view in names:
         ids, block, labels = parsed.pop(view)  # so a gathered block frees its source
         idx = order
-        if ids is not first_ids:  # another order or other ids: match id by id
-            base_ids = set(first_ids)
-            if set(ids) != base_ids:
-                off = sorted(set(ids).symmetric_difference(base_ids))[0]
+        if ids is not first_ids:  # another order or other ids: sort this view's
+            idx = _id_order(ids)
+            # distinct ids under one total order: equal sets sort alike
+            sorted_ids = map(ids.__getitem__, idx)
+            if len(ids) != len(first_ids) or any(
+                map(str.__ne__, sorted_ids, map(first_ids.__getitem__, order))
+            ):
+                off = sorted(set(ids).symmetric_difference(first_ids))[0]
                 raise ValueError(
                     f"view {first!r} and view {view!r}: sample ids differ "
                     f"(first offending id: {off!r})"
                 )
-            row_of = {sid: r for r, sid in enumerate(ids)}
-            # row of each first-view id in this view, then in sorted order
-            idx = np.fromiter(map(row_of.__getitem__, first_ids), np.intp, len(ids))
-            if order is not None:
-                idx = idx[order]
-        if idx is not None:
+        if not np.array_equal(idx, in_order):  # rows not already in id order
             block, labels = block[idx], labels[idx]
         views[view] = block
         view_labels.append(labels)
@@ -485,7 +483,7 @@ def load_views_csv(
     if conflicts.size:
         k = conflicts[0]
         vals = dict(zip(names, view_labels[:, k].tolist()))
-        sid = first_ids[k if order is None else order[k]]
+        sid = first_ids[order[k]]
         raise ValueError(f"sample id {sid!r}: conflicting labels across views: {vals}")
     labels = view_labels[0]
     j = int(labels.max()) + 1 if n_classes is None else int(n_classes)

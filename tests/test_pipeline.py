@@ -294,17 +294,24 @@ def test_data_path_memory_is_bounded(tmp_path):
     """3 views x 20k rows x 10 features (1.5 MB a view): generating, writing
     and loading them allocate no whole-view temporary beyond the ones each
     step needs (peaks of 8.2 / 1.6 / 9.1 MB when written, 11.1 / 7.6 / 18.9
-    MB with whole-view temporaries)."""
+    MB with whole-view temporaries). A view in another order than the first
+    is matched by sorting its ids, and a shuffled first view gathers every
+    view (peaks of 10.2 and 11.2 MB; 12.1 and 14.0 MB when the ids were
+    matched through sets and an id-to-row dict)."""
     generate_synthetic(SynthConfig(n_samples=50), seed=0)  # first-call set-up
     cfg = SynthConfig(n_samples=20_000)
     data, peak = traced_peak(lambda: generate_synthetic(cfg, seed=0))
     assert peak < 9.5
     paths, peak = traced_peak(lambda: write_views_csv(data, tmp_path))
     assert peak < 3.0
-    loaded, peak = traced_peak(lambda: load_views_csv(paths))
-    assert peak < 10.0
-    for v in data.views:
-        assert bitwise_equal(loaded.views[v], data.views[v])
+    first, second = list(paths)[:2]
+    for shuffled, budget in ((None, 10.0), (second, 11.5), (first, 12.5)):
+        if shuffled is not None:
+            permute_rows(paths[shuffled], seed=1)
+        loaded, peak = traced_peak(lambda: load_views_csv(paths))
+        assert peak < budget
+        for v in data.views:
+            assert bitwise_equal(loaded.views[v], data.views[v])
 
 
 class TestCsvLoader:
