@@ -81,9 +81,6 @@ class ResultsTable:
             metric=metric,
         )
 
-    def __len__(self) -> int:
-        return len(self.method)
-
     def values_by(self, factor: str) -> dict[str, np.ndarray]:
         """Group metric values by one factor ('method' or 'view_config')."""
         if factor not in ("method", "view_config"):
