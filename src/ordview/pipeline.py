@@ -462,13 +462,12 @@ def load_views_csv(
     for view in names:
         ids, block, labels = parsed.pop(view)  # so a gathered block frees its source
         idx = order
-        if ids is not first_ids:  # another order or other ids: sort this view's
+        if ids is not first_ids:  # another order or other ids: sort them too
             idx = _id_order(ids)
             # distinct ids under one total order: equal sets sort alike
-            sorted_ids = map(ids.__getitem__, idx)
-            if len(ids) != len(first_ids) or any(
-                map(str.__ne__, sorted_ids, map(first_ids.__getitem__, order))
-            ):
+            if len(ids) != len(first_ids) or any(map(
+                str.__ne__, map(ids.__getitem__, idx), map(first_ids.__getitem__, order)
+            )):
                 off = sorted(set(ids).symmetric_difference(first_ids))[0]
                 raise ValueError(
                     f"view {first!r} and view {view!r}: sample ids differ "
