@@ -354,9 +354,9 @@ def test_divergence_has_one_signal(loss, head):
 # The epoch TrainingDiverged names (None: the fit stays finite) for each
 # (learning rate, batch size), in the order of DIVERGENCE_CASES: 4 epochs of
 # 40 wide rows. In batches of 40 an epoch is one step, whose loss is taken
-# before its update, so an overflow reads at epoch 1. A NaN that a loss
-# skips (an entry with a zero target weight) reaches the epoch loss one
-# batch later or not at all, so this pins where each fit fails.
+# before its update, so an overflow reads at epoch 1. A loss that masked
+# its zero-weight entries could hold a NaN back from the epoch loss by a
+# batch or more, so a change to how a loss treats them must keep these.
 DIVERGENCE_EPOCHS = {
     (1e308, 8): (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     (1e306, 8): (None, 0, None, 0, None, 0, None, 0, None, 0, 1, 0),
