@@ -24,8 +24,8 @@ __all__ = [
     "optimize_weights",
 ]
 
-# aggregate floats scored at once by optimize_weights (8 MB of float64)
-_SCORE_BUDGET = 1 << 20
+# aggregate floats scored at once by optimize_weights (256 KB of float64)
+_SCORE_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)

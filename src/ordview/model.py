@@ -236,7 +236,8 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
 
     # row e permuted in place draws what rng.permutation(n) would at epoch e
-    shuffles = rng.permuted(np.tile(np.arange(n), (config.epochs, 1)), axis=1)
+    shuffles = np.tile(np.arange(n), (config.epochs, 1))
+    rng.permuted(shuffles, axis=1, out=shuffles)
 
     targets = np.ascontiguousarray(_target_rows(config)[y])
     loss, loss_alpha = _kernel_loss(config)

@@ -25,7 +25,6 @@ import math
 import warnings
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -546,8 +545,10 @@ class ExperimentConfig:
             raise ValueError("qwk_exponent must be >= 1")
         if self.e_normalization not in ("n", "j"):
             raise ValueError("e_normalization must be 'n' or 'j'")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError(
+                f"workers must be 1, got {self.workers}: seeds run one after another"
+            )
         # the model options fail here, before anything is written, through
         # the checks of a throwaway ModelConfig
         ModelConfig(n_classes=2, **self.model_options)
@@ -729,24 +730,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         writer = csv.writer(fh)
         writer.writerow(header)
         fh.flush()
-
-        def job(seed: int) -> list[tuple]:
-            return _run_seed(cfg, train_base, test, configs, seed)
-
-        if cfg.workers == 1:
-            futures = None
-        else:
-            pool = ThreadPoolExecutor(max_workers=cfg.workers)
-            futures = [pool.submit(job, s) for s in range(cfg.n_seeds)]
-        try:
-            for s in range(cfg.n_seeds):
-                rows = job(s) if futures is None else futures[s].result()
-                writer.writerows(rows)
-                fh.flush()
-                all_rows.extend(rows)
-        finally:
-            if futures is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+        for seed in range(cfg.n_seeds):
+            rows = _run_seed(cfg, train_base, test, configs, seed)
+            writer.writerows(rows)
+            fh.flush()
+            all_rows.extend(rows)
 
     summary_paths = {}
     stats_paths = {}

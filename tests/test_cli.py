@@ -121,6 +121,17 @@ class TestConfigFile:
         assert err == f"error: config {cfg}: {message}\n"
         assert not out_dir.exists()
 
+    def test_workers_other_than_one_exits_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(config_text({"workers": "2"}))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err == "error: workers must be 1, got 2: seeds run one after another\n"
+        assert not out_dir.exists()
+
     def test_csv_and_synth_keys_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(config_text({"csv.crown": "crown.csv", "synth.n_samples": "60"}))

@@ -429,3 +429,21 @@ def test_optimize_weights_memory_is_bounded():
     assert peak < 32 * 2**20
     ref = oracles.optimize_weights_loop(list(probs), y, seed=1)
     np.testing.assert_array_equal(w.w, ref)
+
+
+def test_grid_weight_search_memory_is_bounded():
+    """The search of a 3-view config in the default experiment shape: 59
+    validation rows, 4 classes, 1004 candidates. Scored at once, the
+    (C, n, J) aggregates alone would take 1.9 MB."""
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(4), size=(3, 59))
+    y = rng.integers(0, 4, size=59)
+    tracemalloc.start()
+    try:
+        w = optimize_weights(list(probs), y, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    ref = oracles.optimize_weights_loop(list(probs), y, seed=1)
+    np.testing.assert_array_equal(w.w, ref)

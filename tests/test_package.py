@@ -145,6 +145,32 @@ def test_tuning_leaves_numpy_ma_unloaded(tmp_path):
     run_probe(NUMPY_MA_PROBE, str(tmp_path))
 
 
+SERIAL_SEEDS_PROBE = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    from ordview import pipeline
+
+    pipeline.run_experiment(
+        pipeline.ExperimentConfig(
+            output_dir=Path(sys.argv[1]) / "run", methods=("nominal",), views=("crown",),
+            n_seeds=2, tuning=False, epochs=2,
+            synth=pipeline.SynthConfig(n_samples=60, n_features_per_view=3),
+        )
+    )
+    loaded = [name for name in ("concurrent.futures", "logging") if name in sys.modules]
+    assert loaded == [], loaded
+    """
+)
+
+
+def test_seeds_run_without_a_thread_pool(tmp_path):
+    # seeds run in one serial loop, so no process loads concurrent.futures,
+    # which would bring logging and queue along
+    run_probe(SERIAL_SEEDS_PROBE, str(tmp_path))
+
+
 RULE_PROBE = textwrap.dedent(
     """
     import sys
