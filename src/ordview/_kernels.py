@@ -17,10 +17,17 @@ every step reuses one per-fit workspace:
   packed float64 buffer, and their gradients views into a second buffer of
   the same layout; a ``ClmPad`` per batch size holds the CLM class math.
   The caller's arrays get the trained values back at the end;
-* per epoch: the shuffled copies (``np.take``) of ``x`` and of those
-  constants, so that a step takes basic slices (views) of them instead of
-  gathering rows;
-* per step: the forward pass, the loss and the backward pass, each
+* per block of epochs: the shuffled copy (``np.take``) of those constants
+  for every epoch of the block, and, after the block's steps, its epoch
+  losses (``batch_losses``): one log and one multiply over the clamped log
+  arguments that the steps wrote into a block buffer, one reduce per batch
+  shape, and each epoch's batch totals added in visit order, which are the
+  floats a loss taken in each step would give. The rows and the clamped
+  arguments of a block together hold at most 2^15 floats (256 KB);
+* per epoch: the shuffled copy of ``x``, so that a step takes basic slices
+  (views) of it and of the block's constants instead of gathering rows;
+* per step: the forward pass, the loss gradient (``loss_grad``, which
+  writes the clamped log arguments) and the backward pass, each
   gradient written into its view, then one fused update of every
   parameter: ``grad *= lr; grad /= nb; theta -= grad``, the same
   (lr * g) / nb per element as one update per array. The CLM head computes
@@ -76,6 +83,10 @@ _ZERO = _operand(0.0)
 _ONE = _operand(1.0)
 _P_LO = _operand(P_CLAMP)
 _P_HI = _operand(1.0 - P_CLAMP)
+
+# floats that the loss-block buffers of one fit hold together (256 KB), the
+# budget of ensemble.optimize_weights' candidate blocks
+_LOSS_BUDGET = 1 << 15
 
 
 def link_inverse(x):
@@ -197,57 +208,99 @@ def threshold_param_grads(deltas, grad_thresholds):
 
 
 def loss_rows(targets, labels, loss, loss_alpha):
-    """The per-row constants ``loss_batch`` takes, built once per fit.
+    """The per-row constants of a loss, built once per fit, as one array
+    whose axis -2 runs over the samples:
 
-    * ``"cce"``: the weights ``-targets``;
-    * ``"cdwce"``: the weights ``|j - y|**alpha``, 0 at ``j == y``;
-    * ``"slace"``: the prefix sums ``tc`` of ``targets`` over the first J-1
-      classes and ``1 - tc``.
+    * ``"cce"``: the (n, J) weights ``-targets``;
+    * ``"cdwce"``: the (n, J) weights ``|j - y|**alpha``, 0 at ``j == y``;
+    * ``"slace"``: the (2, n, J-1) stack of the prefix sums ``tc`` of
+      ``targets`` over the first J-1 classes and of ``1 - tc``.
 
-    Each array has one row per sample, so a minibatch takes the rows of its
-    samples.
+    A minibatch takes the rows of its samples along that axis.
     """
     if loss == "cce":
-        return (-targets,)
+        return -targets
     if loss == "cdwce":
         dist = np.abs(np.arange(targets.shape[1])[None, :] - labels[:, None])
-        return (dist.astype(np.float64) ** loss_alpha,)
+        return dist.astype(np.float64) ** loss_alpha
     tc = np.add.accumulate(targets[:, :-1], axis=1)
-    return tc, 1.0 - tc
+    return np.stack((tc, 1.0 - tc))
 
 
-def loss_batch(probs, rows, loss):
-    """Summed loss over the batch plus per-sample dL/dp, given the batch's
-    ``loss_rows``.
+def loss_grad(probs, rows, loss, clamped):
+    """Per-sample dL/dp of a batch, given its ``loss_rows``; writes the
+    clamped log arguments into ``clamped`` (shaped like ``rows``), from
+    which ``batch_losses`` takes the loss later.
 
-    * ``"cce"``: -sum_j t_j log p_j with target rows t.
-    * ``"cdwce"``: -sum_{j != y} |j - y|**alpha log(1 - p_j).
+    * ``"cce"``: -sum_j t_j log p_j with target rows t; the log argument
+      is p.
+    * ``"cdwce"``: -sum_{j != y} |j - y|**alpha log(1 - p_j); it is 1 - p.
     * ``"slace"``: binary cross-entropy between the cumulative sums of the
-      target rows and of p over the first J-1 prefixes.
+      target rows and of p over the first J-1 prefixes; they are the
+      prefix sums q of p and 1 - q.
 
     Log arguments are clamped to [1e-12, 1 - 1e-12] in both the value and
     the gradient. Entries a loss skips (t_j == 0, j == y) have weight 0 and
     contribute zero to both, for any finite probability.
     """
     if loss == "slace":
-        tc, one_tc = rows
-        q = np.add.accumulate(probs[:, :-1], axis=1)
-        q = np.minimum(np.maximum(q, _P_LO), _P_HI)
-        one_q = _ONE - q
-        total = -np.add.reduce(tc * np.log(q) + one_tc * np.log(one_q), axis=None)
-        g = one_tc / one_q
-        g -= tc / q
+        # indexed, not unpacked: unpacking iterates, at ~3x the cost
+        q, one_q = clamped[0], clamped[1]
+        np.add.accumulate(probs[:, :-1], axis=1, out=q)
+        np.maximum(q, _P_LO, out=q)
+        np.minimum(q, _P_HI, out=q)
+        np.subtract(_ONE, q, out=one_q)
+        g = rows[1] / one_q
+        g -= rows[0] / q
         # dL/dp_m collects the prefix terms j >= m
         grad = np.zeros(probs.shape)
         np.add.accumulate(g[:, ::-1], axis=1, out=grad[:, -2::-1])
-        return total, grad
-    [w] = rows
-    # cce: -sum t log p with w = -t; cdwce: -sum w log(1 - p)
-    p = probs if loss == "cce" else _ONE - probs
-    p = np.minimum(np.maximum(p, _P_LO), _P_HI)
-    total = np.add.reduce(w * np.log(p), axis=None)
-    grad = w / p
-    return (total if loss == "cce" else -total), grad
+        return grad
+    if loss == "cce":
+        np.maximum(probs, _P_LO, out=clamped)
+    else:
+        np.subtract(_ONE, probs, out=clamped)
+        np.maximum(clamped, _P_LO, out=clamped)
+    np.minimum(clamped, _P_HI, out=clamped)
+    return rows / clamped
+
+
+def batch_losses(clamped, rows, loss, n, batch_size):
+    """The summed loss of every minibatch of E epochs, as an (E, batches)
+    array, from the E * n ``clamped`` log arguments that ``loss_grad``
+    wrote and their ``rows``, both in visit order; ``clamped`` is
+    overwritten.
+
+    One log and one multiply serve every batch, and each batch's terms are
+    summed by one reduce per batch shape (the full batches, then the short
+    final one), each over the batch's contiguous floats, as a reduce of
+    the batch alone would.
+    """
+    terms = np.log(clamped, out=clamped)
+    terms *= rows
+    if loss == "slace":
+        terms = np.add(terms[0], terms[1], out=terms[0])
+    width = terms.shape[-1]
+    terms = terms.reshape(-1, n * width)
+    split = n // batch_size * batch_size * width
+    totals = []
+    if split:
+        full = terms[:, :split].reshape(terms.shape[0], -1, batch_size * width)
+        totals.append(np.add.reduce(full, axis=2))
+    if split < n * width:
+        totals.append(np.add.reduce(terms[:, split:], axis=1, keepdims=True))
+    totals = np.concatenate(totals, axis=1)
+    # cce's weights -t already carry the sign
+    return totals if loss == "cce" else np.negative(totals, out=totals)
+
+
+def loss_batch(probs, rows, loss):
+    """Summed loss over the batch plus per-sample dL/dp, given the batch's
+    ``loss_rows``: ``loss_grad`` and then ``batch_losses`` of one batch."""
+    clamped = np.empty(rows.shape)
+    grad = loss_grad(probs, rows, loss, clamped)
+    n = probs.shape[0]
+    return batch_losses(clamped, rows, loss, n, n)[0, 0], grad
 
 
 def _aligned_zeros(size):
@@ -321,14 +374,19 @@ def run_sgd(
     """Plain minibatch SGD; the parameter arrays hold the trained values on
     return.
 
-    shuffles is an (epochs, n) int64 matrix of precomputed epoch orderings,
+    shuffles is an (epochs, n) integer matrix of precomputed epoch orderings,
     so the exact visit sequence is fixed by the caller. Gradients use the
     batch mean; the final short batch is kept. Returns the per-epoch mean
     sample loss, NaN from the epoch a fit diverges on.
     """
     n = x.shape[0]
-    losses = np.empty(shuffles.shape[0])
+    epochs = shuffles.shape[0]
+    losses = np.empty(epochs)
     rows = loss_rows(targets, labels, loss, loss_alpha)
+    # a block of epochs keeps its shuffled loss rows and the clamped log
+    # arguments its steps write, both shaped like rows_block
+    per_block = min(epochs, max(1, _LOSS_BUDGET // (2 * rows.size)))
+    clamped_buf = np.empty((*rows.shape[:-2], per_block * n, rows.shape[-1]))
     # theta packs the parameters and grad their gradients in one layout, so
     # that one fused update steps them all; the thresholds are one block
     blocks = [w1, c1, w2, c2, np.concatenate((clm_b1, clm_deltas))]
@@ -344,46 +402,54 @@ def run_sgd(
     if head == "clm":
         pads = {nb: ClmPad(nb, t_thr.size + 1) for nb in sizes}
     with np.errstate(over="ignore", invalid="ignore"):
-        for e, order in enumerate(shuffles):
-            xe = np.take(x, order, axis=0)
-            rows_e = [np.take(r, order, axis=0) for r in rows]
-            running = 0.0
-            for start in range(0, n, batch_size):
-                stop = start + batch_size
-                xb = xe[start:stop]
-                nb = xb.shape[0]
-                rows_b = [r[start:stop] for r in rows_e]
-                s, z, pre = _scores(xb, backbone, t_w1, t_c1, t_w2, t_c2)
+        for e0 in range(0, epochs, per_block):
+            orders = shuffles[e0:e0 + per_block]
+            rows_block = np.take(rows, orders.reshape(-1), axis=-2)
+            clamped = clamped_buf[..., :rows_block.shape[-2], :]
+            r0 = 0  # the block row of the batch's first sample
+            for order in orders:
+                xe = np.take(x, order, axis=0)
+                for start in range(0, n, batch_size):
+                    xb = xe[start:start + batch_size]
+                    nb = xb.shape[0]
+                    rows_b = rows_block[..., r0:r0 + nb, :]
+                    clamped_b = clamped[..., r0:r0 + nb, :]
+                    r0 += nb
+                    s, z, pre = _scores(xb, backbone, t_w1, t_c1, t_w2, t_c2)
 
-                if head == "softmax":
-                    probs = softmax_batch(s)
-                    batch_loss, grad_p = loss_batch(probs, rows_b, loss)
-                    grad_s = softmax_backward_batch(probs, grad_p)
-                else:
-                    thr = t_thr.tolist()
-                    b = materialize_thresholds_raw(thr[0], thr[1:], d_min)
-                    c = link_inverse(b - s)
-                    _, probs = clm_probs(c, pads[nb])
-                    batch_loss, grad_p = loss_batch(probs, rows_b, loss)
-                    grad_f, grad_b = clm_backward_batch(c, grad_p)
-                    gb1, gd = threshold_param_grads(thr[1:], grad_b)
-                    g_thr[:] = [gb1, *gd]
-                    grad_s = grad_f[:, None]
+                    if head == "softmax":
+                        probs = softmax_batch(s)
+                        grad_p = loss_grad(probs, rows_b, loss, clamped_b)
+                        grad_s = softmax_backward_batch(probs, grad_p)
+                    else:
+                        thr = t_thr.tolist()
+                        b = materialize_thresholds_raw(thr[0], thr[1:], d_min)
+                        c = link_inverse(b - s)
+                        _, probs = clm_probs(c, pads[nb])
+                        grad_p = loss_grad(probs, rows_b, loss, clamped_b)
+                        grad_f, grad_b = clm_backward_batch(c, grad_p)
+                        gb1, gd = threshold_param_grads(thr[1:], grad_b)
+                        g_thr[:] = [gb1, *gd]
+                        grad_s = grad_f[:, None]
+
+                    # All gradients are taken at the current parameters; the
+                    # update is applied only after every gradient is written.
+                    np.matmul(z.T, grad_s, out=g_w2)
+                    np.add.reduce(grad_s, axis=0, out=g_c2)
+                    if hidden:
+                        grad_act = grad_s @ t_w2.T
+                        np.copyto(grad_act, _ZERO, where=pre <= _ZERO)
+                        np.matmul(xb.T, grad_act, out=g_w1)
+                        np.add.reduce(grad_act, axis=0, out=g_c1)
+                    grad *= lr
+                    grad /= divisors[nb]
+                    theta -= grad
+            # each epoch adds its batch losses in visit order
+            totals = batch_losses(clamped, rows_block, loss, n, batch_size)
+            running = np.zeros(len(orders))
+            for batch_loss in totals.T:
                 running += batch_loss
-
-                # All gradients are taken at the current parameters; the
-                # update is applied only after every gradient is written.
-                np.matmul(z.T, grad_s, out=g_w2)
-                np.add.reduce(grad_s, axis=0, out=g_c2)
-                if hidden:
-                    grad_act = grad_s @ t_w2.T
-                    np.copyto(grad_act, _ZERO, where=pre <= _ZERO)
-                    np.matmul(xb.T, grad_act, out=g_w1)
-                    np.add.reduce(grad_act, axis=0, out=g_c1)
-                grad *= lr
-                grad /= divisors[nb]
-                theta -= grad
-            losses[e] = running / n
+            losses[e0:e0 + per_block] = running / n
     for a, view in zip((w1, c1, w2, c2), (t_w1, t_c1, t_w2, t_c2)):
         a[...] = view
     clm_b1[...] = t_thr[:1]

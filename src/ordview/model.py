@@ -14,6 +14,7 @@ AMAE picks, and ``method_config`` the ModelConfig of a method and its params.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,6 +129,9 @@ class ModelConfig:
             raise ValueError("loss 'sord' needs a SordConfig")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        # at 0 the weight 0**0 = 1 would fall on the true class
+        if not 0.0 < self.cdwce_alpha < math.inf:
+            raise ValueError("cdwce_alpha must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -206,6 +210,29 @@ def _check_finite(x: np.ndarray) -> None:
         raise ValueError("x holds NaN or infinite features")
 
 
+@functools.lru_cache(maxsize=1)
+def _draws(seed, backbone, hidden_width, d, k_out, n, epochs):
+    """The random draws of a fit, read-only: the initial w1 and w2 and the
+    (epochs, n) epoch shuffles. The key holds everything they are drawn
+    from, so the candidates of a ``tune`` fold, which share all of it, draw
+    once; ``train`` copies the weights before it steps them."""
+    rng = np.random.default_rng(seed)
+    if backbone == "one_hidden":
+        w1 = rng.normal(size=(d, hidden_width)) / math.sqrt(d)
+        w2 = rng.normal(size=(hidden_width, k_out)) / math.sqrt(hidden_width)
+    else:
+        w1 = np.zeros((1, 1))
+        w2 = rng.normal(size=(d, k_out)) / math.sqrt(d)
+    # row e permuted in place draws what rng.permutation(n) would at epoch e,
+    # whatever the dtype; the memo keeps the rows past the fit, so they take
+    # the narrowest unsigned type (1 byte each up to n = 256, not 8)
+    shuffles = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (epochs, 1))
+    rng.permuted(shuffles, axis=1, out=shuffles)
+    for a in (w1, w2, shuffles):
+        a.flags.writeable = False
+    return w1, w2, shuffles
+
+
 def train(config: ModelConfig, x, y) -> TrainedModel:
     """Minibatch SGD; bitwise deterministic for a given (config, data)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -217,27 +244,17 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         raise ValueError("y length must match x rows")
 
     n, d = x.shape
-    j = config.n_classes
-    k_out = 1 if config.head == "clm" else j
-    rng = np.random.default_rng(config.seed)
-    if config.backbone == "one_hidden":
-        h = config.hidden_width
-        w1 = rng.normal(size=(d, h)) / math.sqrt(d)
-        c1 = np.zeros(h)
-        w2 = rng.normal(size=(h, k_out)) / math.sqrt(h)
-    else:
-        w1 = np.zeros((1, 1))
-        c1 = np.zeros(1)
-        w2 = rng.normal(size=(d, k_out)) / math.sqrt(d)
+    k_out = 1 if config.head == "clm" else config.n_classes
+    w1, w2, shuffles = _draws(
+        config.seed, config.backbone, config.hidden_width, d, k_out, n, config.epochs
+    )
+    w1, w2 = w1.copy(), w2.copy()
+    c1 = np.zeros(w1.shape[1])
     c2 = np.zeros(k_out)
     if config.head == "clm":
         clm_b1, clm_deltas = _init_clm_arrays(config)
     else:
         clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
-
-    # row e permuted in place draws what rng.permutation(n) would at epoch e
-    shuffles = np.tile(np.arange(n), (config.epochs, 1))
-    rng.permuted(shuffles, axis=1, out=shuffles)
 
     targets = np.ascontiguousarray(_target_rows(config)[y])
     loss, loss_alpha = _kernel_loss(config)
@@ -447,28 +464,29 @@ def tune(
     else:
         candidate_indices = rng.choice(size, size=MAX_TUNE_EVALS, replace=False)
     fold_of = stratified_folds(y, folds, seed)
+    candidates = [space.at(int(ci)) for ci in candidate_indices]
+
+    # fold by fold: the fold's rows are sliced once, and its candidates
+    # share the fit seed, so they share one draw of initial weights and
+    # epoch shuffles (see _draws)
+    scores = np.empty((len(candidates), folds))
+    for f in range(folds):
+        fit = fold_of != f
+        x_fit, y_fit, x_held, y_held = x[fit], y[fit], x[~fit], y[~fit]
+        fold_seed = _subseed(seed, f)
+        for i, params in enumerate(candidates):
+            cfg = method_config(space.method, n_classes, params, seed=fold_seed, **base)
+            try:
+                model = train(cfg, x_fit, y_fit)
+                preds = np.argmax(predict_proba_batch(model, x_held), axis=1)
+                scores[i, f] = amae(y_held, preds, n_classes)
+            except TrainingDiverged:
+                scores[i, f] = n_classes - 1
 
     best_params: dict = {}
     best_score = math.inf
-    for ci in candidate_indices:
-        params = space.at(int(ci))
-        scores = []
-        for f in range(folds):
-            fit = fold_of != f
-            cfg = method_config(
-                space.method,
-                n_classes,
-                params,
-                seed=_subseed(seed, f),
-                **base,
-            )
-            try:
-                model = train(cfg, x[fit], y[fit])
-                preds = np.argmax(predict_proba_batch(model, x[~fit]), axis=1)
-                scores.append(amae(y[~fit], preds, n_classes))
-            except TrainingDiverged:
-                scores.append(float(n_classes - 1))
-        score = float(np.mean(scores))
+    for params, fold_scores in zip(candidates, scores):
+        score = float(np.mean(fold_scores))
         if trace is not None:
             trace.append({"params": params, "amae": score})
         if score < best_score:

@@ -1,11 +1,15 @@
 import hashlib
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from ordview import _kernels as _k
+from ordview import model as model_module
+from ordview.core import _subseed
+from ordview.metrics import amae
 from ordview.model import (
     METHODS,
     MAX_TUNE_EVALS,
@@ -99,6 +103,15 @@ class TestConfig:
             ModelConfig(n_classes=4, loss="hinge")
         with pytest.raises(ValueError):
             ModelConfig(n_classes=4, head="argmax")
+
+    @pytest.mark.parametrize("alpha", (0.0, -1.0, math.nan, math.inf))
+    def test_cdwce_alpha_must_be_positive_and_finite(self, alpha):
+        # at 0, |j - y|**0 = 1 would weight the true class; below 0 the
+        # weight divides by zero there
+        with pytest.raises(ValueError, match="cdwce_alpha"):
+            ModelConfig(n_classes=4, loss="cdwce", cdwce_alpha=alpha)
+        with pytest.raises(ValueError, match="cdwce_alpha"):
+            method_config("cdwce", 4, {"alpha": alpha})
 
     def test_method_config_covers_all(self):
         for method in METHODS:
@@ -428,6 +441,63 @@ def test_tune_scores_an_overflowing_fold_as_diverged():
     assert trace[0]["amae"] == 2.0
 
 
+# (epochs, epochs per loss block, batch size) of 45-row fits: a last block
+# shorter than the others, blocks of one epoch, and a final batch of one row
+# (45 = 4 x 11 + 1) across blocks of two epochs
+LOSS_BLOCK_CASES = ((7, 3, 8), (4, 1, 8), (5, 2, 11))
+
+
+@pytest.mark.parametrize("epochs, block, batch_size", LOSS_BLOCK_CASES)
+@pytest.mark.parametrize("head", ("softmax", "clm"))
+@pytest.mark.parametrize("loss", sorted(KERNEL_LOSSES))
+def test_blocked_epoch_losses_equal_per_step_loss_sums(
+    loss, head, epochs, block, batch_size, monkeypatch
+):
+    """run_sgd takes its epoch losses in blocks of epochs, after the steps.
+    With the budget cut to ``block`` epochs, each epoch loss must equal,
+    bit for bit, the sum of ``loss_batch`` over that epoch's steps in visit
+    order, divided by n, and the fit must equal the one-block fit."""
+    x, y = blob_dataset(12, 4, scale=1.5, seed=3)
+    x, y = x[:45], y[:45]
+    cfg = ModelConfig(n_classes=4, head=head, backbone="one_hidden",
+                      hidden_width=5, d_min=0.5, learning_rate=0.05,
+                      epochs=epochs, batch_size=batch_size, seed=17,
+                      **KERNEL_LOSSES[loss])
+    one_block = train(cfg, x, y)
+
+    kernel_loss, alpha = model_module._kernel_loss(cfg)
+    rows = _k.loss_rows(model_module._target_rows(cfg)[y], y, kernel_loss, alpha)
+    monkeypatch.setattr(_k, "_LOSS_BUDGET", 2 * rows.size * block)
+    steps, blocks = [], []
+    loss_grad, batch_losses = _k.loss_grad, _k.batch_losses
+
+    def recording_loss_grad(probs, rows_b, loss_name, clamped):
+        steps.append((probs.copy(), rows_b.copy()))
+        return loss_grad(probs, rows_b, loss_name, clamped)
+
+    def counting_batch_losses(*args):
+        blocks.append(args[0].shape[-2] // 45)
+        return batch_losses(*args)
+
+    monkeypatch.setattr(_k, "loss_grad", recording_loss_grad)
+    monkeypatch.setattr(_k, "batch_losses", counting_batch_losses)
+    blocked = train(cfg, x, y)
+    monkeypatch.undo()
+
+    assert blocks == [block] * (epochs // block) + [epochs % block] * (epochs % block > 0)
+    per_epoch = -(-45 // batch_size)
+    assert len(steps) == epochs * per_epoch
+    want = []
+    for e in range(epochs):
+        running = 0.0
+        for probs, rows_b in steps[e * per_epoch:(e + 1) * per_epoch]:
+            running += _k.loss_batch(probs, rows_b, kernel_loss)[0]
+        want.append(running / 45)
+    assert blocked.epoch_losses.tobytes() == np.array(want).tobytes()
+    for name in ("epoch_losses", "w1", "c1", "w2", "c2", "clm_b1", "clm_deltas"):
+        assert getattr(blocked, name).tobytes() == getattr(one_block, name).tobytes()
+
+
 @pytest.mark.parametrize("head", ("softmax", "clm"))
 def test_trained_arrays_are_read_only_and_own_their_memory(head, monkeypatch):
     """run_sgd steps views of one packed buffer (and writes gradients into
@@ -546,6 +616,118 @@ class TestTune:
         a = tune(search_space("cdwce"), x, y, n_classes=3, seed=4)
         b = tune(search_space("cdwce"), x, y, n_classes=3, seed=4)
         assert a == b
+
+
+def candidate_major_tune(space, x, y, n_classes, seed, trace, folds=3, **base):
+    """The reference order of ``tune``'s fits: every fold of one candidate,
+    then the next candidate; appends each candidate's score to ``trace``."""
+    rng = np.random.default_rng(seed)
+    if space.size <= MAX_TUNE_EVALS:
+        candidate_indices = np.arange(space.size)
+    else:
+        candidate_indices = rng.choice(space.size, size=MAX_TUNE_EVALS, replace=False)
+    fold_of = stratified_folds(y, folds, seed)
+    best_params, best_score = {}, math.inf
+    for ci in candidate_indices:
+        params = space.at(int(ci))
+        scores = []
+        for f in range(folds):
+            fit = fold_of != f
+            cfg = method_config(space.method, n_classes, params,
+                                seed=_subseed(seed, f), **base)
+            try:
+                model = train(cfg, x[fit], y[fit])
+                preds = np.argmax(predict_proba_batch(model, x[~fit]), axis=1)
+                scores.append(amae(y[~fit], preds, n_classes))
+            except TrainingDiverged:
+                scores.append(float(n_classes - 1))
+        score = float(np.mean(scores))
+        trace.append({"params": params, "amae": score})
+        if score < best_score:
+            best_score, best_params = score, params
+    return best_params
+
+
+class TestFoldMajorTune:
+    @pytest.mark.parametrize(
+        "method, folds, backbone",
+        [("nominal", 3, "linear"), ("clm_slace", 3, "linear"),
+         ("cdwce", 2, "one_hidden"), ("clm_sord", 4, "linear")],
+    )
+    def test_matches_candidate_major_loop_with_one_train_per_fit(
+        self, method, folds, backbone, monkeypatch
+    ):
+        x, y = blob_dataset(12, 3, scale=1.0)
+        space = search_space(method)
+        base = dict(epochs=10, batch_size=4, backbone=backbone, hidden_width=4)
+        want_trace = []
+        want = candidate_major_tune(space, x, y, 3, seed=2, folds=folds,
+                                    trace=want_trace, **base)
+        calls = []
+        counted = model_module.train
+
+        def counting_train(cfg, *args):
+            calls.append(cfg)
+            return counted(cfg, *args)
+
+        monkeypatch.setattr(model_module, "train", counting_train)
+        trace = []
+        got = tune(space, x, y, 3, seed=2, folds=folds, trace=trace, **base)
+        assert len(calls) == folds * min(space.size, MAX_TUNE_EVALS)
+        assert got == want
+        assert trace == want_trace
+
+    def test_diverged_folds_score_as_in_candidate_major_loop(self):
+        x, y = blob_dataset(12, 2, scale=2.0)
+        space = SearchSpace(method="nominal",
+                            grid={"learning_rate": (1e308, 1e-2, 1e306)})
+        want_trace, trace = [], []
+        want = candidate_major_tune(space, x, y, 2, seed=0, trace=want_trace)
+        assert tune(space, x, y, 2, seed=0, trace=trace) == want
+        assert trace == want_trace
+
+
+class TestDrawMemo:
+    def test_draws_are_read_only(self):
+        model_module._draws.cache_clear()
+        for backbone in ("linear", "one_hidden"):
+            arrays = model_module._draws(5, backbone, 4, 3, 2, 10, 6)
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_shuffles_are_kept_narrow_and_permute_as_int64(self, n, dtype):
+        """The memo holds the shuffles past the fit, so they take the
+        narrowest unsigned type; the rows are the permutations that int64
+        rows would get from the same generator."""
+        *_, shuffles = model_module._draws(5, "linear", 4, 3, 2, n, 4)
+        wide = np.tile(np.arange(n), (4, 1))
+        rng = np.random.default_rng(5)
+        rng.normal(size=(3, 2))
+        rng.permuted(wide, axis=1, out=wide)
+        assert shuffles.dtype == dtype
+        assert np.array_equal(shuffles, wide)
+
+    @pytest.mark.parametrize("head", ("softmax", "clm"))
+    @pytest.mark.parametrize("backbone", ("linear", "one_hidden"))
+    def test_a_fit_after_another_fit_is_bitwise_a_fresh_fit(self, head, backbone):
+        """Fits A and B share a seed and shapes, so B's draws come from the
+        memo that A filled; A's training must have left them untouched."""
+        x, y = blob_dataset(12, 3)
+        base = dict(n_classes=3, head=head, backbone=backbone, hidden_width=5,
+                    epochs=5, batch_size=8, seed=9)
+        cfg_a = ModelConfig(loss="cce", learning_rate=0.5, **base)
+        cfg_b = ModelConfig(loss="slace", learning_rate=0.05, **base)
+        model_module._draws.cache_clear()
+        train(cfg_a, x, y)
+        after_a = train(cfg_b, x, y)
+        assert model_module._draws.cache_info().hits == 1
+        model_module._draws.cache_clear()
+        fresh = train(cfg_b, x, y)
+        for name in ("epoch_losses", "w1", "c1", "w2", "c2", "clm_b1", "clm_deltas"):
+            assert getattr(after_a, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 @pytest.mark.parametrize("call", ("train", "tune"))
