@@ -65,8 +65,12 @@ def _typed(hint, value):
     if typing.get_origin(hint) is tuple:
         if isinstance(value, (tuple, list)):
             return tuple(_typed(args[0], v) for v in value)
-    elif args:  # X | None
-        return None if value is None else _typed(args[0], value)
+    elif args:  # a union: the first member that takes the value
+        for arg in args:
+            try:
+                return _typed(arg, value)
+            except TypeError:
+                pass
     elif hint is Path:
         if isinstance(value, (str, Path)):
             return Path(value)

@@ -47,7 +47,7 @@ __all__ = [
 
 BACKBONES = ("linear", "one_hidden")
 HEADS = ("softmax", "clm")
-LOSSES = ("cce", "cce_soft", "cdwce", "sord", "slace")
+LOSSES = ("cce", "cdwce", "slace")
 
 LEARNING_RATE_GRID = (1e-4, 1e-3, 1e-2)
 MIX_GRID = (0.8, 1.0)
@@ -98,16 +98,19 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """One fit: the kernel loss (cce, cdwce or slace) against the rows of
+    ``targets`` (one-hot rows when None), the head, the backbone and SGD's
+    settings. ``cdwce_alpha`` is read only under cdwce, which takes no
+    targets."""
+
     n_classes: int
     loss: str = "cce"
     head: str = "softmax"
     backbone: str = "linear"
     hidden_width: int = 16
     d_min: float = 0.0
-    soft: SoftLabelConfig | None = None
+    targets: SoftLabelConfig | SordConfig | None = None
     cdwce_alpha: float = 1.0
-    sord: SordConfig | None = None
-    slace_beta: float = 1.0
     learning_rate: float = 1e-2
     epochs: int = 200
     batch_size: int = 32
@@ -123,10 +126,8 @@ class ModelConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}")
-        if self.loss == "cce_soft" and self.soft is None:
-            raise ValueError("loss 'cce_soft' needs a SoftLabelConfig")
-        if self.loss == "sord" and self.sord is None:
-            raise ValueError("loss 'sord' needs a SordConfig")
+        if self.loss == "cdwce" and self.targets is not None:
+            raise ValueError("loss 'cdwce' takes no targets")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         # at 0 the weight 0**0 = 1 would fall on the true class
@@ -138,8 +139,8 @@ class ModelConfig:
             raise ValueError("batch_size must be >= 1")
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be >= 1")
-        if not self.d_min >= 0.0:
-            raise ValueError("d_min must be >= 0")
+        if not 0.0 <= self.d_min < math.inf:
+            raise ValueError("d_min must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -173,25 +174,10 @@ class TrainedModel:
         )
 
 
-def _kernel_loss(config: ModelConfig) -> tuple[str, float]:
-    """The kernel loss family and its exponent; cce_soft and sord train as
-    cross-entropy against their target rows."""
-    if config.loss == "cdwce":
-        return "cdwce", config.cdwce_alpha
-    if config.loss == "slace":
-        return "slace", 1.0
-    return "cce", 1.0
-
-
 def _target_rows(config: ModelConfig) -> np.ndarray:
-    j = config.n_classes
-    if config.loss == "cce_soft":
-        return target_matrix(j, config.soft)
-    if config.loss == "sord":
-        return target_matrix(j, config.sord)
-    if config.loss == "slace":
-        return target_matrix(j, SordConfig(beta=config.slace_beta, transform="max"))
-    return np.eye(j)
+    if config.targets is None:
+        return np.eye(config.n_classes)
+    return target_matrix(config.n_classes, config.targets)
 
 
 def _init_clm_arrays(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +243,13 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
 
     targets = np.ascontiguousarray(_target_rows(config)[y])
-    loss, loss_alpha = _kernel_loss(config)
     losses = _k.run_sgd(
         x,
         y,
         targets,
         shuffles,
-        loss,
-        loss_alpha,
+        config.loss,
+        config.cdwce_alpha,
         config.backbone,
         config.head,
         config.d_min,
@@ -362,19 +347,19 @@ def method_config(
     for key in ("learning_rate", "d_min"):
         if key in params:
             kwargs[key] = params[key]
+    loss, targets = "cce", None
     smoothing = params.get("beta", 1.0)  # sord and slace
-    if family == "nominal":
-        kwargs["loss"] = "cce"
-    elif family == "cdwce":
-        kwargs.update(loss="cdwce", cdwce_alpha=params.get("alpha", 1.0))
+    if family == "cdwce":
+        loss = "cdwce"
+        kwargs["cdwce_alpha"] = params.get("alpha", 1.0)
     elif family == "sord":
-        sord = SordConfig(beta=smoothing, transform=params.get("transform", "max"))
-        kwargs.update(loss="sord", sord=sord)
+        targets = SordConfig(beta=smoothing, transform=params.get("transform", "max"))
     elif family == "slace":
-        kwargs.update(loss="slace", slace_beta=smoothing)
-    else:  # a soft-label kind; SoftLabelConfig reads only that kind's fields
+        loss, targets = "slace", SordConfig(beta=smoothing, transform="max")
+    elif family != "nominal":  # a soft-label kind; it reads only its own fields
         soft = {k: v for k, v in params.items() if k in _SOFT_FIELDS}
-        kwargs.update(loss="cce_soft", soft=SoftLabelConfig(kind=family, **soft))
+        targets = SoftLabelConfig(kind=family, **soft)
+    kwargs.update(loss=loss, targets=targets)
     return ModelConfig(**kwargs)
 
 

@@ -770,7 +770,8 @@ def _collect(header, rows, metric):
 
 
 def _write_summary(out: Path, header, rows, metric: str) -> Path:
-    """Mean +- std of one metric per (method, view_config) cell."""
+    """Mean +- std of one metric per (method, view_config) cell; every cell
+    holds rows, since ``run_experiment`` fills the whole grid."""
     methods, view_cfgs, per_cell = _collect(header, rows, metric)
     lines = [f"# Mean {metric.upper()} per method and view configuration", ""]
     lines.append("| method | " + " | ".join(view_cfgs) + " |")
@@ -778,12 +779,9 @@ def _write_summary(out: Path, header, rows, metric: str) -> Path:
     for m in methods:
         cells = []
         for v in view_cfgs:
-            vals = np.array(per_cell.get((m, v), []))
-            if vals.size == 0:
-                cells.append("-")
-            else:
-                std = vals.std(ddof=1) if vals.size > 1 else 0.0
-                cells.append(f"{vals.mean():.3f} +- {std:.3f}")
+            vals = np.array(per_cell[m, v])
+            std = vals.std(ddof=1) if vals.size > 1 else 0.0
+            cells.append(f"{vals.mean():.3f} +- {std:.3f}")
         lines.append(f"| {m} | " + " | ".join(cells) + " |")
     path = out / f"summary_{metric}.md"
     path.write_text("\n".join(lines) + "\n")
@@ -822,9 +820,8 @@ def _tukey_section(table: ResultsTable, factor: str, alpha: float) -> list[str]:
 
 
 def _write_stats_report(out: Path, header, rows, metric: str) -> Path:
-    table = ResultsTable.from_rows(
-        [(r[0], r[1], r[2], r[header.index(metric)]) for r in rows], metric=metric
-    )
+    col = header.index(metric)
+    table = ResultsTable.from_rows((r[0], r[1], r[2], r[col]) for r in rows)
     lines = [f"# Factorial analysis of {metric.upper()}", ""]
     try:
         tbl = anova2(table)

@@ -74,11 +74,11 @@ class SoftLabelConfig:
             raise ValueError("lam must lie in [0, 1]")
         if self.kind == "triangular" and not 0.0 < self.alpha_adjacent < 0.5:
             raise ValueError("alpha_adjacent must lie in (0, 0.5)")
-        if self.kind == "beta" and not self.concentration > 2.0:
-            raise ValueError("concentration must exceed 2")
+        if self.kind == "beta" and not 2.0 < self.concentration < math.inf:
+            raise ValueError("concentration must exceed 2 and be finite")
         if self.kind == "exponential":
-            if not self.tau > 0.0:
-                raise ValueError("tau must be positive")
+            if not 0.0 < self.tau < math.inf:
+                raise ValueError("tau must be positive and finite")
             if not self.p_exponent >= 1.0:
                 raise ValueError("p_exponent must be >= 1")
 
@@ -101,8 +101,8 @@ class SordConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if self.transform not in SORD_TRANSFORMS:
             raise ValueError(f"unknown transform {self.transform!r}")
 

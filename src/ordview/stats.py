@@ -56,7 +56,6 @@ class ResultsTable:
     view_config: tuple[str, ...]
     seed: tuple[int, ...]
     value: np.ndarray
-    metric: str = "metric"
 
     def __post_init__(self):
         value = np.asarray(self.value, dtype=np.float64)
@@ -71,14 +70,13 @@ class ResultsTable:
         object.__setattr__(self, "value", value)
 
     @classmethod
-    def from_rows(cls, rows, metric: str = "metric") -> "ResultsTable":
+    def from_rows(cls, rows) -> "ResultsTable":
         rows = list(rows)
         return cls(
             method=tuple(str(r[0]) for r in rows),
             view_config=tuple(str(r[1]) for r in rows),
             seed=tuple(int(r[2]) for r in rows),
             value=np.array([float(r[3]) for r in rows]),
-            metric=metric,
         )
 
     def values_by(self, factor: str) -> dict[str, np.ndarray]:

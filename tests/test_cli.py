@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from ordview.cli import _build_experiment_config, build_parser, main, parse_config_file
-from ordview.model import METHODS
-from ordview.pipeline import DEFAULT_VIEWS, view_config_names
+from ordview.core import stratified_split
+from ordview.model import (
+    METHODS, method_config, predict_proba_batch, search_space, train, tune
+)
+from ordview.pipeline import DEFAULT_VIEWS, load_views_csv, view_config_names
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +193,40 @@ class TestTrainAndMetrics:
         assert code2 == 0
         metrics_line = [ln for ln in out2.splitlines() if ln.startswith("qwk=")][0]
         assert metrics_line == train_line
+
+    def test_train_tunes_by_default(self, tmp_path, capsys):
+        # without --no-tuning, train fits on the params tune picks: its
+        # predictions are those of the same steps taken by hand
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "synth.n_samples = 60\n"
+            "synth.class_proportions = 0.25, 0.25, 0.25, 0.25\n"
+            "synth.n_features_per_view = 4\n"
+        )
+        run_cli(capsys, "generate", "--out", str(tmp_path / "d"), "--config", str(cfg))
+        view = tmp_path / "d" / "south.csv"
+        preds = tmp_path / "preds.csv"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(view), "--method", "nominal",
+            "--seed", "0", "--out", str(preds),
+        )
+        assert code == 0
+
+        data = load_views_csv({"view": view})
+        fit, test = stratified_split(data, 0.2, 0)
+        x, y, j = fit.views["view"], fit.labels, data.n_classes
+        params = tune(search_space("nominal"), x, y, n_classes=j, seed=0)
+        # tune moves the learning rate off its default here, so a train
+        # that skipped tuning would not pass
+        assert params["learning_rate"] != method_config("nominal", j).learning_rate
+        model = train(method_config("nominal", j, params, seed=0), x, y)
+        probs = predict_proba_batch(model, test.views["view"])
+        lines = ["true_label,predicted_label,p_0,p_1,p_2,p_3"]
+        for label, pred, row in zip(test.labels.tolist(),
+                                    np.argmax(probs, axis=1).tolist(),
+                                    probs.tolist()):
+            lines.append(",".join(map(repr, [label, pred, *row])))
+        assert preds.read_bytes() == "".join(ln + "\r\n" for ln in lines).encode()
 
     def test_metrics_requires_columns(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

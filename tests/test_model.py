@@ -23,6 +23,7 @@ from ordview.model import (
     train,
     tune,
 )
+from ordview.softlabel import SoftLabelConfig, SordConfig
 
 EXPECTED_GRID_SIZES = {
     "nominal": 3,
@@ -103,6 +104,8 @@ class TestConfig:
             ModelConfig(n_classes=4, loss="hinge")
         with pytest.raises(ValueError):
             ModelConfig(n_classes=4, head="argmax")
+        with pytest.raises(ValueError, match="'cdwce' takes no targets"):
+            ModelConfig(n_classes=4, loss="cdwce", targets=SordConfig())
 
     @pytest.mark.parametrize("alpha", (0.0, -1.0, math.nan, math.inf))
     def test_cdwce_alpha_must_be_positive_and_finite(self, alpha):
@@ -112,6 +115,40 @@ class TestConfig:
             ModelConfig(n_classes=4, loss="cdwce", cdwce_alpha=alpha)
         with pytest.raises(ValueError, match="cdwce_alpha"):
             method_config("cdwce", 4, {"alpha": alpha})
+
+    @pytest.mark.parametrize("value", (math.inf, math.nan))
+    @pytest.mark.parametrize(
+        "cls, fixed, field",
+        [(ModelConfig, {"n_classes": 4, "head": "clm"}, "d_min"),
+         (SordConfig, {}, "beta"),
+         (SoftLabelConfig, {"kind": "exponential"}, "tau"),
+         (SoftLabelConfig, {"kind": "beta"}, "concentration")],
+        ids=("d_min", "sord-beta", "tau", "concentration"),
+    )
+    def test_non_finite_hyperparameters_rejected(self, cls, fixed, field, value):
+        # each constructed before and failed only in training or in its table
+        with pytest.raises(ValueError, match=f"{field} must"):
+            cls(**fixed, **{field: value})
+
+    def test_slace_beta_checked_at_the_boundary(self):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            method_config("slace", 4, {"beta": -1.0})
+
+    def test_method_config_builds_kernel_loss_and_targets(self):
+        params = {"sord": {"beta": 2.0, "transform": "log"}, "slace": {"beta": 2.0},
+                  "beta": {"lam": 0.8}, "cdwce": {"alpha": 0.5}}
+        built = {
+            family: method_config(family, 4, params.get(family))
+            for family in ("nominal", "cdwce", "sord", "slace", "beta")
+        }
+        assert {f: (c.loss, c.targets) for f, c in built.items()} == {
+            "nominal": ("cce", None),
+            "cdwce": ("cdwce", None),
+            "sord": ("cce", SordConfig(beta=2.0, transform="log")),
+            "slace": ("slace", SordConfig(beta=2.0, transform="max")),
+            "beta": ("cce", SoftLabelConfig(kind="beta", lam=0.8)),
+        }
+        assert built["cdwce"].cdwce_alpha == 0.5
 
     def test_method_config_covers_all(self):
         for method in METHODS:
@@ -129,8 +166,8 @@ class TestConfig:
         cfg = method_config("clm_sord", 4, params)
         assert cfg.learning_rate == params["learning_rate"]
         assert cfg.d_min == params["d_min"]
-        assert cfg.sord.beta == params["beta"]
-        assert cfg.sord.transform == params["transform"]
+        assert cfg.targets.beta == params["beta"]
+        assert cfg.targets.transform == params["transform"]
 
     @pytest.mark.parametrize(
         "method, key",
@@ -143,7 +180,7 @@ class TestConfig:
 
     def test_method_config_soft_fields(self):
         cfg = method_config("exponential", 4, {"tau": 2.0, "learning_rate": 0.1})
-        assert cfg.soft.tau == 2.0 and cfg.learning_rate == 0.1
+        assert cfg.targets.tau == 2.0 and cfg.learning_rate == 0.1
 
     @pytest.mark.parametrize(
         "method, key",
@@ -261,7 +298,7 @@ class TestTrain:
 KERNEL_LOSSES = {
     "cce": {"loss": "cce"},
     "cdwce": {"loss": "cdwce", "cdwce_alpha": 0.75},
-    "slace": {"loss": "slace", "slace_beta": 2.0},
+    "slace": {"loss": "slace", "targets": SordConfig(beta=2.0)},
 }
 
 
@@ -410,7 +447,7 @@ def saturated_fit():
     gradient is exactly zero, so its epoch losses stay finite while its
     weights stop near the float limit."""
     x, y = blob_dataset(12, 3, scale=2.0)
-    cfg = ModelConfig(n_classes=3, loss="slace", slace_beta=2.0,
+    cfg = ModelConfig(n_classes=3, loss="slace", targets=SordConfig(beta=2.0),
                       learning_rate=1e308, epochs=3, batch_size=8)
     return train(cfg, x, y), x, y
 
@@ -465,8 +502,7 @@ def test_blocked_epoch_losses_equal_per_step_loss_sums(
                       **KERNEL_LOSSES[loss])
     one_block = train(cfg, x, y)
 
-    kernel_loss, alpha = model_module._kernel_loss(cfg)
-    rows = _k.loss_rows(model_module._target_rows(cfg)[y], y, kernel_loss, alpha)
+    rows = _k.loss_rows(model_module._target_rows(cfg)[y], y, cfg.loss, cfg.cdwce_alpha)
     monkeypatch.setattr(_k, "_LOSS_BUDGET", 2 * rows.size * block)
     steps, blocks = [], []
     loss_grad, batch_losses = _k.loss_grad, _k.batch_losses
@@ -491,7 +527,7 @@ def test_blocked_epoch_losses_equal_per_step_loss_sums(
     for e in range(epochs):
         running = 0.0
         for probs, rows_b in steps[e * per_epoch:(e + 1) * per_epoch]:
-            running += _k.loss_batch(probs, rows_b, kernel_loss)[0]
+            running += _k.loss_batch(probs, rows_b, cfg.loss)[0]
         want.append(running / 45)
     assert blocked.epoch_losses.tobytes() == np.array(want).tobytes()
     for name in ("epoch_losses", "w1", "c1", "w2", "c2", "clm_b1", "clm_deltas"):
@@ -719,7 +755,8 @@ class TestDrawMemo:
         base = dict(n_classes=3, head=head, backbone=backbone, hidden_width=5,
                     epochs=5, batch_size=8, seed=9)
         cfg_a = ModelConfig(loss="cce", learning_rate=0.5, **base)
-        cfg_b = ModelConfig(loss="slace", learning_rate=0.05, **base)
+        cfg_b = ModelConfig(loss="slace", targets=SordConfig(), learning_rate=0.05,
+                            **base)
         model_module._draws.cache_clear()
         train(cfg_a, x, y)
         after_a = train(cfg_b, x, y)

@@ -140,6 +140,16 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="view_noise entries must be >= 0"):
             SynthConfig(view_noise=(math.nan, 1.0, 1.0))
 
+    def test_for_views(self):
+        # a subset of the generated views keeps the config; any other set is
+        # generated exactly, each view with the first view's noise
+        cfg = SynthConfig(n_samples=40, view_noise=(0.5, 1.0, 2.0))
+        assert cfg.for_views(("south", "crown")) is cfg
+        other = cfg.for_views(("crown", "west"))
+        assert (other.view_names, other.view_noise) == (("crown", "west"), (0.5, 0.5))
+        assert other.n_samples == 40
+        assert generate_synthetic(other, seed=0).view_names == ("crown", "west")
+
 
 class TestCsvRoundtrip:
     def test_write_then_load(self, tmp_path):
@@ -831,8 +841,8 @@ class TestFieldTypes:
             (SynthConfig, {"view_noise": (1.0, "x", 1.0)},
              "view_noise: expected tuple[float, ...], got (1.0, 'x', 1.0)"),
             (ModelConfig, {"n_classes": 4.0}, "n_classes: expected int, got 4.0"),
-            (ModelConfig, {"soft": "beta"},
-             "soft: expected SoftLabelConfig | None, got 'beta'"),
+            (ModelConfig, {"targets": "beta"},
+             "targets: expected SoftLabelConfig | SordConfig | None, got 'beta'"),
         ],
     )
     def test_wrong_type_rejected(self, tmp_path, cls, option, message):
