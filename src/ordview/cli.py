@@ -125,6 +125,8 @@ def _build_experiment_config(args) -> ExperimentConfig:
 def _cmd_generate(args) -> int:
     entries = parse_config_file(args.config) if args.config else {}
     cfg = _build_synth_config(entries, args.config)
+    if entries:  # the keys left once the synth.* ones are taken
+        raise ValueError(f"config {args.config}: unknown option {next(iter(entries))!r}")
     data = generate_synthetic(cfg, args.seed)
     paths = write_views_csv(data, args.out)
     for name, path in paths.items():

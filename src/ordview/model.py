@@ -101,7 +101,7 @@ class ModelConfig:
     """One fit: the kernel loss (cce, cdwce or slace) against the rows of
     ``targets`` (one-hot rows when None), the head, the backbone and SGD's
     settings. ``cdwce_alpha`` is read only under cdwce, which takes no
-    targets."""
+    targets; the other losses keep it at its default."""
 
     n_classes: int
     loss: str = "cce"
@@ -128,6 +128,8 @@ class ModelConfig:
             raise ValueError(f"unknown backbone {self.backbone!r}")
         if self.loss == "cdwce" and self.targets is not None:
             raise ValueError("loss 'cdwce' takes no targets")
+        if self.loss != "cdwce" and self.cdwce_alpha != 1.0:
+            raise ValueError(f"loss {self.loss!r} does not read cdwce_alpha")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         # at 0 the weight 0**0 = 1 would fall on the true class
@@ -336,7 +338,7 @@ def method_config(
     fixed ModelConfig fields such as backbone, epochs, batch_size, or seed.
     """
     head, family = _head_family(method)
-    params = params or {}
+    params = dict(params or {})
     known = set(search_space(method).grid)
     if family in SOFT_KINDS:
         known.update(_SOFT_FIELDS)
@@ -344,21 +346,18 @@ def method_config(
         if key not in known:
             raise ValueError(f"method {method!r} has no parameter {key!r}")
     kwargs = {**base, "n_classes": n_classes, "head": head}
-    for key in ("learning_rate", "d_min"):
-        if key in params:
-            kwargs[key] = params[key]
+    # the SGD keys set ModelConfig fields; the rest are the family's own
+    kwargs.update({k: params.pop(k) for k in ("learning_rate", "d_min") if k in params})
     loss, targets = "cce", None
-    smoothing = params.get("beta", 1.0)  # sord and slace
     if family == "cdwce":
         loss = "cdwce"
         kwargs["cdwce_alpha"] = params.get("alpha", 1.0)
     elif family == "sord":
-        targets = SordConfig(beta=smoothing, transform=params.get("transform", "max"))
-    elif family == "slace":
-        loss, targets = "slace", SordConfig(beta=smoothing, transform="max")
-    elif family != "nominal":  # a soft-label kind; it reads only its own fields
-        soft = {k: v for k, v in params.items() if k in _SOFT_FIELDS}
-        targets = SoftLabelConfig(kind=family, **soft)
+        targets = SordConfig(**params)
+    elif family == "slace":  # transform "max", the only one it takes
+        loss, targets = "slace", SordConfig(**params)
+    elif family != "nominal":
+        targets = SoftLabelConfig(kind=family, **params)
     kwargs.update(loss=loss, targets=targets)
     return ModelConfig(**kwargs)
 
@@ -468,13 +467,9 @@ def tune(
             except TrainingDiverged:
                 scores[i, f] = n_classes - 1
 
-    best_params: dict = {}
-    best_score = math.inf
-    for params, fold_scores in zip(candidates, scores):
-        score = float(np.mean(fold_scores))
-        if trace is not None:
-            trace.append({"params": params, "amae": score})
-        if score < best_score:
-            best_score = score
-            best_params = params
-    return best_params
+    # each row's mean adds its fold scores as np.mean of that row does, and
+    # argmin keeps the first of tied candidates
+    means = scores.mean(axis=1)
+    if trace is not None:
+        trace.extend({"params": p, "amae": float(m)} for p, m in zip(candidates, means))
+    return candidates[int(np.argmin(means))]

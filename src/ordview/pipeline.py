@@ -25,6 +25,7 @@ import math
 import warnings
 from collections import Counter
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -608,35 +609,14 @@ def _load_data(cfg: ExperimentConfig) -> MultiViewDataset:
     )
 
 
-def _train_view_models(cfg, fit_part, seed, mi, method):
-    """One model per view for (seed, method); returns view -> TrainedModel."""
-    models = {}
-    for vi, view in enumerate(cfg.views):
-        x_fit = fit_part.views[view]
-        y_fit = fit_part.labels
-        train_seed = _subseed(cfg.base_seed, seed, 4, mi, vi)
-        base = cfg.model_options
-        try:
-            params = None
-            if cfg.tuning:
-                params = tune(
-                    search_space(method),
-                    x_fit,
-                    y_fit,
-                    n_classes=fit_part.n_classes,
-                    seed=_subseed(cfg.base_seed, seed, 3, mi, vi),
-                    folds=cfg.folds,
-                    **base,
-                )
-            config = method_config(
-                method, fit_part.n_classes, params, seed=train_seed, **base
-            )
-            models[view] = train(config, x_fit, y_fit)
-        except Exception as exc:
-            raise ExperimentError(
-                f"method={method} view={view} seed={seed}: {exc}"
-            ) from exc
-    return models
+@contextmanager
+def _context(method, view, seed):
+    """Wrap any error of the (method, view, seed) cell in ExperimentError."""
+    try:
+        yield
+    except Exception as exc:
+        msg = f"method={method} view={view} seed={seed}: {exc}"
+        raise ExperimentError(msg) from exc
 
 
 def _run_seed(cfg: ExperimentConfig, train_base, test, configs, seed) -> list[tuple]:
@@ -645,13 +625,31 @@ def _run_seed(cfg: ExperimentConfig, train_base, test, configs, seed) -> list[tu
     fit_part, val_part = stratified_split(
         resampled, cfg.val_fraction, _subseed(cfg.base_seed, seed, 2)
     )
+    base = cfg.model_options
     rows = []
     for mi, method in enumerate(cfg.methods):
-        models = _train_view_models(cfg, fit_part, seed, mi, method)
-        p_test = {v: predict_proba_batch(models[v], test.views[v]) for v in cfg.views}
-        p_val = {v: predict_proba_batch(models[v], val_part.views[v]) for v in cfg.views}
+        p_val, p_test = {}, {}
+        for vi, view in enumerate(cfg.views):
+            x_fit, y_fit = fit_part.views[view], fit_part.labels
+            with _context(method, view, seed):
+                params = None
+                if cfg.tuning:
+                    params = tune(
+                        search_space(method),
+                        x_fit,
+                        y_fit,
+                        n_classes=j,
+                        seed=_subseed(cfg.base_seed, seed, 3, mi, vi),
+                        folds=cfg.folds,
+                        **base,
+                    )
+                train_seed = _subseed(cfg.base_seed, seed, 4, mi, vi)
+                config = method_config(method, j, params, seed=train_seed, **base)
+                model = train(config, x_fit, y_fit)
+                p_val[view] = predict_proba_batch(model, val_part.views[view])
+                p_test[view] = predict_proba_batch(model, test.views[view])
         for ci, (name, members) in enumerate(configs):
-            try:
+            with _context(method, name, seed):
                 if len(members) == 1:
                     probs = p_test[members[0]]
                 else:
@@ -666,10 +664,6 @@ def _run_seed(cfg: ExperimentConfig, train_base, test, configs, seed) -> list[tu
                 report = evaluate(
                     test.labels, preds, j, cfg.qwk_exponent, cfg.e_normalization
                 )
-            except Exception as exc:
-                raise ExperimentError(
-                    f"method={method} view={name} seed={seed}: {exc}"
-                ) from exc
             rows.append(
                 (
                     method,

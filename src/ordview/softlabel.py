@@ -24,7 +24,7 @@ Every row is nonnegative, sums to 1 and has its mode at the true class
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +39,10 @@ __all__ = [
     "target_matrix",
 ]
 
-KINDS = ("triangular", "beta", "exponential")
+# the fields each kind reads besides lam
+KIND_FIELDS = {"triangular": ("alpha_adjacent",), "beta": ("concentration",),
+               "exponential": ("tau", "p_exponent")}
+KINDS = tuple(KIND_FIELDS)
 SORD_TRANSFORMS = (
     "max",
     "norm_max",
@@ -56,7 +59,8 @@ class SoftLabelConfig:
 
     Only the fields relevant to ``kind`` are read: ``lam`` everywhere,
     ``alpha_adjacent`` for triangular, ``concentration`` for beta, ``tau``
-    and ``p_exponent`` for exponential.
+    and ``p_exponent`` for exponential. A field the kind does not read must
+    keep its default.
     """
 
     kind: str
@@ -70,6 +74,10 @@ class SoftLabelConfig:
         check_fields(self)
         if self.kind not in KINDS:
             raise ValueError(f"unknown soft label kind {self.kind!r}")
+        for f in fields(self)[2:]:  # the fields after kind and lam
+            read = f.name in KIND_FIELDS[self.kind]
+            if not read and getattr(self, f.name) != f.default:
+                raise ValueError(f"kind {self.kind!r} does not read {f.name}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if self.kind == "triangular" and not 0.0 < self.alpha_adjacent < 0.5:

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from ordview.cli import _build_experiment_config, build_parser, main, parse_config_file
-from ordview.core import stratified_split
+from ordview.core import MultiViewDataset, stratified_split
 from ordview.model import (
-    METHODS, method_config, predict_proba_batch, search_space, train, tune
+    METHODS, TrainingDiverged, method_config, predict_proba_batch, search_space, train,
+    tune,
 )
-from ordview.pipeline import DEFAULT_VIEWS, load_views_csv, view_config_names
+from ordview.pipeline import (
+    DEFAULT_VIEWS, ExperimentError, load_views_csv, run_experiment, view_config_names,
+    write_views_csv,
+)
+from test_model import blob_dataset
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +98,13 @@ class TestConfigFile:
             parse_config_file(p)
         assert str(info.value) == f"config {p}: line 3: n_seeds already set on line 1"
 
+    def test_empty_key_rejected(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("n_seeds = 2\n = 3\n")
+        with pytest.raises(ValueError) as info:
+            parse_config_file(p)
+        assert str(info.value) == f"config {p}: line 2: empty key"
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -172,6 +184,19 @@ class TestGenerate:
         assert code == 0
         assert (tmp_path / "d" / "left.csv").exists()
         assert "samples=40 classes=2" in out
+
+    @pytest.mark.parametrize("key", ["synt.n_samples", "synth.n_sample", "n_samples"])
+    def test_unknown_key_exits_2_before_output(self, tmp_path, capsys, key):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"synth.n_classes = 2\nsynth.class_proportions = 0.5, 0.5\n"
+                       f"{key} = 40\n")
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "generate", "--out", str(out_dir), "--config", str(cfg)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config {cfg}: unknown option {key!r}\n"
+        assert not out_dir.exists()
 
 
 class TestTrainAndMetrics:
@@ -393,6 +418,19 @@ class TestStats:
         }
         assert digests == self.GOLDEN
 
+    def test_constant_metric_reports_degenerate_tables(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("method,view_config,seed,qwk\n" + "".join(
+            f"{m},{v},{s},0.5\n"
+            for m in ("nominal", "clm") for v in ("crown", "north") for s in range(3)
+        ))
+        code, _, _ = run_cli(capsys, "stats", str(grid), "--metrics", "qwk")
+        assert code == 0
+        lines = (tmp_path / "stats_qwk.md").read_text().splitlines()
+        assert "Degenerate table: residual mean square is zero." in lines
+        skipped = "Skipped: degenerate pooled variance: all groups constant"
+        assert lines.count(skipped) == 2  # the method and the view_config sections
+
     def test_unknown_metric(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
         grid.write_text("method,view_config,seed,qwk\nnominal,crown,0,0.5\n")
@@ -431,6 +469,45 @@ class TestErrorExits:
         assert code == 2
         assert err.startswith("error: method=nominal view=crown seed=0")
 
+    # the overflow of a trained slace model on its test rows, scaled by 100
+    DIVERGED = (
+        "training diverged: the trained parameters overflow the forward pass: "
+        "NaN probabilities in 6 of 7 rows"
+    )
+
+    @staticmethod
+    def saturating_config(tmp_path) -> str:
+        """A CSV experiment whose one fit ends with finite weights that
+        overflow only on the test rows."""
+        x, y = blob_dataset(12, 3, scale=2.0, seed=0)
+        # the rows the experiment's split (test_fraction 0.2, seed 0) tests on
+        index = MultiViewDataset({"i": np.arange(y.size)[:, None]}, y, n_classes=3)
+        test_rows = stratified_split(index, 0.2, 0)[1].views["i"][:, 0].astype(int)
+        x[test_rows] *= 100.0
+        data = MultiViewDataset({"crown": x}, y, n_classes=3)
+        paths = write_views_csv(data, tmp_path / "d")
+        return (
+            f"csv.crown = {paths['crown']}\n"
+            "methods = slace\nviews = crown\nn_seeds = 1\ntuning = false\n"
+            "learning_rate = 1e308\nepochs = 3\nbatch_size = 8\n"
+        )
+
+    def test_prediction_failure_names_its_cell(self, tmp_path):
+        cfg = experiment_config(tmp_path, self.saturating_config(tmp_path))
+        with pytest.raises(ExperimentError) as info:
+            run_experiment(cfg)
+        assert str(info.value) == f"method=slace view=crown seed=0: {self.DIVERGED}"
+        assert isinstance(info.value.__cause__, TrainingDiverged)
+
+    def test_prediction_failure_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(self.saturating_config(tmp_path))
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert err == f"error: method=slace view=crown seed=0: {self.DIVERGED}\n"
+
     def test_stats_on_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "stats", str(tmp_path))
         assert code == 2
@@ -453,6 +530,8 @@ class TestErrorExits:
              "duplicate column 'true_label'"),
             ("stats", "method,view_config,seed,qwk,qwk\nnominal,crown,0,0.5,0.5\n",
              "duplicate column 'qwk'"),
+            ("stats", "true_label,predicted_label\n0,1\n",
+             "not a grid CSV (header ('true_label', 'predicted_label'))"),
         ],
     )
     def test_malformed_csv_names_file(self, tmp_path, capsys, command, text, message):

@@ -11,6 +11,7 @@ from ordview import model as model_module
 from ordview.core import _subseed
 from ordview.metrics import amae
 from ordview.model import (
+    LOSSES,
     METHODS,
     MAX_TUNE_EVALS,
     ModelConfig,
@@ -23,7 +24,7 @@ from ordview.model import (
     train,
     tune,
 )
-from ordview.softlabel import SoftLabelConfig, SordConfig
+from ordview.softlabel import KIND_FIELDS, SoftLabelConfig, SordConfig
 
 EXPECTED_GRID_SIZES = {
     "nominal": 3,
@@ -129,6 +130,33 @@ class TestConfig:
         # each constructed before and failed only in training or in its table
         with pytest.raises(ValueError, match=f"{field} must"):
             cls(**fixed, **{field: value})
+
+    # (loss or soft-label kind, a field it never reads)
+    UNREAD = [
+        ("cce", "cdwce_alpha"),
+        ("slace", "cdwce_alpha"),
+        *((kind, field)
+          for kind, reads in KIND_FIELDS.items()
+          for field in ("alpha_adjacent", "concentration", "tau", "p_exponent")
+          if field not in reads),
+    ]
+
+    @pytest.mark.parametrize("value", (0.25, math.nan), ids=("finite", "nan"))
+    @pytest.mark.parametrize("owner, field", UNREAD)
+    def test_unread_hyperparameter_rejected(self, owner, field, value):
+        # each constructed before, and its fit or table ignored the value;
+        # the default still passes
+        if owner in LOSSES:
+            ModelConfig(n_classes=4, loss=owner, cdwce_alpha=1.0)
+            builds = [lambda: ModelConfig(n_classes=4, loss=owner, cdwce_alpha=value)]
+        else:
+            default = SoftLabelConfig.__dataclass_fields__[field].default
+            SoftLabelConfig(kind=owner, **{field: default})
+            builds = [lambda: SoftLabelConfig(kind=owner, **{field: value}),
+                      lambda: method_config(owner, 4, {field: value})]
+        for build in builds:
+            with pytest.raises(ValueError, match=f"does not read {field}$"):
+                build()
 
     def test_slace_beta_checked_at_the_boundary(self):
         with pytest.raises(ValueError, match="beta must be positive"):

@@ -467,6 +467,29 @@ class TestBracketBits:
         )
         assert self.bits(*_quantile_bracket(k, df, p)) == self.bits(*want)
 
+    @pytest.mark.parametrize(
+        "newton",
+        [lambda x, cdf, density, p: math.nan, lambda x, cdf, density, p: x + 1.0],
+        ids=("no-step", "no-convergence"),
+    )
+    def test_fallback_search_keeps_the_bits(self, newton, monkeypatch):
+        """With no Newton step the search is plain doubling from a start
+        below the root, then bisection; with steps that never converge the
+        coarse search gives up after 20 and bisection finishes."""
+        k, df, p = 5, 21, 0.95
+        want = self.bits(*_quantile_bracket(k, df, p))
+        monkeypatch.setattr(stats, "_log_tail_newton", newton)
+        monkeypatch.setattr(stats, "_t_quantile", lambda df, p: 0.25)
+        got = self.bits(*_quantile_bracket.__wrapped__(k, df, p))
+        oracle = bisect_quantile_bracket(
+            lambda q: studentized_range_cdf(q, k, df), p, _QUANTILE_TOL
+        )
+        assert got == want == self.bits(*oracle)
+
+    @pytest.mark.parametrize("cdf, density", [(1.0, 0.5), (0.5, 0.0)])
+    def test_newton_step_not_taken_without_tail_or_density(self, cdf, density):
+        assert math.isnan(stats._log_tail_newton(3.0, cdf, density, 0.95))
+
 
 class TestTukey:
     def test_identical_groups_share_subset(self):
