@@ -13,7 +13,7 @@ arithmetic, so ``run_sgd`` does each piece of work as rarely as it can, and
 every step reuses one per-fit workspace:
 
 * per fit: the loss's per-row constants (``loss_rows``) and the workspace.
-  w1, c1, w2, c2 and the threshold block [b1, deltas] become views into one
+  w1, c1, w2, c2 and the threshold block [b1, *deltas] become views into one
   packed float64 buffer, and their gradients views into a second buffer of
   the same layout; a ``ClmPad`` per batch size holds the CLM class math.
   The caller's arrays get the trained values back at the end;
@@ -99,6 +99,23 @@ def link_inverse(x):
     np.copyto(e, _ONE, where=x >= _ZERO)
     e /= one_e
     return e
+
+
+def initial_thresholds(head, n_classes, d_min):
+    """The threshold block [b1, *deltas] a fit starts from: J - 1 entries.
+
+    The thresholds start at b_0 = -2, each gap floor + max(4 / (J - 2) -
+    d_min, 0) with the floor of ``materialize_thresholds_raw``: so the gap
+    is max(4 / (J - 2), d_min) at d_min > 0 (J = 7 at d_min = 1 spans
+    [-2, 3], J = 10 spans [-2, 6]) and 4 / (J - 2) + 1e-6 at d_min = 0. A
+    softmax head reads no thresholds and keeps a single 0.0.
+    """
+    if head == "softmax":
+        return np.zeros(1)
+    thresholds = np.full(n_classes - 1, -2.0)
+    if n_classes > 2:
+        thresholds[1:] = np.sqrt(max(4.0 / (n_classes - 2) - d_min, 0.0))
+    return thresholds
 
 
 def materialize_thresholds_raw(b1, deltas, d_min):
@@ -341,14 +358,13 @@ def forward_batch(
     c1,
     w2,
     c2,
-    clm_b1,
-    clm_deltas,
+    thresholds,
 ):
     """Full forward pass to class probabilities for a batch."""
     s, _, _ = _scores(x, backbone, w1, c1, w2, c2)
     if head == "softmax":
         return softmax_batch(s)
-    b = materialize_thresholds_raw(clm_b1[0], clm_deltas, d_min)
+    b = materialize_thresholds_raw(thresholds[0], thresholds[1:], d_min)
     return np.ascontiguousarray(clm_forward_batch(s[:, 0], b)[1])
 
 
@@ -366,13 +382,13 @@ def run_sgd(
     c1,
     w2,
     c2,
-    clm_b1,
-    clm_deltas,
+    thresholds,
     lr,
     batch_size,
 ):
     """Plain minibatch SGD; the parameter arrays hold the trained values on
-    return.
+    return. ``thresholds`` is the block [b1, *deltas] (J - 1 entries) of a
+    cumulative-link head, and a softmax head's one unread entry.
 
     shuffles is an (epochs, n) integer matrix of precomputed epoch orderings,
     so the exact visit sequence is fixed by the caller. Gradients use the
@@ -388,11 +404,12 @@ def run_sgd(
     per_block = min(epochs, max(1, _LOSS_BUDGET // (2 * rows.size)))
     clamped_buf = np.empty((*rows.shape[:-2], per_block * n, rows.shape[-1]))
     # theta packs the parameters and grad their gradients in one layout, so
-    # that one fused update steps them all; the thresholds are one block
-    blocks = [w1, c1, w2, c2, np.concatenate((clm_b1, clm_deltas))]
-    theta, (t_w1, t_c1, t_w2, t_c2, t_thr) = _pack(blocks)
-    for view, a in zip((t_w1, t_c1, t_w2, t_c2, t_thr), blocks):
+    # that one fused update steps them all
+    blocks = (w1, c1, w2, c2, thresholds)
+    theta, views = _pack(blocks)
+    for view, a in zip(views, blocks):
         view[...] = a
+    t_w1, t_c1, t_w2, t_c2, t_thr = views
     grad, (g_w1, g_c1, g_w2, g_c2, g_thr) = _pack(blocks)
     hidden = backbone == "one_hidden"
     sizes = {min(n, batch_size), n % batch_size} - {0}
@@ -450,8 +467,6 @@ def run_sgd(
             for batch_loss in totals.T:
                 running += batch_loss
             losses[e0:e0 + per_block] = running / n
-    for a, view in zip((w1, c1, w2, c2), (t_w1, t_c1, t_w2, t_c2)):
+    for a, view in zip(blocks, views):
         a[...] = view
-    clm_b1[...] = t_thr[:1]
-    clm_deltas[...] = t_thr[1:]
     return losses

@@ -193,7 +193,7 @@ def _cmd_stats(args) -> int:
     metrics = parse_option(tuple[str, ...], args.metrics)
     if not metrics or len(set(metrics)) != len(metrics):
         raise ValueError(f"--metrics must name distinct metrics, got {args.metrics!r}")
-    header, rows = read_grid_csv(args.grid)
+    header, rows = read_grid_csv(args.grid, finite=metrics)
     for metric in metrics:
         if metric not in header:
             raise ValueError(f"metric {metric!r} not in grid columns")

@@ -149,9 +149,9 @@ class ModelConfig:
 class TrainedModel:
     """Immutable parameters after training; safe for concurrent prediction.
 
-    clm_b1 (shape (1,)) and clm_deltas (J - 2 entries) are the threshold
-    parameters of the cumulative-link head; a softmax model holds zeros of
-    shape (1,) and (0,).
+    ``thresholds`` is the cumulative-link head's threshold block [b1,
+    *deltas] (J - 1 entries, see ``_kernels.initial_thresholds``); a softmax
+    model holds a single 0.0.
     """
 
     config: ModelConfig
@@ -159,12 +159,11 @@ class TrainedModel:
     c1: np.ndarray
     w2: np.ndarray
     c2: np.ndarray
-    clm_b1: np.ndarray
-    clm_deltas: np.ndarray
+    thresholds: np.ndarray
     epoch_losses: np.ndarray
 
     def __post_init__(self):
-        for name in ("w1", "c1", "w2", "c2", "clm_b1", "clm_deltas", "epoch_losses"):
+        for name in ("w1", "c1", "w2", "c2", "thresholds", "epoch_losses"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -180,17 +179,6 @@ def _target_rows(config: ModelConfig) -> np.ndarray:
     if config.targets is None:
         return np.eye(config.n_classes)
     return target_matrix(config.n_classes, config.targets)
-
-
-def _init_clm_arrays(config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Thresholds start as an even grid spanning [-2, 2] around the latent 0."""
-    j = config.n_classes
-    b1 = np.array([-2.0])
-    if j == 2:
-        return b1, np.zeros(0)
-    step = 4.0 / (j - 2)
-    deltas = np.full(j - 2, math.sqrt(max(step - config.d_min, 0.0)))
-    return b1, deltas
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -239,11 +227,7 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
     w1, w2 = w1.copy(), w2.copy()
     c1 = np.zeros(w1.shape[1])
     c2 = np.zeros(k_out)
-    if config.head == "clm":
-        clm_b1, clm_deltas = _init_clm_arrays(config)
-    else:
-        clm_b1, clm_deltas = np.zeros(1), np.zeros(0)
-
+    thresholds = _k.initial_thresholds(config.head, config.n_classes, config.d_min)
     targets = np.ascontiguousarray(_target_rows(config)[y])
     losses = _k.run_sgd(
         x,
@@ -259,15 +243,14 @@ def train(config: ModelConfig, x, y) -> TrainedModel:
         c1,
         w2,
         c2,
-        clm_b1,
-        clm_deltas,
+        thresholds,
         config.learning_rate,
         config.batch_size,
     )
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise TrainingDiverged(int(bad[0]))
-    params = (w1, c1, w2, c2, clm_b1, clm_deltas)
+    params = (w1, c1, w2, c2, thresholds)
     # the epoch loss is taken before each update, so only the parameters
     # show an overflow in the last one
     if not all(np.isfinite(p).all() for p in params):
@@ -301,8 +284,7 @@ def predict_proba_batch(model: TrainedModel, x) -> np.ndarray:
             model.c1,
             model.w2,
             model.c2,
-            model.clm_b1,
-            model.clm_deltas,
+            model.thresholds,
         )
     if not np.isfinite(probs).all():
         bad = int(np.count_nonzero(~np.isfinite(probs).all(axis=1)))

@@ -374,6 +374,19 @@ def _check_labels(
         raise ValueError(f"{where} lies outside [0, {n_classes - 1}]")
 
 
+def _check_finite(path, names, block: np.ndarray, lines) -> None:
+    """Raise a ValueError naming the file, the line (from ``lines``) and
+    the column (from ``names``) of the first NaN or infinite value of the
+    (rows, columns) ``block``, in file order."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        k, j = divmod(int(np.argmin(finite)), block.shape[1])
+        raise ValueError(
+            f"file {path}: line {lines[k]}: value {float(block[k, j])!r} in "
+            f"column {names[j]!r} is not finite"
+        )
+
+
 def _parse_view_csv(
     path: Path, label_column: str, id_column: str, n_classes=None, first_ids=None
 ):
@@ -405,10 +418,11 @@ def _parse_view_csv(
     # a copy, since a view of one field would keep the whole parsed table alive
     labels = columns[label_pos].copy()
     _check_labels(path, label_column, labels, lines, n_classes)
-    features = [col for i, col in enumerate(columns) if i not in (id_pos, label_pos)]
+    features = [i for i in range(len(header)) if i not in (id_pos, label_pos)]
     block = np.empty((len(ids), len(features)))
-    for j, col in enumerate(features):
-        block[:, j] = col
+    for j, i in enumerate(features):
+        block[:, j] = columns[i]
+    _check_finite(path, [header[i] for i in features], block, lines)
     return ids, block, labels
 
 
@@ -839,8 +853,14 @@ def _write_stats_report(out: Path, header, rows, metric: str) -> Path:
     return path
 
 
-def read_grid_csv(path) -> tuple[tuple[str, ...], list[tuple]]:
-    """Parse a grid CSV back into typed rows (strings, int seed, floats)."""
+def read_grid_csv(path, finite=()) -> tuple[tuple[str, ...], list[tuple]]:
+    """Parse a grid CSV back into typed rows (strings, int seed, floats).
+
+    A NaN or infinite value in a column named in ``finite`` raises a
+    ValueError naming the file, the line and the column; other metric
+    columns may hold NaN (``sens_q`` and ``mae_q`` of a class q with no
+    test rows).
+    """
     path = Path(path)
 
     def types(header):
@@ -850,5 +870,8 @@ def read_grid_csv(path) -> tuple[tuple[str, ...], list[tuple]]:
             )
         return [str, str, int] + [float] * (len(header) - 3)
 
-    header, columns, _ = _read_table(path, types, {int: "seed", float: "metric"})
+    header, columns, lines = _read_table(path, types, {int: "seed", float: "metric"})
+    for name in finite:
+        if name in header:
+            _check_finite(path, [name], columns[header.index(name)][:, None], lines)
     return tuple(header), list(zip(*(col.tolist() for col in columns)))

@@ -431,6 +431,25 @@ class TestStats:
         skipped = "Skipped: degenerate pooled variance: all groups constant"
         assert lines.count(skipped) == 2  # the method and the view_config sections
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_names_line_and_column(self, tmp_path, capsys, cell):
+        # a sens_q or mae_q cell is nan when class q has no test rows, so
+        # only the requested metric columns are checked
+        grid = tmp_path / "grid.csv"
+        grid.write_text(
+            "method,view_config,seed,qwk,amae,sens_0\n"
+            "nominal,crown,0,0.5,0.4,nan\n"
+            f"nominal,crown,1,0.6,{cell},nan\n"
+        )
+        code, _, err = run_cli(capsys, "stats", str(grid), "--metrics", "qwk,amae",
+                               "--out", str(tmp_path / "r"))
+        assert code == 2
+        message = f"line 3: value {cell} in column 'amae' is not finite"
+        assert err == f"error: file {grid}: {message}\n"
+        code, _, _ = run_cli(capsys, "stats", str(grid), "--metrics", "qwk",
+                             "--out", str(tmp_path / "r"))
+        assert code == 0
+
     def test_unknown_metric(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
         grid.write_text("method,view_config,seed,qwk\nnominal,crown,0,0.5\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ordview import _kernels as _k
-from ordview.model import ModelConfig
+from ordview.model import D_MIN_GRID, ModelConfig
 from ordview.softlabel import SoftLabelConfig
 
 
@@ -57,6 +57,25 @@ class TestThresholds:
     def test_dmin_enforces_gap(self):
         b = _k.materialize_thresholds_raw(-1.0, np.zeros(3), 0.5)
         assert np.all(np.diff(b) >= 0.5)
+
+    @pytest.mark.parametrize("d_min", D_MIN_GRID)
+    @pytest.mark.parametrize("j", range(2, 11))
+    def test_start_gaps(self, j, d_min):
+        """A fit's thresholds start at -2, each gap max(4 / (J - 2), d_min),
+        or 4 / (J - 2) + 1e-6 at d_min = 0, where the floor reads 1e-6: so
+        J = 7 at d_min = 1 spans [-2, 3] and J = 10 spans [-2, 6]."""
+        start = _k.initial_thresholds("clm", j, d_min)
+        assert start.shape == (j - 1,)
+        b = _k.materialize_thresholds_raw(start[0], start[1:], d_min)
+        assert b[0] == -2.0
+        if j > 2:
+            step = 4.0 / (j - 2)
+            gap = max(step, d_min) if d_min > 0 else step + 1e-6
+            assert np.allclose(np.diff(b), gap, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(b) > 0)
+
+    def test_softmax_start_is_one_zero(self):
+        assert _k.initial_thresholds("softmax", 5, 0.5).tolist() == [0.0]
 
 
 class TestForward:

@@ -156,10 +156,12 @@ def test_forward_batch(head, backbone, seed, n, j):
     w1, c1 = rng.normal(size=(d, h)), rng.normal(size=h)
     w2, c2 = rng.normal(size=(width, k_out)), rng.normal(size=k_out)
     b1, deltas, d_min = clm_thresholds(rng, j)
-    args = (backbone, head, d_min, w1, c1, w2, c2, np.array([b1]), deltas)
+    args = (backbone, head, d_min, w1, c1, w2, c2)
     x = rng.normal(size=(n, d))
     assert_close(
-        _k.forward_batch(x, *args), oracles.forward_batch(x, *args), KERNEL_TOL
+        _k.forward_batch(x, *args, np.array([b1, *deltas])),
+        oracles.forward_batch(x, *args, np.array([b1]), deltas),
+        KERNEL_TOL,
     )
 
 
@@ -173,11 +175,17 @@ FD_STEP = 1e-5
 FD_TOL = 1e-6
 
 
+def oracle_thresholds(thresholds):
+    """The oracles' (b1, deltas) form of a threshold block: views, so the
+    oracle's in-place steps write into the block."""
+    return thresholds[:1], thresholds[1:]
+
+
 def well_conditioned_point(rng, head, backbone, d_min, n, j):
-    """Inputs, labels, soft targets and parameters (w1, c1, w2, c2, b1,
-    deltas) at which every class probability stays above ~1e-3: no log clamp
-    is active and 1 - cum loses few digits, so the mean loss is smooth and
-    accurate enough for central differences."""
+    """Inputs, labels, soft targets and parameters (w1, c1, w2, c2 and the
+    threshold block [b1, *deltas]) at which every class probability stays
+    above ~1e-3: no log clamp is active and 1 - cum loses few digits, so the
+    mean loss is smooth and accurate enough for central differences."""
     d, h = 3, 4
     k_out = 1 if head == "clm" else j
     width = h if backbone == "one_hidden" else d
@@ -188,7 +196,7 @@ def well_conditioned_point(rng, head, backbone, d_min, n, j):
     # thresholds 0.09-0.5 apart, centred on 0, where the logistic CDF is 1/2
     deltas = rng.choice([-1.0, 1.0], size=j - 2) * rng.uniform(0.3, 0.6, size=j - 2)
     span = float(np.sum(d_min + deltas**2))
-    b1 = np.array([-0.5 * span])
+    thresholds = np.array([-0.5 * span, *deltas])
     x = rng.normal(size=(n, d))
     # the ReLU has a kink at 0, where a central difference is no gradient:
     # redraw until every hidden pre-activation is well clear of it
@@ -196,17 +204,19 @@ def well_conditioned_point(rng, head, backbone, d_min, n, j):
         x = rng.normal(size=(n, d))
     labels = rng.integers(0, j, size=n)
     targets = rng.dirichlet(np.ones(j), size=n)
-    return x, labels, targets, params + [b1, deltas]
+    return x, labels, targets, params + [thresholds]
 
 
 def sgd_step(impl, params, x, labels, targets, loss, head, backbone, d_min, lr):
     """One full-batch SGD step on copies of params: the mean loss at params
     and the stepped copies (params - lr * mean gradient)."""
     stepped = [p.copy() for p in params]
+    *weights, thr = stepped
+    thresholds = oracle_thresholds(thr) if impl is oracles else (thr,)
     n = x.shape[0]
     [mean_loss] = impl.run_sgd(
         x, labels, targets, np.arange(n)[None, :], loss, 0.7, backbone, head,
-        d_min, *stepped, lr, n,
+        d_min, *weights, *thresholds, lr, n,
     )
     return mean_loss, stepped
 
@@ -314,7 +324,10 @@ def test_train_matches_oracle_sgd(method, backbone, monkeypatch):
 
     def replay(*args):
         ref_args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        replays.append((ref_args, oracles.run_sgd(*ref_args)))
+        ref_losses = oracles.run_sgd(
+            *ref_args[:13], *oracle_thresholds(ref_args[13]), *ref_args[14:]
+        )
+        replays.append((ref_args, ref_losses))
         return run_sgd(*args)
 
     monkeypatch.setattr(_k, "run_sgd", replay)
@@ -324,16 +337,17 @@ def test_train_matches_oracle_sgd(method, backbone, monkeypatch):
 
     [(ref_args, ref_losses)] = replays
     head_args = ref_args[6:9]
-    w1, c1, w2, c2, b1, deltas = ref_args[9:15]
+    w1, c1, w2, c2, thresholds = ref_args[9:14]
     assert_close(model.epoch_losses, ref_losses, TRAIN_TOL)
     for got, ref in zip((model.w1, model.c1, model.w2, model.c2), (w1, c1, w2, c2)):
         assert_close(got, ref, TRAIN_TOL)
     if cfg.head == "clm":
-        assert_close(model.clm_b1, b1, TRAIN_TOL)
-        assert_close(model.clm_deltas, deltas, TRAIN_TOL)
+        assert_close(model.thresholds, thresholds, TRAIN_TOL)
     assert_close(
         predict_proba_batch(model, x),
-        oracles.forward_batch(x, *head_args, w1, c1, w2, c2, b1, deltas),
+        oracles.forward_batch(
+            x, *head_args, w1, c1, w2, c2, *oracle_thresholds(thresholds)
+        ),
         TRAIN_TOL,
     )
 
@@ -348,14 +362,15 @@ def test_run_sgd_leaves_trained_values_in_callers_arrays(head):
     k_out = 1 if head == "clm" else 4
     params = [rng.normal(size=(5, 6)), rng.normal(size=6),
               rng.normal(size=(6, k_out)), rng.normal(size=k_out),
-              np.array([-1.0]), np.array([0.9, 1.1])]
+              np.array([-1.0, 0.9, 1.1])]
     before = [p.copy() for p in params]
     ref = [p.copy() for p in params]
     shuffles = np.stack([rng.permutation(60) for _ in range(5)])
     head_args = ("slace", 1.0, "one_hidden", head, 0.5)
     targets = np.eye(4)[y]
     _k.run_sgd(x, y, targets, shuffles, *head_args, *params, 0.05, 16)
-    oracles.run_sgd(x, y, targets, shuffles, *head_args, *ref, 0.05, 16)
+    oracles.run_sgd(x, y, targets, shuffles, *head_args, *ref[:4],
+                    *oracle_thresholds(ref[4]), 0.05, 16)
     trained = params if head == "clm" else params[:4]
     for got, want, old in zip(trained, ref, before):
         assert_close(got, want, TRAIN_TOL)

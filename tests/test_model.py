@@ -342,8 +342,7 @@ def train_digest(loss, head, backbone, n_classes=4, batch_size=8):
                       epochs=6, batch_size=batch_size, seed=17, **KERNEL_LOSSES[loss])
     model = train(cfg, x, y)
     h = hashlib.sha256(model.epoch_losses.tobytes())
-    for p in (model.w1, model.c1, model.w2, model.c2, model.clm_b1,
-              model.clm_deltas):
+    for p in (model.w1, model.c1, model.w2, model.c2, model.thresholds):
         h.update(p.tobytes())
     return h.hexdigest()
 
@@ -558,7 +557,7 @@ def test_blocked_epoch_losses_equal_per_step_loss_sums(
             running += _k.loss_batch(probs, rows_b, cfg.loss)[0]
         want.append(running / 45)
     assert blocked.epoch_losses.tobytes() == np.array(want).tobytes()
-    for name in ("epoch_losses", "w1", "c1", "w2", "c2", "clm_b1", "clm_deltas"):
+    for name in ("epoch_losses", "w1", "c1", "w2", "c2", "thresholds"):
         assert getattr(blocked, name).tobytes() == getattr(one_block, name).tobytes()
 
 
@@ -580,8 +579,7 @@ def test_trained_arrays_are_read_only_and_own_their_memory(head, monkeypatch):
                       hidden_width=5, epochs=3, batch_size=8)
     model = train(cfg, x, y)
     assert workspaces
-    params = [model.w1, model.c1, model.w2, model.c2, model.clm_b1,
-              model.clm_deltas]
+    params = [model.w1, model.c1, model.w2, model.c2, model.thresholds]
     for p in params:
         assert not p.flags.writeable
         assert not any(np.shares_memory(p, w) for w in workspaces)
@@ -791,7 +789,7 @@ class TestDrawMemo:
         assert model_module._draws.cache_info().hits == 1
         model_module._draws.cache_clear()
         fresh = train(cfg_b, x, y)
-        for name in ("epoch_losses", "w1", "c1", "w2", "c2", "clm_b1", "clm_deltas"):
+        for name in ("epoch_losses", "w1", "c1", "w2", "c2", "thresholds"):
             assert getattr(after_a, name).tobytes() == getattr(fresh, name).tobytes()
 
 

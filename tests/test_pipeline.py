@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -236,10 +237,14 @@ class TestCsvRoundtrip:
             body = "".join(f"{i},{cell},0\n" for i, cell in enumerate(cells))
             path.write_text("sample_id,f0,label\n" + body)
             with mock.patch.object(pipeline, "_read_csv", no_cell_reader):
-                # the view reader itself: a dataset would reject the overflows
-                _, block, _ = pipeline._parse_view_csv(path, "label", "sample_id")
+                # the table reader itself: the view reader rejects the
+                # overflows to inf
+                _, columns, _ = pipeline._read_table(
+                    path, lambda header: [str, float, int],
+                    {int: "label", float: "feature"},
+                )
         expected = np.array([float(cell) for cell in cells])
-        assert bitwise_equal(block[:, 0], expected)
+        assert bitwise_equal(columns[1], expected)
 
 
 def permute_rows(path, seed):
@@ -397,6 +402,17 @@ class TestCsvLoader:
         p = tmp_path / "x.csv"
         write_csv(p, ["sample_id", "f0", "label"], [[0, "oops", 0]])
         with pytest.raises(ValueError, match="cannot parse feature"):
+            load_views_csv({"x": p})
+
+    @pytest.mark.parametrize(
+        "cell, value", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e309", "inf")]
+    )
+    def test_non_finite_feature_names_line_and_column(self, tmp_path, cell, value):
+        p = tmp_path / "x.csv"
+        write_csv(p, ["sample_id", "f0", "f1", "label"],
+                  [[0, 0.5, 0.1, 0], [1, 0.6, cell, 1], [2, cell, 0.2, 0]])
+        message = f"file {p}: line 3: value {value} in column 'f1' is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_views_csv({"x": p})
 
     def test_numeric_id_ordering(self, tmp_path):
