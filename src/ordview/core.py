@@ -158,6 +158,20 @@ def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     return flat.reshape(n_classes, n_classes).astype(np.int64)
 
 
+def check_view_names(names) -> None:
+    """Raise a ValueError for a view name that is not a plain file name
+    (empty, ``.``, ``..``, or holding ``/`` or ``\\``), since a view is
+    written to ``<name>.csv``, or that holds ``+``, which joins the views of
+    a configuration's name."""
+    for name in names:
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"view name {name!r} is not a plain file name")
+        if "+" in name:
+            raise ValueError(
+                f"view name {name!r} contains '+', which joins the views of a configuration"
+            )
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     """Aligned feature blocks (one per view) plus one shared label vector.
@@ -176,6 +190,7 @@ class MultiViewDataset:
             raise ValueError("n_classes must be >= 2")
         if not self.views:
             raise ValueError("at least one view is required")
+        check_view_names(self.views)
         labels = _validate_labels(self.labels, self.n_classes)
         labels.flags.writeable = False
         views: dict[str, np.ndarray] = {}

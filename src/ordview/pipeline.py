@@ -38,6 +38,7 @@ from .core import (
     _test_counts,
     apportion_counts,
     check_fields,
+    check_view_names,
     stratified_resample,
     stratified_split,
 )
@@ -111,12 +112,13 @@ class SynthConfig:
             raise ValueError("class proportions must sum to 1")
         if not self.view_names:
             raise ValueError("need at least one view name")
+        check_view_names(self.view_names)
         if len(set(self.view_names)) != len(self.view_names):
             raise ValueError("view names must be unique")
         if len(self.view_noise) != len(self.view_names):
             raise ValueError("view_noise length must match view_names")
-        if not all(s >= 0 for s in self.view_noise):
-            raise ValueError("view_noise entries must be >= 0")
+        if not all(0 <= s < math.inf for s in self.view_noise):  # NaN fails too
+            raise ValueError("view_noise entries must be >= 0 and finite")
         if not 0.0 <= self.latent_correlation <= 1.0:
             raise ValueError("latent_correlation must lie in [0, 1]")
 
@@ -387,15 +389,8 @@ def _check_finite(path, names, block: np.ndarray, lines) -> None:
         )
 
 
-def _parse_view_csv(
-    path: Path, label_column: str, id_column: str, n_classes=None, first_ids=None
-):
-    """Sample ids, the (n, d) feature block and the labels of one view CSV.
-
-    When the ids equal ``first_ids`` (the same ids in the same order), that
-    list itself is returned and the duplicate check, which ``first_ids``
-    has passed, is skipped.
-    """
+def _parse_view_csv(path: Path, label_column: str, id_column: str, n_classes=None):
+    """Sample ids, the (n, d) feature block and the labels of one view CSV."""
 
     def types(header):
         return [
@@ -410,11 +405,6 @@ def _parse_view_csv(
     id_pos = header.index(id_column)
     label_pos = header.index(label_column)
     ids = columns[id_pos].tolist()
-    if ids == first_ids:
-        ids = first_ids
-    elif len(set(ids)) < len(ids):
-        dup = next(sid for sid, n in Counter(ids).items() if n > 1)
-        raise ValueError(f"file {path}: duplicate sample id {dup!r}")
     # a copy, since a view of one field would keep the whole parsed table alive
     labels = columns[label_pos].copy()
     _check_labels(path, label_column, labels, lines, n_classes)
@@ -426,21 +416,27 @@ def _parse_view_csv(
     return ids, block, labels
 
 
-def _id_order(ids: list[str]) -> np.ndarray:
-    """The permutation that sorts distinct ids by (int(id), id), or by id
-    alone when one id does not parse as an integer."""
+def _id_order(path, ids: list[str]) -> np.ndarray:
+    """The permutation that sorts the ids by (int(id), id), or by id alone
+    when one id does not parse as an integer. Equal ids are neighbours in
+    that order, so the first such pair raises a ValueError naming the file
+    and the id."""
     try:
         keys = np.fromiter(map(int, ids), np.int64, len(ids))
     except ValueError:  # a non-integer id
-        rows = sorted(range(len(ids)), key=ids.__getitem__)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
     except OverflowError:  # an id past int64
-        rows = sorted(range(len(ids)), key=lambda r: (int(ids[r]), ids[r]))
+        order = sorted(range(len(ids)), key=lambda r: (int(ids[r]), ids[r]))
     else:
         order = np.argsort(keys, kind="stable")
-        if (np.diff(keys[order]) == 0).any():  # spellings of one integer: 1, 01
-            order = np.lexsort((np.array(ids), keys))
-        return order
-    return np.array(rows, dtype=np.intp)
+        if not (np.diff(keys[order]) == 0).any():
+            return order
+        # spellings of one integer, such as 1 and 01, or one id twice
+        order = np.lexsort((np.array(ids), keys)).tolist()
+    dup = next((ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b]), None)
+    if dup is not None:
+        raise ValueError(f"file {path}: duplicate sample id {dup!r}")
+    return np.array(order, dtype=np.intp)
 
 
 def load_views_csv(
@@ -454,48 +450,40 @@ def load_views_csv(
     Views must agree on the sample-id set and on every sample's label; rows
     are ordered by ascending sample id (numeric when all ids parse as
     integers, ties such as ``1`` and ``01`` broken by the string). When
-    ``n_classes`` is omitted it is inferred as max label + 1.
+    ``n_classes`` is omitted it is inferred as max label + 1. Each view is
+    parsed, ordered and checked against the first before the next is read.
     """
     if not paths:
         raise ValueError("need at least one view path")
-    parsed = {}
-    first_ids = None
-    for view, path in paths.items():
-        parsed[view] = _parse_view_csv(
-            Path(path), label_column, id_column, n_classes, first_ids
-        )
-        if first_ids is None:
-            first_ids = parsed[view][0]
-
-    names = list(parsed)
-    first = names[0]
-    order = _id_order(first_ids)
-    in_order = np.arange(len(order))
     views = {}
     view_labels = []
-    for view in names:
-        ids, block, labels = parsed.pop(view)  # so a gathered block frees its source
+    first_ids = None
+    for view, path in paths.items():
+        ids, block, labels = _parse_view_csv(Path(path), label_column, id_column, n_classes)
+        if first_ids is None:
+            first, first_ids, order = view, ids, _id_order(path, ids)
         idx = order
-        if ids is not first_ids:  # another order or other ids: sort them too
-            idx = _id_order(ids)
+        if ids != first_ids:  # another order or other ids: sort them too
+            idx = _id_order(path, ids)
             # distinct ids under one total order: equal sets sort alike
             if len(ids) != len(first_ids) or any(map(
                 str.__ne__, map(ids.__getitem__, idx), map(first_ids.__getitem__, order)
             )):
-                off = sorted(set(ids).symmetric_difference(first_ids))[0]
+                off = list(set(ids).symmetric_difference(first_ids))
                 raise ValueError(
                     f"view {first!r} and view {view!r}: sample ids differ "
-                    f"(first offending id: {off!r})"
+                    f"(first offending id: {off[_id_order(path, off)[0]]!r})"
                 )
-        if not np.array_equal(idx, in_order):  # rows not already in id order
+        if not np.array_equal(idx, np.arange(len(idx))):  # not already in id order
             block, labels = block[idx], labels[idx]
         views[view] = block
         view_labels.append(labels)
+        del ids  # so the next view is not parsed beside this one's ids
     view_labels = np.stack(view_labels)
     conflicts = np.flatnonzero((view_labels != view_labels[0]).any(axis=0))
     if conflicts.size:
         k = conflicts[0]
-        vals = dict(zip(names, view_labels[:, k].tolist()))
+        vals = dict(zip(views, view_labels[:, k].tolist()))
         sid = first_ids[order[k]]
         raise ValueError(f"sample id {sid!r}: conflicting labels across views: {vals}")
     labels = view_labels[0]
@@ -544,6 +532,9 @@ class ExperimentConfig:
             raise ValueError("duplicate methods")
         if not self.views or len(set(self.views)) != len(self.views):
             raise ValueError("views must be nonempty and unique")
+        check_view_names(self.views)
+        if self.csv_paths is not None:
+            check_view_names(self.csv_paths)
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:

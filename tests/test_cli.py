@@ -199,6 +199,18 @@ class TestGenerate:
         assert not out_dir.exists()
 
 
+    def test_view_name_outside_out_dir_exits_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("synth.view_names = ../escape, b, c\n")
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, "generate", "--out", str(out_dir), "--config", str(cfg)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: view name '../escape' is not a plain file name\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+
 class TestTrainAndMetrics:
     def test_train_then_score(self, tmp_path, capsys):
         run_cli(capsys, "generate", "--out", str(tmp_path / "d"), "--seed", "0")

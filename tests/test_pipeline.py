@@ -141,6 +141,10 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="view_noise entries must be >= 0"):
             SynthConfig(view_noise=(math.nan, 1.0, 1.0))
 
+    def test_infinite_view_noise_rejected_when_built(self):
+        with pytest.raises(ValueError, match="view_noise entries must be >= 0 and finite"):
+            SynthConfig(view_noise=(1.0, math.inf, 1.0))
+
     def test_for_views(self):
         # a subset of the generated views keeps the config; any other set is
         # generated exactly, each view with the first view's noise
@@ -308,11 +312,12 @@ def traced_peak(fn):
 def test_data_path_memory_is_bounded(tmp_path):
     """3 views x 20k rows x 10 features (1.5 MB a view): generating, writing
     and loading them allocate no whole-view temporary beyond the ones each
-    step needs (peaks of 8.2 / 1.6 / 9.1 MB when written, 11.1 / 7.6 / 18.9
+    step needs (peaks of 8.2 / 1.6 / 9.6 MB when written, 11.1 / 7.6 / 18.9
     MB with whole-view temporaries). A view in another order than the first
     is matched by sorting its ids, and a shuffled first view gathers every
-    view (peaks of 10.2 and 11.2 MB; 12.1 and 14.0 MB when the ids were
-    matched through sets and an id-to-row dict)."""
+    view (peaks of 9.7 and 9.6 MB, each view put in id order before the
+    next is read; 12.1 and 14.0 MB when the ids were matched through sets
+    and an id-to-row dict)."""
     generate_synthetic(SynthConfig(n_samples=50), seed=0)  # first-call set-up
     cfg = SynthConfig(n_samples=20_000)
     data, peak = traced_peak(lambda: generate_synthetic(cfg, seed=0))
@@ -387,6 +392,38 @@ class TestCsvLoader:
             rows_b=[[0, 1.1, 1.2, 0], [7, 1.3, 1.4, 1]],
         )
         with pytest.raises(ValueError, match="'1'|'7'"):
+            load_views_csv(paths)
+
+    def test_mismatched_ids_name_first_offender_in_id_order(self, tmp_path):
+        paths = self.make_pair(
+            tmp_path,
+            rows_a=[[1, 0.1, 0.2, 0], [9, 0.3, 0.4, 1]],
+            rows_b=[[1, 1.1, 1.2, 0], [10, 1.3, 1.4, 1]],
+        )
+        with pytest.raises(ValueError, match=r"first offending id: '9'\)"):
+            load_views_csv(paths)
+
+    @pytest.mark.parametrize(
+        "ids, dup",
+        [(["5", "3", "5", "3"], "3"), (["1", "01", "1", "01"], "01"),
+         (["t2", "t1", "t2", "t1"], "t1"),
+         (["100000000000000000000", "9", "100000000000000000000", "9"], "9")],
+        ids=("integer", "integer_spellings", "string", "past_int64"),
+    )
+    def test_duplicate_id_named_first_in_id_order(self, tmp_path, ids, dup):
+        p = tmp_path / "x.csv"
+        write_csv(p, ["sample_id", "f0", "label"], [[i, 0.5, 0] for i in ids])
+        with pytest.raises(ValueError, match=re.escape(f"file {p}: duplicate sample id {dup!r}")):
+            load_views_csv({"x": p})
+
+    def test_view_checked_before_the_next_is_read(self, tmp_path):
+        paths = self.make_pair(
+            tmp_path,
+            rows_a=[[0, 0.1, 0.2, 0], [1, 0.3, 0.4, 1]],
+            rows_b=[[0, 1.1, 1.2, 0], [7, 1.3, 1.4, 1]],
+        )
+        paths["c"] = tmp_path / "missing.csv"
+        with pytest.raises(ValueError, match="view 'a' and view 'b': sample ids differ"):
             load_views_csv(paths)
 
     def test_conflicting_labels(self, tmp_path):
@@ -650,6 +687,40 @@ class TestStreamedLoader:
             else:
                 _, rows = read_grid_csv(path)
                 assert [row[2] for row in rows] == expected
+
+
+class TestViewNames:
+    """A view name is a plain file name without '+', which joins the views
+    of a configuration's name."""
+
+    BUILDERS = {
+        "synth": lambda name: SynthConfig(view_names=(name, "b", "c")),
+        "views": lambda name: ExperimentConfig(output_dir="run", views=("b", name)),
+        "csv": lambda name: ExperimentConfig(
+            output_dir="run", views=("b",), synth=None, csv_paths={"b": "b.csv", name: "x.csv"}
+        ),
+        "dataset": lambda name: MultiViewDataset(
+            {"b": np.zeros((2, 1)), name: np.zeros((2, 1))}, [0, 1], n_classes=2
+        ),
+    }
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "a\\b"])
+    def test_not_a_plain_file_name(self, builder, name):
+        message = f"view name {name!r} is not a plain file name"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.BUILDERS[builder](name)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_plus_joins_configurations(self, builder):
+        with pytest.raises(ValueError, match=re.escape("view name 'a+b' contains '+'")):
+            self.BUILDERS[builder]("a+b")
+
+    def test_escaping_name_writes_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="is not a plain file name"):
+            cfg = SynthConfig(n_samples=20, view_names=("../escape", "b", "c"))
+            write_views_csv(generate_synthetic(cfg, seed=0), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestViewConfigs:
