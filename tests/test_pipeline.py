@@ -778,11 +778,51 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert len(res.rows) == 2 * 7 * 2
 
-    def test_rows_written_in_seed_major_order(self, tmp_path):
-        cfg = tiny_config(tmp_path, methods=("nominal", "clm"), n_seeds=2)
+    # sha256 of each summary_<metric>.md for the grid of
+    # test_28_row_cardinality at 2 seeds and at 1 seed (every std 0): pins
+    # each cell's mean +- std and the table's row and column order
+    SUMMARY_DIGESTS = {
+        1: {
+            "qwk": "45c7a80e6c1b7c0271491623896a25f7dd93e6c4958b9ee1b88251a1541071db",
+            "amae": "36e4005384a5833f7679d82344d294ad9ad6368e7fe077e32fcd7ca688575bfb",
+            "accuracy": "e3b0550890c3feb2acafaee72a71c141b26953a94d62bfe79b774df4d0392f61",
+        },
+        2: {
+            "qwk": "213d2ccc982ca3f04825bf7c23e8b12b84f98ec7ddb04fa855c7ecd6747cf1aa",
+            "amae": "a4bd4b55c1545ca04ac4bf0de17737c91b40ca368991a09e8a7d2893e1b17968",
+            "accuracy": "e637871a0e0aee46e6c9c7b0683c6e5d122b219f550f5edaa1a68eb948bd53b3",
+        },
+    }
+
+    @pytest.mark.parametrize("n_seeds", SUMMARY_DIGESTS)
+    def test_summaries_pinned(self, tmp_path, n_seeds):
+        cfg = tiny_config(
+            tmp_path,
+            methods=("nominal", "clm"),
+            views=("crown", "north", "south"),
+            n_seeds=n_seeds,
+        )
         res = run_experiment(cfg)
-        seeds = [r[2] for r in res.rows]
-        assert seeds == sorted(seeds)
+        digests = {
+            metric: hashlib.sha256(path.read_bytes()).hexdigest()
+            for metric, path in res.summary_paths.items()
+        }
+        assert digests == self.SUMMARY_DIGESTS[n_seeds]
+
+    def test_rows_written_in_seed_major_order(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path, methods=("nominal", "clm"), views=("crown", "north"), n_seeds=2
+        )
+        res = run_experiment(cfg)
+        expected = [
+            (method, name, seed)
+            for seed in range(cfg.n_seeds)
+            for method in cfg.methods
+            for name, _ in view_config_names(cfg.views)
+        ]
+        assert [r[:3] for r in res.rows] == expected
+        _, rows = read_grid_csv(res.grid_path)
+        assert [r[:3] for r in rows] == expected
 
     # sha256 of grid.csv for a tuning-on run of all 14 methods on two views,
     # one seed and 10 epochs, per backbone: pins the tuned fits, the fused
