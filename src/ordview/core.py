@@ -26,6 +26,7 @@ __all__ = [
     "confusion_matrix",
     "class_counts",
     "apportion_counts",
+    "split_counts",
     "stratified_split",
     "stratified_resample",
 ]
@@ -255,9 +256,23 @@ def apportion_counts(quotas, total: int) -> np.ndarray:
     return base
 
 
-def _test_counts(counts: np.ndarray, test_fraction: float) -> np.ndarray:
-    total = int(math.floor(counts.sum() * test_fraction + 0.5))
-    return apportion_counts(counts * test_fraction, total)
+def split_counts(counts, fraction: float) -> np.ndarray:
+    """Per-class held-out counts of a stratified split of classes with
+    ``counts`` samples: round-half-up of the total times ``fraction``,
+    apportioned by the largest-remainder rule. A ValueError names the first
+    class with fewer than 2 samples, else the first left with none."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be strictly between 0 and 1, got {fraction!r}")
+    counts = np.asarray(counts, dtype=np.int64)
+    q = int(np.argmax(counts < 2))
+    if counts[q] < 2:
+        raise ValueError(f"class {q} has {counts[q]} samples, fewer than the 2 a split needs")
+    total = int(math.floor(counts.sum() * fraction + 0.5))
+    held = apportion_counts(counts * fraction, total)
+    q = int(np.argmax(held >= counts))
+    if held[q] >= counts[q]:
+        raise ValueError(f"holding out {fraction:g} leaves class {q} no training samples")
+    return held
 
 
 def stratified_split(
@@ -270,16 +285,7 @@ def stratified_split(
     test counts match the class proportions as closely as integers allow.
     Which samples land where is decided by a seeded shuffle within each class.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be strictly between 0 and 1")
-    counts = data.counts()
-    if np.any(counts < 2):
-        raise ValueError("every class needs at least 2 samples to split")
-    t_counts = _test_counts(counts, test_fraction)
-    if np.any(t_counts >= counts):
-        raise ValueError(
-            "test_fraction leaves no training samples for some class"
-        )
+    t_counts = split_counts(data.counts(), test_fraction)
     rng = np.random.default_rng(seed)
     test_idx = []
     train_idx = []

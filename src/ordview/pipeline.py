@@ -35,10 +35,10 @@ import numpy as np
 from .core import (
     MultiViewDataset,
     _subseed,
-    _test_counts,
     apportion_counts,
     check_fields,
     check_view_names,
+    split_counts,
     stratified_resample,
     stratified_split,
 )
@@ -469,10 +469,14 @@ def load_views_csv(
             if len(ids) != len(first_ids) or any(map(
                 str.__ne__, map(ids.__getitem__, idx), map(first_ids.__getitem__, order)
             )):
-                off = list(set(ids).symmetric_difference(first_ids))
+                # the first in the order of both views' ids, which is the
+                # integer order only when every one of them is an integer
+                both = list(set(ids).union(first_ids))
+                off = set(ids).symmetric_difference(first_ids)
+                sid = next(both[k] for k in _id_order(path, both) if both[k] in off)
                 raise ValueError(
                     f"view {first!r} and view {view!r}: sample ids differ "
-                    f"(first offending id: {off[_id_order(path, off)[0]]!r})"
+                    f"(first offending id: {sid!r})"
                 )
         if not np.array_equal(idx, np.arange(len(idx))):  # not already in id order
             block, labels = block[idx], labels[idx]
@@ -694,27 +698,25 @@ def _config_json(cfg: ExperimentConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=default)
 
 
-def _check_fit_counts(counts: np.ndarray, val_fraction: float, folds: int) -> None:
-    """Every class must keep >= folds fit rows for tuning. The resample and
-    the validation split keep exact per-class counts, so one check covers
-    every seed."""
-    fit = counts - _test_counts(counts, val_fraction)
-    if fit.min() < folds:
-        q = int(np.argmin(fit))
-        raise ValueError(
-            f"class {q} has {fit[q]} fit samples (train minus validation), "
-            f"fewer than folds={folds}"
-        )
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     data = _load_data(cfg)
     missing = [v for v in cfg.views if v not in data.view_names]
     if missing:
         raise ValueError(f"views not in dataset: {missing}")
     train_base, test = stratified_split(data, cfg.test_fraction, cfg.base_seed)
-    if cfg.tuning:
-        _check_fit_counts(train_base.counts(), cfg.val_fraction, cfg.folds)
+    # each seed resamples train_base within its classes, so every seed's
+    # validation split holds out these counts
+    counts = train_base.counts()
+    try:
+        fit = counts - split_counts(counts, cfg.val_fraction)
+    except ValueError as exc:
+        raise ValueError(f"val_fraction={cfg.val_fraction:g}: {exc}") from exc
+    if cfg.tuning and fit.min() < cfg.folds:
+        q = int(np.argmin(fit))
+        raise ValueError(
+            f"class {q} has {fit[q]} fit samples (train minus validation), "
+            f"fewer than folds={cfg.folds}"
+        )
     configs = view_config_names(cfg.views)
     header = grid_header(data.n_classes)
 
@@ -735,10 +737,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             fh.flush()
             all_rows.extend(rows)
 
+    # the rows are seed-major, (seed, method, view config); each metric gets
+    # a (method, view config, seed) block, contiguous along the seeds
+    cols = [header.index(metric) for metric in METRIC_COLUMNS]
+    grid = np.array([[row[c] for c in cols] for row in all_rows], dtype=np.float64)
+    grid = grid.reshape(cfg.n_seeds, len(cfg.methods), len(configs), len(cols))
+    grid = np.ascontiguousarray(grid.transpose(3, 1, 2, 0))
+    names = [name for name, _ in configs]
     summary_paths = {}
     stats_paths = {}
-    for metric in METRIC_COLUMNS:
-        summary_paths[metric] = _write_summary(out, header, all_rows, metric)
+    for metric, values in zip(METRIC_COLUMNS, grid):
+        summary_paths[metric] = _write_summary(out, metric, cfg.methods, names, values)
         stats_paths[metric] = _write_stats_report(out, header, all_rows, metric)
     return ExperimentResult(
         grid_path=grid_path,
@@ -753,32 +762,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ------------------------------------------------------------------ reports
 
 
-def _collect(header, rows, metric):
-    col = header.index(metric)
-    per_cell: dict[tuple[str, str], list[float]] = {}
-    methods: list[str] = []
-    view_cfgs: list[str] = []
-    for row in rows:
-        m, v = row[0], row[1]
-        if m not in methods:
-            methods.append(m)
-        if v not in view_cfgs:
-            view_cfgs.append(v)
-        per_cell.setdefault((m, v), []).append(float(row[col]))
-    return methods, view_cfgs, per_cell
-
-
-def _write_summary(out: Path, header, rows, metric: str) -> Path:
-    """Mean +- std of one metric per (method, view_config) cell; every cell
-    holds rows, since ``run_experiment`` fills the whole grid."""
-    methods, view_cfgs, per_cell = _collect(header, rows, metric)
+def _write_summary(out: Path, metric: str, methods, view_cfgs, values) -> Path:
+    """Mean +- std of one metric per (method, view_config) cell, from its
+    (methods, view configs, seeds) array of values."""
     lines = [f"# Mean {metric.upper()} per method and view configuration", ""]
     lines.append("| method | " + " | ".join(view_cfgs) + " |")
     lines.append("|---" * (len(view_cfgs) + 1) + "|")
-    for m in methods:
+    for m, per_cfg in zip(methods, values):
         cells = []
-        for v in view_cfgs:
-            vals = np.array(per_cell[m, v])
+        for vals in per_cfg:
             std = vals.std(ddof=1) if vals.size > 1 else 0.0
             cells.append(f"{vals.mean():.3f} +- {std:.3f}")
         lines.append(f"| {m} | " + " | ".join(cells) + " |")

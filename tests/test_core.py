@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordview.core import (
     MultiViewDataset,
     apportion_counts,
     class_counts,
     confusion_matrix,
+    split_counts,
     stratified_resample,
     stratified_split,
 )
@@ -80,6 +85,29 @@ class TestStratifiedSplit:
         data = make_dataset([1, 15, 9])
         with pytest.raises(ValueError):
             stratified_split(data, 0.2, seed=0)
+
+
+class TestSplitCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=2, max_size=6),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_stratified_split(self, counts, fraction):
+        data = make_dataset(counts, n_features=1)
+        try:
+            _, test = stratified_split(data, fraction, seed=0)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                split_counts(counts, fraction)
+        else:
+            assert split_counts(counts, fraction).tolist() == test.counts().tolist()
+
+    def test_names_first_infeasible_class(self):
+        with pytest.raises(ValueError, match="class 1 has 1 samples"):
+            split_counts([5, 1, 0], 0.5)
+        with pytest.raises(ValueError, match="holding out 0.75 leaves class 1 no"):
+            split_counts([9, 2, 2], 0.75)
 
 
 class TestStratifiedResample:

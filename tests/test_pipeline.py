@@ -403,6 +403,16 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match=r"first offending id: '9'\)"):
             load_views_csv(paths)
 
+    def test_mismatched_ids_name_first_offender_in_load_order(self, tmp_path):
+        # the shared id x puts both views in string order, where 10 precedes 9
+        paths = self.make_pair(
+            tmp_path,
+            rows_a=[[1, 0.1, 0.2, 0], [9, 0.3, 0.4, 1], ["x", 0.5, 0.6, 0]],
+            rows_b=[[1, 1.1, 1.2, 0], [10, 1.3, 1.4, 1], ["x", 1.5, 1.6, 0]],
+        )
+        with pytest.raises(ValueError, match=r"first offending id: '10'\)"):
+            load_views_csv(paths)
+
     @pytest.mark.parametrize(
         "ids, dup",
         [(["5", "3", "5", "3"], "3"), (["1", "01", "1", "01"], "01"),
@@ -929,6 +939,18 @@ class TestRunExperiment:
         assert tiny_config(tmp_path, workers=1).workers == 1
         with pytest.raises(ValueError, match="workers must be 1, got 2"):
             tiny_config(tmp_path, workers=2)
+
+    def test_infeasible_validation_split_fails_before_outputs(self, tmp_path):
+        # class counts 21/20/20/2: the test split takes one row of class 3,
+        # so its validation split would leave that class no fit row
+        props = (21 / 63, 20 / 63, 20 / 63, 2 / 63)
+        synth = SynthConfig(n_samples=63, n_features_per_view=4, class_proportions=props)
+        cfg = tiny_config(tmp_path, synth=synth)
+        assert not cfg.tuning
+        with pytest.raises(ValueError, match=r"^val_fraction=0\.25: class 3 has 1 samples"):
+            run_experiment(cfg)
+        assert not (cfg.output_dir / "grid.csv").exists()
+        assert not (cfg.output_dir / "config.json").exists()
 
     def test_small_class_fails_before_outputs(self, tmp_path):
         cfg = tiny_config(
