@@ -703,7 +703,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     missing = [v for v in cfg.views if v not in data.view_names]
     if missing:
         raise ValueError(f"views not in dataset: {missing}")
-    train_base, test = stratified_split(data, cfg.test_fraction, cfg.base_seed)
+    try:
+        train_base, test = stratified_split(data, cfg.test_fraction, cfg.base_seed)
+    except ValueError as exc:
+        raise ValueError(f"test_fraction={cfg.test_fraction:g}: {exc}") from exc
     # each seed resamples train_base within its classes, so every seed's
     # validation split holds out these counts
     counts = train_base.counts()

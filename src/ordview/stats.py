@@ -6,18 +6,18 @@ studentized range distribution, and compact letter display subsets.
 
 Tukey decisions come from the cached bracket of the critical value
 q_{k,df,1-alpha}: the 2**-20-wide cell that doubling and bisection would
-end in, found by Newton steps from the root on a coarse 64-node scale rule:
-two full quadrature passes at df >= 3, where doubling and bisection take
-24-26. The Gauss-Legendre rules ship with the package as a data file. Only a
-pair whose statistic falls within a rounding band of that bracket integrates
-its p-value. The pairwise p-values themselves are integrated only
-when ``TukeyGrouping.pvalues`` is read.
+end in, found by Newton steps from the root on a coarse 64-node scale rule,
+itself found from one constant start: two full quadrature passes at df >= 3,
+where doubling and bisection take 24-26. The Gauss-Legendre rules ship with
+the package as a data file. Only a pair whose statistic falls within a
+rounding band of that bracket integrates its p-value. The pairwise p-values
+themselves are integrated only when ``TukeyGrouping.pvalues`` is read.
 
 Everything is implemented here on numpy and ``math``: a vectorised normal
 CDF (W. J. Cody's rational Chebyshev approximations of erf and erfc, Math.
-Comp. 23, 1969), the regularized incomplete beta ``_betainc`` (the F tail, the
-t quantile, the beta soft labels) and gamma (the chi quantiles) functions,
-the studentized range CDF and its inversion, the ANOVA decomposition (from
+Comp. 23, 1969), the regularized incomplete beta ``_betainc`` (the F tail,
+the beta soft labels) and gamma (the chi quantiles) functions, the
+studentized range CDF and its inversion, the ANOVA decomposition (from
 one (method, view, replicate) array), and the letter display.
 """
 
@@ -187,22 +187,17 @@ def _beta_cf(a: float, b: float, x: float, y: float) -> float:
     raise RuntimeError("incomplete beta continued fraction failed to converge")
 
 
-def _log_betainc(a: float, b: float, x: float, y: float):
-    """(log I_x(a, b), log(x**a y**b / B(a, b))) for 0 < x = 1 - y < 1. The
-    continued fraction gives the tail on the side of the mean that x lies
-    on: I_x(a, b) itself below it, 1 - I_x(a, b) = I_y(b, a) above it."""
-    front = _log_beta_front(a, b, x, y)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front + math.log(_beta_cf(a, b, x, y) / a), front
-    upper = front + math.log(_beta_cf(b, a, y, x) / b)
-    return math.log1p(-math.exp(upper)), front
-
-
 def _betainc(a: float, b: float, x: float, y: float) -> float:
-    """I_x(a, b) for y = 1 - x, with I_0 = 0 and I_1 = 1."""
+    """I_x(a, b) for y = 1 - x, with I_0 = 0 and I_1 = 1. The continued
+    fraction gives the tail on the side of the mean that x lies on: I_x(a, b)
+    itself below it, 1 - I_x(a, b) = I_y(b, a) above it."""
     if x <= 0.0 or y <= 0.0:
         return 0.0 if x <= 0.0 else 1.0
-    return math.exp(_log_betainc(a, b, x, y)[0])
+    front = _log_beta_front(a, b, x, y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(front + math.log(_beta_cf(a, b, x, y) / a))
+    upper = front + math.log(_beta_cf(b, a, y, x) / b)
+    return math.exp(math.log1p(-math.exp(upper)))
 
 
 def _log_gamma_tails(a: float, x: float):
@@ -274,30 +269,6 @@ def _gamma_quantile(a: float, tail: float, upper: bool) -> float:
 
     start = (log_target + math.lgamma(a + 1.0)) / a
     return math.exp(_newton_root(log_p, log_target, start))
-
-
-def _t_quantile(df: int, tail: float) -> float:
-    """t with P(T > t) = tail for Student's t with df degrees of freedom, for
-    1e-100 <= tail < 1/2, from P(|T| > t) = I_x(df / 2, 1 / 2) at
-    x = df / (df + t^2) (t^2 is F(1, df)), by Newton steps in log t (log |T|
-    has a log-concave density)."""
-    a = 0.5 * df
-    log_target = math.log(2.0 * tail)
-
-    def log_tail(s):
-        t2 = math.exp(2.0 * s)
-        value, front = _log_betainc(a, 0.5, df / (df + t2), t2 / (df + t2))
-        # d I / d log t = -2 x**a y**(1/2) / B(a, 1/2)
-        return value, -2.0 * math.exp(front - value)
-
-    # I_x(a, 1/2) >= x**a / (a B(a, 1/2)): where that bound meets the target,
-    # t is at most the root and, for small tails, close to it; where it meets
-    # it only above x = 1, start from t = 1
-    log_x0 = (
-        log_target + math.lgamma(a + 1.0) + 0.5 * math.log(math.pi) - math.lgamma(a + 0.5)
-    ) / a
-    start = 0.5 * math.log(df * math.expm1(-log_x0)) if log_x0 < 0.0 else 0.0
-    return math.exp(_newton_root(log_tail, log_target, start))
 
 
 def f_sf(f_stat: float, df_num: int, df_den: int) -> float:
@@ -542,25 +513,11 @@ _QUANTILE_TOL = 1e-6
 # The bracket's width, and the spacing of the grid its ends lie on: 2**-20,
 # the largest power of two <= _QUANTILE_TOL (see _quantile_bracket).
 _CELL = 2.0 ** math.floor(math.log2(_QUANTILE_TOL))
-
-
-def _small_df_start(k: int, df: int, p: float) -> float:
-    """The q at which P(Q > q) meets 1 - p to first order in 1 / q, df <= 2.
-
-    P(Q > q) = P(S < R / q) for the range R of k standard normals, and
-    P(S < s) ~ (df s^2 / 2)**(df / 2) / Gamma(df / 2 + 1) as s -> 0, so
-    P(Q > q) ~ E[R**df] (df / (2 q^2))**(df / 2) / Gamma(df / 2 + 1). E[R**df]
-    integrates df r**(df - 1) P(R > r) over [0, 16] on _range_quadrature's
-    inner nodes.
-    """
-    r, w = _gauss_legendre(64, 0.0, 16.0)
-    u, w_phi, phi_u = _range_nodes()
-    inner = _ndtr(u + r[:, None])
-    inner -= phi_u
-    range_sf = 1.0 - k * np.sum(inner ** (k - 1) * w_phi, axis=1)
-    moment = float(np.sum(w * df * r ** (df - 1) * range_sf))
-    tail = (1.0 - p) * math.gamma(0.5 * df + 1.0)
-    return math.sqrt(0.5 * df) * (moment / tail) ** (1.0 / df)
+# Where every coarse search starts: a q of the order of the critical values a
+# Tukey table asks for. Newton steps on log(1 - cdf) bend little over the
+# upper tail, so one start serves every (k, df, p); only the step count
+# depends on it, never the bracket.
+_START = 3.5
 
 
 def _log_tail_newton(x: float, cdf: float, density: float, p: float) -> float:
@@ -573,9 +530,9 @@ def _log_tail_newton(x: float, cdf: float, density: float, p: float) -> float:
     return math.nan
 
 
-def _coarse_root(k: int, df: int, p: float, x: float) -> float:
+def _coarse_root(k: int, df: int, p: float) -> float:
     """The root of cdf(q) = p on the coarse scale rule, by Newton steps from
-    x until one moves less than 1e-3 of a cell.
+    ``_START`` until one moves less than 1e-3 of a cell.
 
     A coarse pass costs about a tenth of a full one, and its root lies within
     a cell of the full rule's at every df >= 3 bracket pinned in the tests,
@@ -583,6 +540,7 @@ def _coarse_root(k: int, df: int, p: float, x: float) -> float:
     that cannot be taken, or that would end at q <= 0, stops at the last x:
     the full search reaches its cell from any start.
     """
+    x = _START
     for _ in range(20):
         cdf, density = _range_quadrature(
             x, k, df, density=True, n_scale=_COARSE_SCALE_NODES
@@ -621,14 +579,7 @@ def _quantile_bracket(k: int, df: int, p: float) -> tuple[float, float]:
         # the 400 scale nodes do not resolve P(S < R / q) there: at k = 2 the
         # quantile is off by 3e-3 at p = 0.9999 and by -59 % at 0.99999
         raise ValueError("p above 0.999 is out of the quadrature's reach at df = 1")
-    if df >= 3:
-        # the Bonferroni bound over the k (k - 1) / 2 pairwise t tests, exact
-        # for k = 2; at df <= 2 it overshoots the root many-fold (16x at k = 10
-        # and df = 1), and the tail's leading term takes its place
-        x = math.sqrt(2.0) * _t_quantile(df, (1.0 - p) / (k * (k - 1)))
-    else:
-        x = _small_df_start(k, df, p)
-    x = max(round(_coarse_root(k, df, p, x) / _CELL), 1) * _CELL
+    x = max(round(_coarse_root(k, df, p) / _CELL), 1) * _CELL
     lo, hi = 0.0, math.inf
     for _ in range(100):
         cdf, density = _range_quadrature(x, k, df, density=True)

@@ -78,6 +78,49 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def private_definitions(tree: ast.Module):
+    """(name, statement) of every module-level function, class or constant
+    whose name has one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """The names a statement reads: bare names, string annotations and
+    ``__all__`` entries (``used_names``), attributes and imported names."""
+    refs = used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_no_unreferenced_private_definitions():
+    # a private helper whose last caller was deleted would otherwise stay:
+    # each must be read by some other module-level statement of the package
+    src = Path(__file__).resolve().parent.parent / "src" / "ordview"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    refs = [(node, referenced_names(node)) for tree in trees.values() for node in tree.body]
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, definition in private_definitions(tree)
+        if not any(name in names for node, names in refs if node is not definition)
+    ]
+    assert unread == []
+
+
 # run in a fresh interpreter: the test session itself imports scipy, which
 # the package lists only in its test extra
 SCIPY_FREE_PROBE = textwrap.dedent(

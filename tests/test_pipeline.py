@@ -952,6 +952,16 @@ class TestRunExperiment:
         assert not (cfg.output_dir / "grid.csv").exists()
         assert not (cfg.output_dir / "config.json").exists()
 
+    def test_infeasible_test_split_names_test_fraction(self, tmp_path):
+        # class counts 13/13/13/1: class 3 cannot be split at all
+        props = (0.325, 0.325, 0.325, 0.025)
+        synth = SynthConfig(n_samples=40, n_features_per_view=4, class_proportions=props)
+        cfg = tiny_config(tmp_path, synth=synth)
+        with pytest.raises(ValueError, match=r"^test_fraction=0\.2: class 3 has 1 samples"):
+            run_experiment(cfg)
+        assert not (cfg.output_dir / "grid.csv").exists()
+        assert not (cfg.output_dir / "config.json").exists()
+
     def test_small_class_fails_before_outputs(self, tmp_path):
         cfg = tiny_config(
             tmp_path,
