@@ -430,6 +430,47 @@ class TestStats:
         }
         assert digests == self.GOLDEN
 
+    # sha256 of the stats_qwk.md below; pins the unequal-n Tukey-Kramer sections
+    INCOMPLETE = "bb46daf1d2e1f3f6655340dfc46faabfccc35f85177b5dcf46ebc9e4249e170d"
+
+    def test_incomplete_grid_skips_anova_keeps_tukey(self, tmp_path, capsys):
+        # 3 methods x 3 view configs x 4 seeds with method effects, less one
+        # row: the ANOVA needs equal cell counts, Tukey-Kramer does not
+        methods, configs = ("nominal", "clm", "sord"), ("crown", "north", "crown+north")
+        rng = np.random.default_rng(33)
+        rows = [
+            f"{m},{v},{s},{0.5 + 0.1 * mi + rng.normal(0.0, 0.05)!r}\n"
+            for s in range(4) for mi, m in enumerate(methods) for v in configs
+        ]
+        del rows[7]
+        grid = tmp_path / "grid.csv"
+        grid.write_text("method,view_config,seed,qwk\n" + "".join(rows))
+        code, _, _ = run_cli(capsys, "stats", str(grid), "--metrics", "qwk")
+        assert code == 0
+        report = (tmp_path / "stats_qwk.md").read_bytes()
+        lines = report.decode().splitlines()
+        assert "ANOVA skipped: unbalanced design: unequal cell counts" in lines
+        assert "## Tukey HSD over method (alpha=0.05)" in lines
+        assert "## Tukey HSD over view_config (alpha=0.05)" in lines
+        assert sum(line.startswith("q critical: ") for line in lines) == 2
+        assert hashlib.sha256(report).hexdigest() == self.INCOMPLETE
+
+    def test_stats_rewrites_a_runs_reports(self, tmp_path, capsys):
+        # ordview stats on a run's own grid.csv writes its reports byte for byte
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(config_text({
+            "methods": "nominal, clm", "views": "crown, north", "n_seeds": "3",
+            "epochs": "20", "synth.n_samples": "60",
+        }))
+        run_dir, report_dir = tmp_path / "run", tmp_path / "reports"
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(run_dir))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "stats", str(run_dir / "grid.csv"), "--out", str(report_dir))
+        assert code == 0
+        for metric in ("qwk", "amae", "accuracy"):
+            name = f"stats_{metric}.md"
+            assert (report_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
     def test_constant_metric_reports_degenerate_tables(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
         grid.write_text("method,view_config,seed,qwk\n" + "".join(
