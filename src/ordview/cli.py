@@ -37,7 +37,7 @@ from .pipeline import (
     _check_labels,
     _read_table,
     _write_csv,
-    _write_stats_report,
+    _write_stats_reports,
 )
 
 __all__ = ["main"]
@@ -199,8 +199,7 @@ def _cmd_stats(args) -> int:
             raise ValueError(f"metric {metric!r} not in grid columns")
     out_dir = Path(args.out) if args.out else Path(args.grid).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    for metric in metrics:
-        path = _write_stats_report(out_dir, header, rows, metric)
+    for metric, path in _write_stats_reports(out_dir, header, rows, metrics).items():
         print(f"stats[{metric}]: {path}")
     return 0
 

@@ -47,7 +47,7 @@ from .model import (
     METHODS, ModelConfig, method_config, predict_proba_batch, search_space, train, tune
 )
 from .ensemble import aggregate, optimize_weights
-from .stats import ResultsTable, anova2, tukey_hsd
+from .stats import _check_design, anova2, tukey_hsd
 
 __all__ = [
     "SynthConfig",
@@ -747,16 +747,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     grid = grid.reshape(cfg.n_seeds, len(cfg.methods), len(configs), len(cols))
     grid = np.ascontiguousarray(grid.transpose(3, 1, 2, 0))
     names = [name for name, _ in configs]
-    summary_paths = {}
-    stats_paths = {}
-    for metric, values in zip(METRIC_COLUMNS, grid):
-        summary_paths[metric] = _write_summary(out, metric, cfg.methods, names, values)
-        stats_paths[metric] = _write_stats_report(out, header, all_rows, metric)
+    summary_paths = {
+        metric: _write_summary(out, metric, cfg.methods, names, values)
+        for metric, values in zip(METRIC_COLUMNS, grid)
+    }
     return ExperimentResult(
         grid_path=grid_path,
         config_path=config_path,
         summary_paths=summary_paths,
-        stats_paths=stats_paths,
+        stats_paths=_write_stats_reports(out, header, all_rows, METRIC_COLUMNS),
         header=header,
         rows=tuple(all_rows),
     )
@@ -782,8 +781,7 @@ def _write_summary(out: Path, metric: str, methods, view_cfgs, values) -> Path:
     return path
 
 
-def _tukey_section(table: ResultsTable, factor: str, alpha: float) -> list[str]:
-    groups = table.values_by(factor)
+def _tukey_section(groups: dict[str, np.ndarray], factor: str, alpha: float) -> list[str]:
     lines = [f"## Tukey HSD over {factor} (alpha={alpha:g})", ""]
     if len(groups) < 2 or any(v.size < 2 for v in groups.values()):
         lines.append("Not enough groups/replicates for Tukey comparisons.")
@@ -813,30 +811,48 @@ def _tukey_section(table: ResultsTable, factor: str, alpha: float) -> list[str]:
     return lines
 
 
-def _write_stats_report(out: Path, header, rows, metric: str) -> Path:
-    col = header.index(metric)
-    table = ResultsTable.from_rows((r[0], r[1], r[2], r[col]) for r in rows)
-    lines = [f"# Factorial analysis of {metric.upper()}", ""]
-    try:
-        tbl = anova2(table)
-        lines.append("| effect | SS | DF | F | p |")
-        lines.append("|---|---|---|---|---|")
-        for name, row in tbl.rows().items():
-            f_txt = "" if math.isnan(row.f) else f"{row.f:.4f}"
-            p_txt = "" if math.isnan(row.p) else f"{row.p:.3e}"
-            lines.append(f"| {name} | {row.ss:.6f} | {row.df} | {f_txt} | {p_txt} |")
-        lines.append(f"| Total | {tbl.ss_total:.6f} | {tbl.df_total} |  |  |")
-        if tbl.degenerate:
-            lines.append("")
-            lines.append("Degenerate table: residual mean square is zero.")
-    except ValueError as exc:
-        lines.append(f"ANOVA skipped: {exc}")
-    lines.append("")
-    for factor in ("method", "view_config"):
-        lines.extend(_tukey_section(table, factor, alpha=0.05))
-    path = out / f"stats_{metric}.md"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def _write_stats_reports(out: Path, header, rows, metrics) -> dict[str, Path]:
+    """Write stats_<metric>.md for each metric: the two-way ANOVA over
+    (method, view config) and the Tukey-Kramer groups of each factor, from
+    one grouping of the rows. A metric's values in ``order`` fill anova2's
+    (a, b, r) array; an incomplete grid skips the ANOVA only."""
+    factors = {
+        factor: np.unique([row[i] for row in rows], return_inverse=True)
+        for i, factor in enumerate(("method", "view_config"))
+    }
+    (a_levels, a_idx), (b_levels, b_idx) = factors.values()
+    a, b = a_levels.size, b_levels.size
+    counts = np.bincount(a_idx * b + b_idx, minlength=a * b)
+    r = int(counts[0]) if np.all(counts == counts[0]) else None
+    # the stable sort keeps each cell's rows in grid order
+    order = np.lexsort((b_idx, a_idx))
+    paths = {}
+    for metric in metrics:
+        col = header.index(metric)
+        values = np.array([row[col] for row in rows], dtype=np.float64)
+        lines = [f"# Factorial analysis of {metric.upper()}", ""]
+        try:
+            _check_design(a, b, r)
+            tbl = anova2(values[order].reshape(a, b, r))
+            lines.append("| effect | SS | DF | F | p |")
+            lines.append("|---|---|---|---|---|")
+            for name, row in tbl.rows().items():
+                f_txt = "" if math.isnan(row.f) else f"{row.f:.4f}"
+                p_txt = "" if math.isnan(row.p) else f"{row.p:.3e}"
+                lines.append(f"| {name} | {row.ss:.6f} | {row.df} | {f_txt} | {p_txt} |")
+            lines.append(f"| Total | {tbl.ss_total:.6f} | {tbl.df_total} |  |  |")
+            if tbl.degenerate:
+                lines.append("")
+                lines.append("Degenerate table: residual mean square is zero.")
+        except ValueError as exc:
+            lines.append(f"ANOVA skipped: {exc}")
+        lines.append("")
+        for factor, (levels, idx) in factors.items():
+            groups = {level: values[idx == i] for i, level in enumerate(levels.tolist())}
+            lines.extend(_tukey_section(groups, factor, alpha=0.05))
+        paths[metric] = out / f"stats_{metric}.md"
+        paths[metric].write_text("\n".join(lines) + "\n")
+    return paths
 
 
 def read_grid_csv(path, finite=()) -> tuple[tuple[str, ...], list[tuple]]:

@@ -1,8 +1,8 @@
 """Factorial comparison of experiment grids.
 
-Balanced two-way ANOVA with interaction (method x view_config, seeds as
-replicates), Tukey HSD post-hoc comparisons driven by a hand-integrated
-studentized range distribution, and compact letter display subsets.
+Balanced two-way ANOVA with interaction over one (a, b, r) array (methods x
+view configs x seeds), Tukey HSD post-hoc comparisons driven by a
+hand-integrated studentized range distribution, and compact letter display.
 
 Tukey decisions come from the cached bracket of the critical value
 q_{k,df,1-alpha}: the 2**-20-wide cell that doubling and bisection would
@@ -17,8 +17,8 @@ Everything is implemented here on numpy and ``math``: a vectorised normal
 CDF (W. J. Cody's rational Chebyshev approximations of erf and erfc, Math.
 Comp. 23, 1969), the regularized incomplete beta ``_betainc`` (the F tail,
 the beta soft labels) and gamma (the chi quantiles) functions, the
-studentized range CDF and its inversion, the ANOVA decomposition (from
-one (method, view, replicate) array), and the letter display.
+studentized range CDF and its inversion, the ANOVA decomposition and the
+letter display.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "ResultsTable",
     "AnovaRow",
     "AnovaTable",
     "TukeyGrouping",
@@ -46,48 +45,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------- containers
-
-
-@dataclass(frozen=True)
-class ResultsTable:
-    """Long-format grid: one (method, view_config, seed, value) per row."""
-
-    method: tuple[str, ...]
-    view_config: tuple[str, ...]
-    seed: tuple[int, ...]
-    value: np.ndarray
-
-    def __post_init__(self):
-        value = np.asarray(self.value, dtype=np.float64)
-        n = len(self.method)
-        if not (len(self.view_config) == len(self.seed) == value.size == n):
-            raise ValueError("column lengths differ")
-        if n == 0:
-            raise ValueError("empty table")
-        if not np.all(np.isfinite(value)):
-            raise ValueError("metric values must be finite")
-        value.flags.writeable = False
-        object.__setattr__(self, "value", value)
-
-    @classmethod
-    def from_rows(cls, rows) -> "ResultsTable":
-        rows = list(rows)
-        return cls(
-            method=tuple(str(r[0]) for r in rows),
-            view_config=tuple(str(r[1]) for r in rows),
-            seed=tuple(int(r[2]) for r in rows),
-            value=np.array([float(r[3]) for r in rows]),
-        )
-
-    def values_by(self, factor: str) -> dict[str, np.ndarray]:
-        """Group metric values by one factor ('method' or 'view_config')."""
-        if factor not in ("method", "view_config"):
-            raise ValueError("factor must be 'method' or 'view_config'")
-        keys = getattr(self, factor)
-        out: dict[str, list[float]] = {}
-        for key, v in zip(keys, self.value):
-            out.setdefault(key, []).append(v)
-        return {k: np.array(vs) for k, vs in sorted(out.items())}
 
 
 @dataclass(frozen=True)
@@ -537,8 +494,9 @@ def _coarse_root(k: int, df: int, p: float) -> float:
     A coarse pass costs about a tenth of a full one, and its root lies within
     a cell of the full rule's at every df >= 3 bracket pinned in the tests,
     so the full search that starts there needs only its two passes. A step
-    that cannot be taken, or that would end at q <= 0, stops at the last x:
-    the full search reaches its cell from any start.
+    that cannot be taken, or that would end at q <= 0, stops at the last x,
+    and none goes past 8 times it: from below 3.5 * 8**20, the full search's
+    100 passes reach the cell by bisection alone.
     """
     x = _START
     for _ in range(20):
@@ -548,6 +506,7 @@ def _coarse_root(k: int, df: int, p: float) -> float:
         root = _log_tail_newton(x, cdf, density, p)
         if not root > 0.0:
             return x
+        root = min(root, 8.0 * x)
         if abs(root - x) < 1e-3 * _CELL:
             return root
         x = root
@@ -642,8 +601,19 @@ def _significant(q: np.ndarray, k: int, df: int, alpha: float) -> np.ndarray:
 # -------------------------------------------------------------------- anova
 
 
-def anova2(table: ResultsTable) -> AnovaTable:
-    """Balanced two-way ANOVA with interaction.
+def _check_design(a: int, b: int, r: int | None) -> None:
+    """Refuse an a x b design with r replicates per cell (None: unequal)."""
+    if a < 2 or b < 2:
+        raise ValueError("both factors need at least 2 levels")
+    if r is None:
+        raise ValueError("unbalanced design: unequal cell counts")
+    if r < 2:
+        raise ValueError("need at least 2 replicates per cell")
+
+
+def anova2(cube: np.ndarray) -> AnovaTable:
+    """Balanced two-way ANOVA with interaction over an (a, b, r) array: a
+    methods x b view configs x r replicates.
 
     Standard balanced-factorial decomposition: with cell means over R
     replicates, SS_A = bR sum (mean_a - mean)^2, SS_B likewise, SS_AB the
@@ -652,23 +622,10 @@ def anova2(table: ResultsTable) -> AnovaTable:
     table degenerate: F is +inf (p = 0) for effects with positive SS and NaN
     otherwise.
     """
-    a_levels, a_idx = np.unique(table.method, return_inverse=True)
-    b_levels, b_idx = np.unique(table.view_config, return_inverse=True)
-    a, b = a_levels.size, b_levels.size
-    if a < 2 or b < 2:
-        raise ValueError("both factors need at least 2 levels")
-    counts = np.bincount(a_idx * b + b_idx, minlength=a * b)
-    r = int(counts[0])
-    if np.any(counts != r):
-        raise ValueError("unbalanced design: unequal cell counts")
-    if r < 2:
-        raise ValueError("need at least 2 replicates per cell")
+    a, b, r = cube.shape
+    _check_design(a, b, r)
 
-    # (a, b, r) cube of replicates; the stable sort keeps each cell's rows
-    # in table order
-    y = table.value
-    cube = y[np.lexsort((b_idx, a_idx))].reshape(a, b, r)
-    grand = float(y.mean())
+    grand = float(cube.mean())
     cell_means = cube.mean(axis=2)
     a_means = cell_means.mean(axis=1)
     b_means = cell_means.mean(axis=0)
@@ -678,7 +635,7 @@ def anova2(table: ResultsTable) -> AnovaTable:
     inter = cell_means - a_means[:, None] - b_means[None, :] + grand
     ss_ab = r * float((inter**2).sum())
     ss_res = float(((cube - cell_means[:, :, None]) ** 2).sum())
-    ss_total = float(((y - grand) ** 2).sum())
+    ss_total = float(((cube - grand) ** 2).sum())
 
     df_a, df_b = a - 1, b - 1
     df_ab = df_a * df_b
@@ -699,7 +656,7 @@ def anova2(table: ResultsTable) -> AnovaTable:
         interaction=row(ss_ab, df_ab),
         residual=AnovaRow(ss=ss_res, df=df_res, f=math.nan, p=math.nan),
         ss_total=ss_total,
-        df_total=y.size - 1,
+        df_total=cube.size - 1,
         degenerate=degenerate,
     )
 

@@ -42,7 +42,6 @@ from ordview.softlabel import (
     target_matrix,
 )
 from ordview.stats import (
-    ResultsTable,
     anova2,
     studentized_range_quantile,
     tukey_hsd,
@@ -438,21 +437,10 @@ def test_criterion_10_anova_sum_of_squares_identity():
         n_b = int(rng.integers(2, 6))
         r = int(rng.integers(2, 7))
         loc = float(rng.normal(scale=3))
-        rows = [
-            (f"m{a}", f"v{b}", s, float(rng.normal(loc=loc)))
-            for a in range(n_a)
-            for b in range(n_b)
-            for s in range(r)
-        ]
-        tbl = anova2(ResultsTable.from_rows(rows))
+        tbl = anova2(rng.normal(loc=loc, size=(n_a, n_b, r)))
         parts = tbl.method.ss + tbl.view.ss + tbl.interaction.ss + tbl.residual.ss
         worst = max(worst, abs(parts - tbl.ss_total) / max(tbl.ss_total, 1e-12))
-    hand = anova2(ResultsTable.from_rows([
-        ("a1", "b1", 0, 1.0), ("a1", "b1", 1, 1.0),
-        ("a1", "b2", 0, 1.0), ("a1", "b2", 1, 1.0),
-        ("a2", "b1", 0, 1.0), ("a2", "b1", 1, 1.0),
-        ("a2", "b2", 0, 5.0), ("a2", "b2", 1, 5.0),
-    ]))
+    hand = anova2(np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [5.0, 5.0]]]))
     print(f"criterion 10: 500 random balanced tables, worst relative identity "
           f"error = {worst:.2e}; hand case SS = "
           f"({hand.method.ss}, {hand.view.ss}, {hand.interaction.ss}), "

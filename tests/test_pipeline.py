@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ordview import pipeline
+from ordview import pipeline, stats
 from ordview.core import MultiViewDataset, stratified_split
 from ordview.metrics import amae
 from ordview.model import METHODS, ModelConfig, method_config, predict_proba_batch, train
@@ -1046,3 +1046,71 @@ class TestStatsReports:
         res = run_experiment(tiny_config(tmp_path, n_seeds=2))
         text = res.stats_paths["qwk"].read_text()
         assert "ANOVA skipped" in text or "Not enough groups" in text
+
+    def test_shuffled_rows_fill_their_own_cells(self, tmp_path, monkeypatch):
+        # rows in random order: every SS of the cube the report hands anova2
+        # against sums over explicitly grouped cells, so rows must land in
+        # their own (method, view) cell
+        rng = np.random.default_rng(4)
+        rows = [
+            (f"m{a}", f"v{b}", s, float(rng.normal() + 0.5 * a - 0.3 * b * b))
+            for a in range(3) for b in range(4) for s in range(3)
+        ]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        cubes = []
+        monkeypatch.setattr(
+            pipeline, "anova2", lambda cube: cubes.append(cube) or stats.anova2(cube)
+        )
+        header = ("method", "view_config", "seed", "qwk")
+        pipeline._write_stats_reports(tmp_path, header, rows, ["qwk"])
+        [cube] = cubes
+        tbl = stats.anova2(cube)
+        methods = np.array([m for m, *_ in rows])
+        views = np.array([v for _, v, *_ in rows])
+        vals = np.array([val for *_, val in rows])
+        grand = vals.mean()
+        m_mean = {m: vals[methods == m].mean() for m in set(methods)}
+        v_mean = {v: vals[views == v].mean() for v in set(views)}
+        cell_mean = {
+            (m, v): vals[(methods == m) & (views == v)].mean()
+            for m in m_mean
+            for v in v_mean
+        }
+        expected = {
+            "method": 12 * sum((x - grand) ** 2 for x in m_mean.values()),
+            "view": 9 * sum((x - grand) ** 2 for x in v_mean.values()),
+            "interaction": 3 * sum(
+                (x - m_mean[m] - v_mean[v] + grand) ** 2
+                for (m, v), x in cell_mean.items()
+            ),
+            "residual": sum((val - cell_mean[(m, v)]) ** 2 for m, v, _, val in rows),
+        }
+        for name, ss in expected.items():
+            assert getattr(tbl, name).ss == pytest.approx(ss, rel=1e-10)
+
+    # the refusals in the order anova2 checks them: levels, balance, replicates
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({("a", "x"): 2, ("a", "y"): 1}, "both factors need at least 2 levels"),
+            ({("a", "x"): 2, ("a", "y"): 2, ("b", "x"): 2, ("b", "y"): 1},
+             "unbalanced design: unequal cell counts"),
+            ({("a", "x"): 1, ("a", "y"): 1, ("b", "x"): 1, ("b", "y"): 2},
+             "unbalanced design: unequal cell counts"),
+            ({("a", "x"): 1, ("a", "y"): 1, ("b", "x"): 1, ("b", "y"): 1},
+             "need at least 2 replicates per cell"),
+        ],
+        ids=("one-method", "unbalanced", "unbalanced-one-replicate", "one-replicate"),
+    )
+    def test_incomplete_grid_skips_anova(self, tmp_path, cells, message):
+        rows = [
+            (m, v, s, 1.0 + s + i)
+            for i, ((m, v), n) in enumerate(cells.items())
+            for s in range(n)
+        ]
+        header = ("method", "view_config", "seed", "qwk")
+        paths = pipeline._write_stats_reports(tmp_path, header, rows, ["qwk"])
+        lines = paths["qwk"].read_text().splitlines()
+        assert lines[2] == f"ANOVA skipped: {message}"
+        assert "## Tukey HSD over method (alpha=0.05)" in lines
+        assert "## Tukey HSD over view_config (alpha=0.05)" in lines

@@ -13,7 +13,6 @@ from oracles import bisect_quantile_bracket
 from ordview import stats
 from ordview.stats import (
     _QUANTILE_TOL,
-    ResultsTable,
     _quantile_bracket,
     _significant,
     anova2,
@@ -25,13 +24,8 @@ from ordview.stats import (
 )
 
 
-def random_balanced_table(rng, n_a=3, n_b=4, r=5):
-    rows = []
-    for a in range(n_a):
-        for b in range(n_b):
-            for s in range(r):
-                rows.append((f"m{a}", f"v{b}", s, float(rng.normal())))
-    return ResultsTable.from_rows(rows)
+def random_balanced_cube(rng, n_a=3, n_b=4, r=5):
+    return rng.normal(size=(n_a, n_b, r))
 
 
 class TestFDistribution:
@@ -145,13 +139,8 @@ class TestShippedRules:
 
 class TestAnova:
     def test_hand_decomposition(self):
-        rows = [
-            ("a1", "b1", 0, 1.0), ("a1", "b1", 1, 1.0),
-            ("a1", "b2", 0, 1.0), ("a1", "b2", 1, 1.0),
-            ("a2", "b1", 0, 1.0), ("a2", "b1", 1, 1.0),
-            ("a2", "b2", 0, 5.0), ("a2", "b2", 1, 5.0),
-        ]
-        tbl = anova2(ResultsTable.from_rows(rows))
+        cube = np.array([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [5.0, 5.0]]])
+        tbl = anova2(cube)
         assert tbl.method.ss == pytest.approx(8.0, abs=1e-12)
         assert tbl.view.ss == pytest.approx(8.0, abs=1e-12)
         assert tbl.interaction.ss == pytest.approx(8.0, abs=1e-12)
@@ -161,8 +150,7 @@ class TestAnova:
         assert math.isinf(tbl.method.f) and tbl.method.p == 0.0
 
     def test_all_equal_is_degenerate_nan(self):
-        rows = [(m, v, s, 2.5) for m in "ab" for v in "xy" for s in range(2)]
-        tbl = anova2(ResultsTable.from_rows(rows))
+        tbl = anova2(np.full((2, 2, 2), 2.5))
         assert tbl.degenerate
         assert math.isnan(tbl.method.f)
         assert math.isnan(tbl.method.p)
@@ -170,7 +158,7 @@ class TestAnova:
     def test_ss_identity_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            tbl = anova2(random_balanced_table(rng))
+            tbl = anova2(random_balanced_cube(rng))
             parts = (
                 tbl.method.ss + tbl.view.ss + tbl.interaction.ss + tbl.residual.ss
             )
@@ -185,8 +173,7 @@ class TestAnova:
     def test_matches_scipy_f_oneway_structure(self):
         # marginal F for Method matches a direct computation from group means
         rng = np.random.default_rng(3)
-        table = random_balanced_table(rng, n_a=3, n_b=2, r=4)
-        tbl = anova2(table)
+        tbl = anova2(random_balanced_cube(rng, n_a=3, n_b=2, r=4))
         assert tbl.method.f == pytest.approx(
             (tbl.method.ss / tbl.method.df) / (tbl.residual.ss / tbl.residual.df),
             rel=1e-12,
@@ -194,64 +181,15 @@ class TestAnova:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
-        rows = [
-            (f"m{a}", f"v{b}", s, float(rng.normal()))
-            for a in range(2) for b in range(3) for s in range(4)
-        ]
-        shifted = [(m, v, s, val + 100.0) for m, v, s, val in rows]
-        t1 = anova2(ResultsTable.from_rows(rows))
-        t2 = anova2(ResultsTable.from_rows(shifted))
+        cube = random_balanced_cube(rng, n_a=2, n_b=3, r=4)
+        t1 = anova2(cube)
+        t2 = anova2(cube + 100.0)
         assert t1.method.f == pytest.approx(t2.method.f, rel=1e-9)
         assert t1.method.ss == pytest.approx(t2.method.ss, rel=1e-9)
 
-    def test_matches_per_cell_sums_on_shuffled_rows(self):
-        # rows in random order: every SS against sums over explicitly
-        # grouped cells, so rows must land in their own (method, view) cell
-        rng = np.random.default_rng(4)
-        rows = [
-            (f"m{a}", f"v{b}", s, float(rng.normal() + 0.5 * a - 0.3 * b * b))
-            for a in range(3) for b in range(4) for s in range(3)
-        ]
-        rows = [rows[i] for i in rng.permutation(len(rows))]
-        tbl = anova2(ResultsTable.from_rows(rows))
-        methods = np.array([m for m, *_ in rows])
-        views = np.array([v for _, v, *_ in rows])
-        vals = np.array([val for *_, val in rows])
-        grand = vals.mean()
-        m_mean = {m: vals[methods == m].mean() for m in set(methods)}
-        v_mean = {v: vals[views == v].mean() for v in set(views)}
-        cell_mean = {
-            (m, v): vals[(methods == m) & (views == v)].mean()
-            for m in m_mean
-            for v in v_mean
-        }
-        expected = {
-            "method": 12 * sum((x - grand) ** 2 for x in m_mean.values()),
-            "view": 9 * sum((x - grand) ** 2 for x in v_mean.values()),
-            "interaction": 3 * sum(
-                (x - m_mean[m] - v_mean[v] + grand) ** 2
-                for (m, v), x in cell_mean.items()
-            ),
-            "residual": sum((val - cell_mean[(m, v)]) ** 2 for m, v, _, val in rows),
-        }
-        for name, ss in expected.items():
-            assert getattr(tbl, name).ss == pytest.approx(ss, rel=1e-10)
-
-    def test_unbalanced_rejected(self):
-        rows = [
-            ("a", "x", 0, 1.0), ("a", "x", 1, 2.0),
-            ("a", "y", 0, 1.0), ("a", "y", 1, 2.0),
-            ("b", "x", 0, 1.0), ("b", "x", 1, 2.0),
-            ("b", "y", 0, 1.0),
-        ]
-        with pytest.raises(ValueError):
-            anova2(ResultsTable.from_rows(rows))
-
     def test_single_replicate_rejected(self):
-        rows = [("a", "x", 0, 1.0), ("a", "y", 0, 2.0),
-                ("b", "x", 0, 3.0), ("b", "y", 0, 4.0)]
         with pytest.raises(ValueError):
-            anova2(ResultsTable.from_rows(rows))
+            anova2(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))
 
 
 class TestStudentizedRange:
@@ -494,6 +432,24 @@ class TestBracketBits:
             lambda q: studentized_range_cdf(q, k, df), p, _QUANTILE_TOL
         )
         assert got == want == self.bits(*oracle)
+
+    def test_far_coarse_step_is_capped(self, monkeypatch):
+        """A first coarse step to q = 1e31 goes only to 8 times the start,
+        so the full search still reaches its cell within its 100 passes."""
+        k, df, p = 5, 20, 0.95
+        newton = stats._log_tail_newton
+        calls = []
+
+        def far_first(*args):
+            calls.append(args)
+            return 1e31 if len(calls) == 1 else newton(*args)
+
+        monkeypatch.setattr(stats, "_log_tail_newton", far_first)
+        got = self.bits(*_quantile_bracket.__wrapped__(k, df, p))
+        oracle = bisect_quantile_bracket(
+            lambda q: studentized_range_cdf(q, k, df), p, _QUANTILE_TOL
+        )
+        assert got == self.bits(*oracle)
 
     @pytest.mark.parametrize("cdf, density", [(1.0, 0.5), (0.5, 0.0)])
     def test_newton_step_not_taken_without_tail_or_density(self, cdf, density):
