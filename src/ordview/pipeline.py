@@ -66,6 +66,8 @@ __all__ = [
 DEFAULT_PROPORTIONS = (0.1356, 0.3458, 0.3593, 0.1593)
 DEFAULT_VIEWS = ("crown", "north", "south")
 
+# a grid row's key, then its headline metrics
+KEY_COLUMNS = ("method", "view_config", "seed")
 METRIC_COLUMNS = ("qwk", "amae", "accuracy")
 _MODEL_OPTIONS = ("backbone", "hidden_width", "epochs", "batch_size", "learning_rate")
 
@@ -169,30 +171,13 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> MultiViewDataset:
     return MultiViewDataset(views=views, labels=labels, n_classes=cfg.n_classes)
 
 
-def write_views_csv(
-    data: MultiViewDataset,
-    out_dir,
-    label_column: str = "label",
-    id_column: str = "sample_id",
-) -> dict[str, Path]:
-    """One CSV per view: id, features f0.., label. Returns view -> path.
-
-    A label or id column named like the other or like a feature column
-    raises a ValueError before any file is written, since the loader
-    rejects a header with a duplicate column.
-    """
-    if label_column == id_column:
-        raise ValueError(f"label column and id column are both {id_column!r}")
-    width = max(block.shape[1] for block in data.views.values())
-    features = {f"f{i}" for i in range(width)}
-    for role, col in (("id", id_column), ("label", label_column)):
-        if col in features:
-            raise ValueError(f"{role} column {col!r} is also the name of a feature column")
+def write_views_csv(data: MultiViewDataset, out_dir) -> dict[str, Path]:
+    """One CSV per view: sample_id, features f0.., label. Returns view -> path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, block in data.views.items():
-        header = [id_column] + [f"f{i}" for i in range(block.shape[1])] + [label_column]
+        header = ["sample_id"] + [f"f{i}" for i in range(block.shape[1])] + ["label"]
         paths[name] = _write_csv(out_dir / f"{name}.csv", header, _rows(block, data.labels))
     return paths
 
@@ -593,12 +578,8 @@ def view_config_names(views) -> list[tuple[str, tuple[str, ...]]]:
 
 def grid_header(n_classes: int) -> tuple[str, ...]:
     return (
-        "method",
-        "view_config",
-        "seed",
-        "qwk",
-        "amae",
-        "accuracy",
+        *KEY_COLUMNS,
+        *METRIC_COLUMNS,
         *[f"sens_{q}" for q in range(n_classes)],
         *[f"mae_{q}" for q in range(n_classes)],
     )
@@ -689,13 +670,9 @@ def _run_seed(cfg: ExperimentConfig, train_base, test, configs, seed) -> list[tu
 
 
 def _config_json(cfg: ExperimentConfig) -> str:
-    def default(obj):
-        if isinstance(obj, Path):
-            return str(obj)
-        raise TypeError(type(obj))
-
-    payload = dataclasses.asdict(cfg)
-    return json.dumps(payload, indent=2, sort_keys=True, default=default)
+    # check_fields stores builtin types, so a Path is the only field json
+    # cannot encode
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True, default=str)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -770,11 +747,11 @@ def _write_summary(out: Path, metric: str, methods, view_cfgs, values) -> Path:
     lines = [f"# Mean {metric.upper()} per method and view configuration", ""]
     lines.append("| method | " + " | ".join(view_cfgs) + " |")
     lines.append("|---" * (len(view_cfgs) + 1) + "|")
-    for m, per_cfg in zip(methods, values):
-        cells = []
-        for vals in per_cfg:
-            std = vals.std(ddof=1) if vals.size > 1 else 0.0
-            cells.append(f"{vals.mean():.3f} +- {std:.3f}")
+    means = values.mean(axis=2).tolist()
+    # ddof=1, but 0 at one seed, whose spread is then 0.0, not nan
+    stds = values.std(axis=2, ddof=int(values.shape[2] > 1)).tolist()
+    for m, mean_row, std_row in zip(methods, means, stds):
+        cells = [f"{mean:.3f} +- {std:.3f}" for mean, std in zip(mean_row, std_row)]
         lines.append(f"| {m} | " + " | ".join(cells) + " |")
     path = out / f"summary_{metric}.md"
     path.write_text("\n".join(lines) + "\n")
@@ -783,10 +760,6 @@ def _write_summary(out: Path, metric: str, methods, view_cfgs, values) -> Path:
 
 def _tukey_section(groups: dict[str, np.ndarray], factor: str, alpha: float) -> list[str]:
     lines = [f"## Tukey HSD over {factor} (alpha={alpha:g})", ""]
-    if len(groups) < 2 or any(v.size < 2 for v in groups.values()):
-        lines.append("Not enough groups/replicates for Tukey comparisons.")
-        lines.append("")
-        return lines
     try:
         grouping = tukey_hsd(groups, alpha=alpha)
     except ValueError as exc:
@@ -861,12 +834,15 @@ def read_grid_csv(path, finite=()) -> tuple[tuple[str, ...], list[tuple]]:
     A NaN or infinite value in a column named in ``finite`` raises a
     ValueError naming the file, the line and the column; other metric
     columns may hold NaN (``sens_q`` and ``mae_q`` of a class q with no
-    test rows).
+    test rows). A key column in ``finite`` raises before the file is read.
     """
     path = Path(path)
+    key = next((name for name in finite if name in KEY_COLUMNS), None)
+    if key is not None:
+        raise ValueError(f"{key!r} is a key column of the grid, not a metric column")
 
     def types(header):
-        if tuple(header[:3]) != ("method", "view_config", "seed"):
+        if tuple(header[:3]) != KEY_COLUMNS:
             raise ValueError(
                 f"file {path}: not a grid CSV (header {tuple(header[:3])})"
             )

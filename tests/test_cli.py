@@ -265,6 +265,22 @@ class TestTrainAndMetrics:
             lines.append(",".join(map(repr, [label, pred, *row])))
         assert preds.read_bytes() == "".join(ln + "\r\n" for ln in lines).encode()
 
+    def test_train_reads_named_columns(self, tmp_path, capsys):
+        # the label first and the id last, under other names
+        rng = np.random.default_rng(5)
+        lines = ["grade,x1,x2,tree"]
+        for i in range(40):
+            x1, x2 = (rng.normal(size=2) + i % 4).tolist()
+            lines.append(f"{i % 4},{x1!r},{x2!r},t{i}")
+        view = tmp_path / "v.csv"
+        view.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(
+            capsys, "train", "--data", str(view), "--method", "nominal", "--no-tuning",
+            "--label-column", "grade", "--id-column", "tree",
+        )
+        assert code == 0
+        assert "train=32 test=8" in out
+
     def test_metrics_requires_columns(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         with p.open("w", newline="") as fh:
@@ -509,6 +525,34 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", str(grid), "--metrics", "f1")
         assert code == 2
         assert "not in grid columns" in err
+
+    def test_one_method_one_seed_names_tukey_refusals(self, tmp_path, capsys):
+        # tukey_hsd's own message under each factor: one method is one
+        # group, and each view config holds one row
+        grid = tmp_path / "grid.csv"
+        grid.write_text(
+            "method,view_config,seed,qwk\n"
+            "nominal,crown,0,0.5\nnominal,north,0,0.6\nnominal,crown+north,0,0.7\n"
+        )
+        code, _, _ = run_cli(capsys, "stats", str(grid), "--metrics", "qwk")
+        assert code == 0
+        lines = (tmp_path / "stats_qwk.md").read_text().splitlines()
+        method = lines.index("## Tukey HSD over method (alpha=0.05)")
+        view = lines.index("## Tukey HSD over view_config (alpha=0.05)")
+        assert lines[method + 2] == "Skipped: need at least 2 groups"
+        assert lines[view + 2] == "Skipped: group 'crown' needs at least 2 values"
+
+    @pytest.mark.parametrize("key", ["method", "view_config", "seed"])
+    def test_key_column_is_not_a_metric(self, tmp_path, capsys, key):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("method,view_config,seed,qwk\nnominal,crown,0,0.5\n")
+        out_dir = tmp_path / "r"
+        code, _, err = run_cli(
+            capsys, "stats", str(grid), "--metrics", f"qwk,{key}", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err == f"error: {key!r} is a key column of the grid, not a metric column\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("metrics", ["", " , ", "qwk,qwk", "qwk,f1"])
     def test_bad_metric_list_writes_nothing(self, tmp_path, capsys, metrics):

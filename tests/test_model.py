@@ -402,6 +402,7 @@ TRAIN_DIGESTS = {
 }
 
 
+@pytest.mark.stack_pinned
 @pytest.mark.parametrize("case", sorted(TRAIN_DIGESTS))
 def test_train_bits_pinned(case):
     loss, head, _, backbone, j, *batch = case.split("-")

@@ -192,22 +192,14 @@ class TestCsvRoundtrip:
                 loaded.views[v].view(np.int64), data.views[v].view(np.int64)
             )
 
-    @pytest.mark.parametrize("columns, message", [
-        (dict(label_column="f0"), "label column 'f0' is also the name of a feature column"),
-        (dict(id_column="f3"), "id column 'f3' is also the name of a feature column"),
-        (dict(id_column="y", label_column="y"), "label column and id column are both 'y'"),
-    ])
-    def test_clashing_column_names_rejected_before_writing(self, tmp_path, columns, message):
-        data = generate_synthetic(SynthConfig(n_samples=40), seed=1)
-        with pytest.raises(ValueError, match=message):
-            write_views_csv(data, tmp_path / "out", **columns)
-        assert not (tmp_path / "out").exists()
-
-    def test_label_named_past_the_features_round_trips(self, tmp_path):
-        data = generate_synthetic(SynthConfig(n_samples=40), seed=1)
-        paths = write_views_csv(data, tmp_path, label_column="f10", id_column="f11")
-        loaded = load_views_csv(paths, label_column="f10", id_column="f11")
-        assert np.array_equal(loaded.labels, data.labels)
+    def test_loader_reads_named_columns_anywhere(self, tmp_path):
+        # the label first and the id between the features, under other names
+        path = tmp_path / "v.csv"
+        path.write_text("grade,x1,tree,x2\n2,0.5,t3,-1.0\n0,1.5,t1,2.0\n1,-0.25,t2,3.0\n")
+        loaded = load_views_csv({"v": path}, label_column="grade", id_column="tree")
+        assert loaded.labels.tolist() == [0, 1, 2]  # in id order
+        assert loaded.views["v"].tolist() == [[1.5, 2.0], [-0.25, 3.0], [0.5, -1.0]]
+        assert loaded.n_classes == 3
 
     def test_write_matches_csv_writer_bytes(self, tmp_path):
         block = np.array(EDGE_FLOATS + [0.1, 1 / 3, -2.5e-7, 123456789.0])
@@ -216,9 +208,9 @@ class TestCsvRoundtrip:
             labels=np.arange(block.size) % 3,
             n_classes=3,
         )
-        path = write_views_csv(data, tmp_path / "out", id_column="id")["v"]
+        path = write_views_csv(data, tmp_path / "out")["v"]
         rows = zip(data.views["v"].tolist(), data.labels.tolist())
-        write_csv(tmp_path / "ref.csv", ["id", "f0", "f1", "label"],
+        write_csv(tmp_path / "ref.csv", ["sample_id", "f0", "f1", "label"],
                   ([i, *x, y] for i, (x, y) in enumerate(rows)))
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -268,6 +260,7 @@ class TestViewFilesPinned:
         8193: "accd92841ab7174049039fdc413ac876640993017a5a2b71d0ebf725e82faa92",
     }
 
+    @pytest.mark.stack_pinned
     @pytest.mark.parametrize("n", sorted(DIGESTS))
     def test_written_bytes_pinned(self, tmp_path, n):
         data = generate_synthetic(SynthConfig(n_samples=n), seed=n)
@@ -1045,7 +1038,7 @@ class TestStatsReports:
     def test_single_cell_skips_gracefully(self, tmp_path):
         res = run_experiment(tiny_config(tmp_path, n_seeds=2))
         text = res.stats_paths["qwk"].read_text()
-        assert "ANOVA skipped" in text or "Not enough groups" in text
+        assert "ANOVA skipped" in text and "Skipped: need at least 2 groups" in text
 
     def test_shuffled_rows_fill_their_own_cells(self, tmp_path, monkeypatch):
         # rows in random order: every SS of the cube the report hands anova2

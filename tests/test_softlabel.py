@@ -251,6 +251,7 @@ class TestTargetBits:
                 cfg = SoftLabelConfig(kind=kind, lam=lam, **dict(zip(fields, values)))
                 yield target_matrix(j, cfg)
 
+    @pytest.mark.stack_pinned
     @pytest.mark.parametrize("which", sorted(DIGESTS))
     def test_tables_pinned(self, which):
         h = hashlib.sha256()
